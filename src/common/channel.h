@@ -1,10 +1,10 @@
-// A multi-producer / multi-consumer blocking channel.
+// An unbounded multi-producer / multi-consumer blocking channel.
 //
 // Channels connect execution nodes (one thread per node, §7.2 of the
-// paper). A channel is closed by the producer after sending its last
-// message; consumers observe closure through Receive() returning
-// std::nullopt once the queue drains. An optional capacity bound provides
-// backpressure so fast upstream nodes cannot flood slow downstream ones.
+// paper). Sends never block: Wake trades memory for pipeline liveness
+// (src/exec/README.md explains why edges must stay unbounded). A closed
+// channel rejects sends; consumers observe closure through Receive()
+// returning std::nullopt once the queue drains.
 #ifndef WAKE_COMMON_CHANNEL_H_
 #define WAKE_COMMON_CHANNEL_H_
 
@@ -21,36 +21,21 @@
 
 namespace wake {
 
-/// Approximate payload size of one queued item, used for the channel's
-/// byte accounting (`byte_size()`). The default — any T — is zero;
-/// payload types whose queued memory matters (Message, OlaState)
-/// overload this next to their definition and are picked up by
-/// argument-dependent lookup.
-template <typename T>
-inline size_t ChannelItemBytes(const T&) {
-  return 0;
-}
-
-/// Blocking MPMC queue with close semantics.
+/// Unbounded blocking MPMC queue with close semantics.
 template <typename T>
 class Channel {
  public:
-  /// `capacity` == 0 means unbounded.
-  explicit Channel(size_t capacity = 0) : capacity_(capacity) {}
+  Channel() = default;
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Sends one item. Blocks while the channel is at capacity.
-  /// Returns false (and drops the item) if the channel is already closed.
+  /// Sends one item. Returns false (and drops the item) if the channel is
+  /// already closed.
   bool Send(T item) {
     WAKE_FAILPOINT("channel.send");
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] {
-      return closed_ || capacity_ == 0 || queue_.size() < capacity_;
-    });
+    std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
-    bytes_ += ChannelItemBytes(item);
     queue_.push_back(std::move(item));
     not_empty_.notify_one();
     return true;
@@ -58,35 +43,22 @@ class Channel {
 
   /// Moves every item of `items` into the queue, acquiring the lock once
   /// and notifying consumers once — the sending half of the batched
-  /// discipline (ReceiveAll is the receiving half). Blocks while a bounded
-  /// channel is at capacity between pushes. Returns the number of items
-  /// accepted (fewer than items.size() only if the channel closes
-  /// mid-send); `items` is left empty.
+  /// discipline (ReceiveAll is the receiving half). Returns the number of
+  /// items accepted (all of them, or none if the channel is closed);
+  /// `items` is left empty.
   size_t SendAll(std::vector<T>&& items) {
     if (items.empty()) return 0;
     WAKE_FAILPOINT("channel.send");
     size_t accepted = 0;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (T& item : items) {
-        if (capacity_ != 0 && !closed_ && queue_.size() >= capacity_) {
-          // About to sleep on a full bounded channel: wake consumers
-          // first — the items already pushed must be receivable, or a
-          // consumer that blocked before this call would sleep forever
-          // while we wait for it to free a slot.
-          if (accepted > 0) not_empty_.notify_all();
-          not_full_.wait(lock, [&] {
-            return closed_ || queue_.size() < capacity_;
-          });
-        }
-        if (closed_) break;
-        bytes_ += ChannelItemBytes(item);
-        queue_.push_back(std::move(item));
-        ++accepted;
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!closed_) {
+        for (T& item : items) queue_.push_back(std::move(item));
+        accepted = items.size();
+        // One wakeup for the whole batch; notify_all because a batch can
+        // satisfy several blocked consumers.
+        not_empty_.notify_all();
       }
-      // One wakeup for the whole batch; notify_all because a batch can
-      // satisfy several blocked consumers.
-      if (accepted > 0) not_empty_.notify_all();
     }
     items.clear();
     return accepted;
@@ -97,12 +69,7 @@ class Channel {
   std::optional<T> Receive() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return std::nullopt;
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    DebitBytes(ChannelItemBytes(item));
-    not_full_.notify_one();
-    return item;
+    return PopLocked();
   }
 
   /// Drains the entire queue in one lock acquisition. Blocks until at
@@ -115,9 +82,6 @@ class Channel {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
     out.swap(queue_);
-    bytes_ = 0;
-    // A whole batch of slots freed at once: wake every blocked sender.
-    if (!out.empty()) not_full_.notify_all();
     return out;
   }
 
@@ -126,27 +90,15 @@ class Channel {
   /// the two apart check closed() (or their own completion flag) after.
   std::optional<T> ReceiveFor(std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [&] { return closed_ || !queue_.empty(); })) {
-      return std::nullopt;
-    }
-    if (queue_.empty()) return std::nullopt;
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    DebitBytes(ChannelItemBytes(item));
-    not_full_.notify_one();
-    return item;
+    not_empty_.wait_for(lock, timeout,
+                        [&] { return closed_ || !queue_.empty(); });
+    return PopLocked();
   }
 
   /// Non-blocking receive.
   std::optional<T> TryReceive() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.empty()) return std::nullopt;
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    DebitBytes(ChannelItemBytes(item));
-    not_full_.notify_one();
-    return item;
+    std::lock_guard<std::mutex> lock(mu_);
+    return PopLocked();
   }
 
   /// Marks the channel closed. Pending items remain receivable.
@@ -154,7 +106,6 @@ class Channel {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   /// Cancels the channel: closes it AND discards everything queued, so
@@ -167,9 +118,7 @@ class Channel {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
     queue_.clear();
-    bytes_ = 0;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   bool closed() const {
@@ -182,23 +131,19 @@ class Channel {
     return queue_.size();
   }
 
-  /// Approximate bytes queued but not yet received (per ChannelItemBytes;
-  /// zero for payload types without an overload). This is what lets a
-  /// resource tracker account queued-but-undrained partials.
-  size_t byte_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
-  }
-
  private:
-  void DebitBytes(size_t n) { bytes_ -= n < bytes_ ? n : bytes_; }
+  /// Pops the front item, or returns std::nullopt if the queue is empty.
+  /// Caller holds mu_.
+  std::optional<T> PopLocked() {
+    if (queue_.empty()) return std::nullopt;
+    T item = std::move(queue_.front());
+    queue_.pop_front();
+    return item;
+  }
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> queue_;
-  size_t capacity_;
-  size_t bytes_ = 0;
   bool closed_ = false;
 };
 

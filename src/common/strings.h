@@ -1,4 +1,4 @@
-// Small string helpers shared by the CSV reader, dbgen, and the SQL-LIKE
+// Small string helpers shared by the tbl reader, dbgen, and the SQL-LIKE
 // matcher used in filter expressions.
 #ifndef WAKE_COMMON_STRINGS_H_
 #define WAKE_COMMON_STRINGS_H_

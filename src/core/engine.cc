@@ -23,7 +23,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
     std::vector<std::unique_ptr<ExecNode>>* nodes,
     CompileMemo* memo) const {
   // Shared-subplan reuse (§7.3): a PlanNode object reachable through
-  // several parents compiles to one ExecNode with broadcast outputs.
+  // several parents compiles to one ExecNode that feeds every parent.
   if (options_.share_subplans) {
     auto it = memo->find(plan.get());
     if (it != memo->end()) return it->second;
@@ -49,14 +49,14 @@ WakeEngine::Compiled WakeEngine::CompileRec(
       Compiled in = CompileRec(plan->inputs[0], nodes, memo);
       nodes->push_back(std::make_unique<MapNode>(
           *plan, in.props.schema, out.props.schema, node_options));
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      nodes->back()->AddInput(in.node);
       break;
     }
     case PlanOp::kFilter: {
       Compiled in = CompileRec(plan->inputs[0], nodes, memo);
       nodes->push_back(std::make_unique<FilterNode>(
           plan->predicate, in.props.schema, node_options));
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      nodes->back()->AddInput(in.node);
       break;
     }
     case PlanOp::kJoin: {
@@ -80,8 +80,8 @@ WakeEngine::Compiled WakeEngine::CompileRec(
             *plan, left.props.schema, right.props.schema, out.props.schema,
             node_options));
       }
-      nodes->back()->AddInput(left.node->ClaimOutput());
-      nodes->back()->AddInput(right.node->ClaimOutput());
+      nodes->back()->AddInput(left.node);
+      nodes->back()->AddInput(right.node);
       break;
     }
     case PlanOp::kAggregate: {
@@ -93,14 +93,14 @@ WakeEngine::Compiled WakeEngine::CompileRec(
         nodes->push_back(std::make_unique<ShuffleAggNode>(
             *plan, in.props.schema, out.props.schema, node_options));
       }
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      nodes->back()->AddInput(in.node);
       break;
     }
     case PlanOp::kSortLimit: {
       Compiled in = CompileRec(plan->inputs[0], nodes, memo);
       nodes->push_back(std::make_unique<SortLimitNode>(
           *plan, in.props.schema, node_options));
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      nodes->back()->AddInput(in.node);
       break;
     }
   }
@@ -114,7 +114,8 @@ std::unique_ptr<EngineRun> WakeEngine::Start(const PlanNodePtr& plan) const {
   CompileMemo memo;
   Compiled root = CompileRec(plan, &run->nodes_, &memo);
   run->root_props_ = std::move(root.props);
-  run->channel_ = root.node->ClaimOutput();
+  run->inbox_ = std::make_shared<Inbox>();
+  root.node->AddOutlet(run->inbox_, 0);
   run->trace_enabled_ = options_.trace;
   run->tracker_ = options_.tracker;
   run->clock_.Restart();
@@ -132,7 +133,7 @@ std::unique_ptr<EngineRun> WakeEngine::Start(const PlanNodePtr& plan) const {
 
 EngineRun::~EngineRun() {
   // An uncollected run still has live node threads; cancel so they unwind
-  // instead of running the query to completion into a dead channel, then
+  // instead of running the query to completion into a dead inbox, then
   // let the nodes' destructors join them.
   if (!collected_) Cancel();
 }
@@ -184,12 +185,18 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
   std::shared_ptr<const VarianceMap> latest_vars;
   double progress = 0.0;
   bool got_any = false;
-  for (;;) {
+  bool eof = false;
+  while (!eof) {
     // Batched drain: one lock per burst of root-stream messages.
-    auto batch = channel_->ReceiveAll();
-    if (batch.empty()) break;  // closed/cancelled and drained
-    for (auto& msg : batch) {
+    auto batch = inbox_->ReceiveAll();
+    if (batch.empty()) break;  // cancelled
+    for (auto& tagged : batch) {
       if (cancelled()) break;
+      if (tagged.eof) {
+        eof = true;
+        break;
+      }
+      const Message& msg = tagged.msg;
       if (tracker_ != nullptr && msg.frame != nullptr) {
         tracker_->Credit(msg.frame->ByteSize());
       }

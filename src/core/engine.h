@@ -12,7 +12,9 @@
 //                       clustering key (Case 1); ShuffleAggNode with
 //                       growth-based inference otherwise (Case 2)
 //  - sort/limit      -> SortLimitNode (Case 3 recompute)
-// Every node runs on its own thread; edges are unbounded channels (§7.2).
+// Every node runs on exactly one thread and reads one unbounded inbox that
+// its producers send into directly (§7.2); the collector reads the root's
+// output the same way, from an inbox of its own.
 #ifndef WAKE_CORE_ENGINE_H_
 #define WAKE_CORE_ENGINE_H_
 
@@ -86,13 +88,14 @@ using StateCallback = std::function<void(const OlaState&)>;
 /// handle-driven lifetime instead of WakeEngine::Execute's internal
 /// thread management.
 ///
-/// Lifecycle: Start() spawns the node threads immediately. Exactly one
-/// thread then calls Collect(), which blocks until the root stream closes
-/// (completion or cancellation) and joins every node thread before
-/// returning. Cancel() may be called from any thread at any time — it
-/// cancels every channel in the graph so all node threads unwind promptly
-/// without draining pending work; a cancelled run delivers no final
-/// state. Destroying an uncollected run cancels it and joins its threads.
+/// Lifecycle: Start() spawns one thread per node immediately. Exactly one
+/// thread then calls Collect(), which reads the collector's inbox until
+/// the root sends EOF or the run is cancelled, and joins every node
+/// thread before returning. Cancel() may be called from any thread at any
+/// time — it cancels every inbox in the graph, the collector's included,
+/// so all node threads unwind promptly without draining pending work; a
+/// cancelled run delivers no final state. Destroying an uncollected run
+/// cancels it and joins its threads.
 class EngineRun {
  public:
   ~EngineRun();
@@ -142,7 +145,7 @@ class EngineRun {
 
   std::vector<std::unique_ptr<ExecNode>> nodes_;
   PlanProps root_props_;
-  MessageChannelPtr channel_;  // claimed root output
+  InboxPtr inbox_;  // the collector's; the root node sends into it
   bool trace_enabled_ = false;
   TraceLog trace_;
   Stopwatch clock_;  // runs from Start()

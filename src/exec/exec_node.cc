@@ -5,26 +5,19 @@
 namespace wake {
 
 ExecNode::ExecNode(std::string label)
-    : label_(std::move(label)),
-      merged_(std::make_shared<Channel<Tagged>>()) {
-  outputs_.push_back(std::make_shared<MessageChannel>());
-}
+    : label_(std::move(label)), inbox_(std::make_shared<Inbox>()) {}
 
 ExecNode::~ExecNode() { Join(); }
 
-void ExecNode::AddInput(MessageChannelPtr channel) {
-  CheckArg(channel != nullptr, "null input channel");
-  inputs_.push_back(std::move(channel));
+void ExecNode::AddInput(ExecNode* upstream) {
+  CheckArg(upstream != nullptr, "null upstream node");
+  upstream->AddOutlet(inbox_, ports_closed_.size());
   ports_closed_.push_back(0);
 }
 
-MessageChannelPtr ExecNode::ClaimOutput() {
-  if (!primary_claimed_) {
-    primary_claimed_ = true;
-    return outputs_[0];
-  }
-  outputs_.push_back(std::make_shared<MessageChannel>());
-  return outputs_.back();
+void ExecNode::AddOutlet(InboxPtr inbox, size_t port) {
+  CheckArg(inbox != nullptr, "null inbox");
+  outlets_.push_back(Outlet{std::move(inbox), port});
 }
 
 void ExecNode::Start(TraceLog* trace) {
@@ -32,52 +25,41 @@ void ExecNode::Start(TraceLog* trace) {
 }
 
 void ExecNode::Join() {
-  // The node thread owns forwarder creation, and a cancelled graph can be
-  // joined while Run() is still spawning them — join the node thread
-  // first so `forwarders_` is stable before it is iterated. The run loop
-  // never outlives its forwarders on the normal path (EOF markers) and
-  // exits independently of them on the cancelled path (channels are
-  // cancelled), so this order cannot deadlock.
   if (thread_.joinable()) thread_.join();
-  for (auto& f : forwarders_) {
-    if (f.joinable()) f.join();
-  }
 }
 
 void ExecNode::RequestStop() {
   stop_.store(true, std::memory_order_relaxed);
-  // Cancel every channel this node's threads can block on. Input channels
-  // are upstream nodes' outputs, so a graph-wide stop cancels each edge
-  // (harmlessly) from both ends.
-  for (auto& in : inputs_) in->Cancel();
-  merged_->Cancel();
-  for (auto& out : outputs_) out->Cancel();
+  CancelInboxes();
 }
 
-void ExecNode::CloseOutputs() {
-  for (auto& out : outputs_) out->Close();
+void ExecNode::CancelInboxes() {
+  // A graph-wide stop cancels each inbox (harmlessly) from both ends: by
+  // its owner and by every producer feeding it.
+  inbox_->Cancel();
+  for (const Outlet& out : outlets_) out.inbox->Cancel();
 }
 
 void ExecNode::Run(TraceLog* trace) {
+  std::exception_ptr error;
   try {
-    RunBody(trace);
+    if (RunBody(trace)) {
+      for (const Outlet& out : outlets_) {
+        out.inbox->Send(Tagged{out.port, true, Message{}});
+      }
+      return;
+    }
   } catch (...) {
     // A failing operator must not take the process down (node threads have
-    // no caller to unwind into) and must not let downstream nodes Finish()
-    // over silently truncated input as if it were complete. Latch the stop
-    // flag, unblock everyone touching this node's channels, and hand the
-    // error to the graph owner, who stops the rest of the graph and
-    // rethrows it to the driver.
-    stop_.store(true, std::memory_order_relaxed);
-    std::exception_ptr error = std::current_exception();
-    for (auto& in : inputs_) in->Cancel();
-    merged_->Cancel();
-    for (auto& out : outputs_) out->Cancel();
-    emit_buffering_ = false;
+    // no caller to unwind into). Hand the error to the graph owner, who
+    // stops the rest of the graph and rethrows it from Collect().
+    error = std::current_exception();
     emit_buffer_.clear();
-    if (error_handler_) error_handler_(error);
   }
-  CloseOutputs();
+  // Stopped, cancelled or failed: consumers must not Finish() over the
+  // truncated input as if it were complete, so they get a cancel, not EOF.
+  CancelInboxes();
+  if (error && error_handler_) error_handler_(error);
 }
 
 void ExecNode::SyncStateAccounting() {
@@ -87,54 +69,22 @@ void ExecNode::SyncStateAccounting() {
   }
 }
 
-void ExecNode::RunBody(TraceLog* trace) {
-  if (inputs_.empty()) {
+bool ExecNode::RunBody(TraceLog* trace) {
+  if (ports_closed_.empty()) {
     double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
     RunSource();
     if (trace) {
       trace->Record(label_, t0, trace->epoch().ElapsedSeconds());
     }
-    return;
+    return !stopped();
   }
 
-  // Multiplex all inputs into one internal queue; forwarders tag messages
-  // with their port and send a final EOF marker when their channel closes.
-  // Both hops are batched: one ReceiveAll per burst of queued partials,
-  // one SendAll (single lock, single wakeup) to re-enqueue the burst.
-  size_t ports = inputs_.size();
-  forwarders_.reserve(ports);
-  for (size_t p = 0; p < ports; ++p) {
-    forwarders_.emplace_back([this, p] {
-      try {
-        std::vector<Tagged> tagged;
-        for (;;) {
-          auto batch = inputs_[p]->ReceiveAll();
-          if (batch.empty()) break;  // closed/cancelled and drained
-          tagged.clear();
-          tagged.reserve(batch.size());
-          for (auto& msg : batch) {
-            tagged.push_back(Tagged{p, false, std::move(msg)});
-          }
-          merged_->SendAll(std::move(tagged));
-        }
-        merged_->Send(Tagged{p, true, Message{}});
-      } catch (...) {
-        // Same containment as Run(): without the EOF marker the run loop
-        // would wait on this port forever, so cancel the edge and report.
-        std::exception_ptr error = std::current_exception();
-        merged_->Cancel();
-        inputs_[p]->Cancel();
-        if (error_handler_) error_handler_(error);
-      }
-    });
-  }
-
-  size_t open_ports = ports;
+  size_t open_ports = ports_closed_.size();
   while (open_ports > 0 && !stopped()) {
     // Drain whatever has accumulated, buffer the emits the batch
-    // produces, then flush them as one SendAll per output.
-    auto batch = merged_->ReceiveAll();
-    if (batch.empty()) break;  // cancelled (merged never closes at EOF)
+    // produces, then flush them as one SendAll per consumer.
+    auto batch = inbox_->ReceiveAll();
+    if (batch.empty()) break;  // cancelled while inputs are still open
     emit_buffering_ = true;
     for (auto& tagged : batch) {
       if (stopped()) break;  // drop the rest of the drained batch
@@ -160,30 +110,46 @@ void ExecNode::RunBody(TraceLog* trace) {
     FlushEmits();
     SyncStateAccounting();
   }
-  // A stopped node produces no final state: its output stream is already
-  // cancelled, and computing a last snapshot would delay shutdown.
-  if (!stopped()) {
-    double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
-    emit_buffering_ = true;
-    Finish();
-    emit_buffering_ = false;
-    FlushEmits();
-    SyncStateAccounting();
-    if (trace) {
-      trace->Record(label_ + ":finish", t0, trace->epoch().ElapsedSeconds());
-    }
-  }
+  // A stopped or cancelled node produces no final state: its consumers
+  // are being cancelled, and computing a last snapshot would delay
+  // shutdown.
+  if (open_ports > 0 || stopped()) return false;
+  double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
+  emit_buffering_ = true;
+  Finish();
   emit_buffering_ = false;
-  emit_buffer_.clear();
+  FlushEmits();
+  SyncStateAccounting();
+  if (trace) {
+    trace->Record(label_ + ":finish", t0, trace->epoch().ElapsedSeconds());
+  }
+  return true;
+}
+
+void ExecNode::Emit(Message msg) {
+  if (tracker_ != nullptr && msg.frame != nullptr) {
+    // One charge per destination inbox; the consumer credits on drain.
+    tracker_->Charge(msg.frame->ByteSize() * outlets_.size());
+  }
+  emit_buffer_.push_back(std::move(msg));
+  // Cap the buffer so a long drained batch (e.g. a join replaying its
+  // pending probes at build EOF) still streams to downstream nodes: the
+  // lock is amortized kEmitFlushBatch ways either way.
+  if (!emit_buffering_ || emit_buffer_.size() >= kEmitFlushBatch) {
+    FlushEmits();
+  }
 }
 
 void ExecNode::FlushEmits() {
   if (emit_buffer_.empty()) return;
-  for (size_t i = 1; i < outputs_.size(); ++i) {
-    std::vector<Message> copy(emit_buffer_.begin(), emit_buffer_.end());
-    outputs_[i]->SendAll(std::move(copy));
+  for (const Outlet& out : outlets_) {
+    std::vector<Tagged> batch;
+    batch.reserve(emit_buffer_.size());
+    for (const Message& msg : emit_buffer_) {
+      batch.push_back(Tagged{out.port, false, msg});
+    }
+    out.inbox->SendAll(std::move(batch));
   }
-  outputs_[0]->SendAll(std::move(emit_buffer_));
   emit_buffer_.clear();
 }
 

@@ -1,12 +1,14 @@
-// Execution node base class: one operator, one thread, message channels.
+// Execution node base class: one operator, one thread, one inbox.
 //
 // Per §7.2 of the paper, every node runs on its own thread, reads messages
-// from its input channels, updates its intrinsic state, and writes
-// extrinsic-state messages to its output channel. Nodes with several
-// inputs receive through an internal multiplexer (forwarder threads tag
-// messages with their port) so a slow input never blocks a ready one.
-// Channels are unbounded: Wake trades memory for pipeline liveness, the
-// cost the paper acknowledges in Table 1.
+// from its inputs, updates its intrinsic state, and writes extrinsic-state
+// messages to its consumers. Each node owns one inbox, an unbounded
+// Channel<Tagged>: every producer that feeds it sends port-tagged messages
+// straight into it, and a producer that finishes sends one EOF marker per
+// consumer. A node with several inputs therefore waits on a single queue,
+// so a slow input never blocks a ready one and no thread sits between two
+// operators. Inboxes are unbounded: Wake trades memory for pipeline
+// liveness, the cost the paper acknowledges in Table 1.
 #ifndef WAKE_EXEC_EXEC_NODE_H_
 #define WAKE_EXEC_EXEC_NODE_H_
 
@@ -24,8 +26,10 @@
 
 namespace wake {
 
-using MessageChannel = Channel<Message>;
-using MessageChannelPtr = std::shared_ptr<MessageChannel>;
+/// A consumer's queue: every producer that feeds the consumer sends
+/// port-tagged messages, then one EOF marker, straight into it.
+using Inbox = Channel<Tagged>;
+using InboxPtr = std::shared_ptr<Inbox>;
 
 /// Base class for all operators in a running query graph.
 class ExecNode {
@@ -36,33 +40,34 @@ class ExecNode {
   ExecNode(const ExecNode&) = delete;
   ExecNode& operator=(const ExecNode&) = delete;
 
-  void AddInput(MessageChannelPtr channel);
+  /// Makes `upstream` feed this node's next input port: the upstream
+  /// node sends its messages, tagged with that port, into this node's
+  /// inbox. Must be called before either node starts.
+  void AddInput(ExecNode* upstream);
 
-  /// Primary output channel (for single-consumer wiring and tests).
-  const MessageChannelPtr& output() const { return outputs_[0]; }
-
-  /// Claims an output subscription. The first claim returns the primary
-  /// channel; later claims add broadcast channels, so one node can feed
-  /// several consumers — this implements the paper's shared-subplan
-  /// optimization (§7.3: reusing build tables / aggregates that appear
-  /// multiple times in a query). Must be called before Start().
-  MessageChannelPtr ClaimOutput();
+  /// Subscribes `inbox` to this node's output under `port`. A node may
+  /// feed several consumers; each gets every message (frames are shared
+  /// immutable pointers, so the copy is cheap). This implements the
+  /// paper's shared-subplan optimization (§7.3: reusing build tables /
+  /// aggregates that appear multiple times in a query), and it is how the
+  /// engine's collector reads the root. Must be called before Start().
+  void AddOutlet(InboxPtr inbox, size_t port);
 
   const std::string& label() const { return label_; }
 
   /// Attaches the per-query resource tracker (may be null). The node
-  /// charges emitted partials (per destination channel) and its own
+  /// charges emitted partials (per destination inbox) and its own
   /// operator state (BufferedBytes, re-measured per drained batch), and
   /// credits messages as it consumes them — so the tracker sees
   /// queued-but-undrained partials plus live operator state. Must be
   /// called before Start().
   void SetResourceTracker(ResourceTracker* tracker) { tracker_ = tracker; }
 
-  /// Installs the graph-owner's node-failure hook. A node thread (or one
-  /// of its input forwarders) that exits via exception cancels its own
-  /// channels and reports here instead of terminating the process; the
-  /// owner stops the rest of the graph and surfaces the error. May be
-  /// invoked concurrently from several threads. Must be called before
+  /// Installs the graph-owner's node-failure hook. A node thread that
+  /// exits via exception cancels its own and its consumers' inboxes and
+  /// reports here instead of terminating the process; the owner stops the
+  /// rest of the graph and surfaces the error. May be invoked
+  /// concurrently from several node threads. Must be called before
   /// Start().
   void SetErrorHandler(std::function<void(std::exception_ptr)> handler) {
     error_handler_ = std::move(handler);
@@ -75,20 +80,22 @@ class ExecNode {
   void Join();
 
   /// Requests cooperative shutdown: sets the stop flag and cancels this
-  /// node's input, internal, and output channels so every thread blocked
-  /// on them (forwarders, the run loop, downstream consumers) unwinds
-  /// promptly without draining pending work. The run loop re-checks the
-  /// flag between messages, so in-flight Process calls finish their
-  /// current partial and then exit; Finish() is skipped on a stopped
-  /// node (no final snapshot is computed). Thread-safe and idempotent;
+  /// node's inbox and its consumers' inboxes, so this run loop and every
+  /// consumer blocked on its inbox unwind promptly without draining
+  /// pending work. The run loop re-checks the flag between messages, so
+  /// an in-flight Process call finishes its current partial and then
+  /// exits. A node whose inbox is cancelled before all its inputs sent
+  /// EOF skips Finish() (no final snapshot is computed) and cancels its
+  /// consumers' inboxes instead of sending them EOF, so truncated input
+  /// never looks complete downstream. Thread-safe and idempotent;
   /// cancelling a whole graph means calling this on every node. Must only
-  /// be called after the graph is fully wired (all AddInput/ClaimOutput
+  /// be called after the graph is fully wired (all AddInput/AddOutlet
   /// done), i.e. on a started query.
   void RequestStop();
 
   /// Requests a *drain* stop — the graceful half of budget enforcement.
   /// Unlike RequestStop() nothing is cancelled: only source loops react
-  /// (they stop feeding the graph and close their outputs), EOF
+  /// (they stop feeding the graph and send EOF to their consumers), EOF
   /// propagates, and every downstream node finishes normally over the
   /// truncated input — so the engine's last snapshot is a genuine
   /// best-estimate over the data processed so far, CI included.
@@ -109,36 +116,22 @@ class ExecNode {
   /// Called once when input `port` reaches EOF.
   virtual void OnInputClosed(size_t /*port*/) {}
 
-  /// Called after every input reached EOF, before the output closes.
+  /// Called after every input reached EOF, before EOF goes downstream.
   virtual void Finish() {}
 
   /// Source nodes (no inputs) override this instead of Process.
   virtual void RunSource() {}
 
-  /// Sends to every claimed output (frames are shared immutable pointers,
-  /// so broadcast is a cheap pointer copy). While the run loop is
-  /// processing a drained input batch, emits are buffered and flushed as
-  /// one SendAll per output at the end of the batch — one lock and one
-  /// consumer wakeup per burst instead of one per message. Source nodes
-  /// (RunSource) emit immediately so readers keep streaming partials.
-  void Emit(Message msg) {
-    if (tracker_ != nullptr && msg.frame != nullptr) {
-      // One charge per destination queue; the consumer credits on drain.
-      tracker_->Charge(msg.frame->ByteSize() * outputs_.size());
-    }
-    if (emit_buffering_) {
-      emit_buffer_.push_back(std::move(msg));
-      // Cap the buffer so a long drained batch (e.g. a join replaying
-      // its pending probes at build EOF) still streams to downstream
-      // nodes: the lock is amortized kEmitFlushBatch ways either way.
-      if (emit_buffer_.size() >= kEmitFlushBatch) FlushEmits();
-      return;
-    }
-    for (size_t i = 1; i < outputs_.size(); ++i) outputs_[i]->Send(msg);
-    outputs_[0]->Send(std::move(msg));
-  }
+  /// Sends to every consumer's inbox (frames are shared immutable
+  /// pointers, so broadcast is a cheap pointer copy). While the run loop
+  /// is processing a drained inbox batch, emits are buffered and flushed
+  /// as one SendAll per consumer at the end of the batch — one lock and
+  /// one consumer wakeup per burst instead of one per message. Source
+  /// nodes (RunSource) emit immediately so readers keep streaming
+  /// partials.
+  void Emit(Message msg);
 
-  size_t num_inputs() const { return inputs_.size(); }
+  size_t num_inputs() const { return ports_closed_.size(); }
   bool input_closed(size_t port) const { return ports_closed_[port]; }
 
   /// True once RequestStop() was called. Long-running operator bodies
@@ -158,16 +151,19 @@ class ExecNode {
   ResourceTracker* tracker() const { return tracker_; }
 
  private:
-  struct Tagged {
+  /// One consumer: its inbox and the input port this node feeds there.
+  struct Outlet {
+    InboxPtr inbox;
     size_t port = 0;
-    bool eof = false;
-    Message msg;
   };
 
   void Run(TraceLog* trace);
-  void RunBody(TraceLog* trace);
+  /// Returns true when the node ended normally: every input sent EOF (or
+  /// the source ran out) and the node was not stopped.
+  bool RunBody(TraceLog* trace);
 
-  void CloseOutputs();
+  /// Cancels this node's inbox and every consumer's inbox.
+  void CancelInboxes();
 
   /// Re-measures operator state and settles the delta with the tracker.
   void SyncStateAccounting();
@@ -175,19 +171,16 @@ class ExecNode {
   /// Max messages buffered before Emit flushes mid-batch.
   static constexpr size_t kEmitFlushBatch = 64;
 
-  /// Sends the buffered emits, one SendAll per output, in emit order.
+  /// Sends the buffered emits, one SendAll per consumer, in emit order.
   void FlushEmits();
 
   std::string label_;
-  std::vector<MessageChannelPtr> inputs_;
-  std::vector<MessageChannelPtr> outputs_;  // [0] = primary
-  bool primary_claimed_ = false;
-  // Input multiplexer queue; a member (created eagerly) so RequestStop can
-  // cancel it from another thread while the run loop blocks on it.
-  std::shared_ptr<Channel<Tagged>> merged_;
-  std::vector<std::thread> forwarders_;
+  // Created with the node, so producers can be wired to it and
+  // RequestStop can cancel it while the run loop blocks on it.
+  InboxPtr inbox_;
+  std::vector<Outlet> outlets_;
   std::thread thread_;
-  std::vector<uint8_t> ports_closed_;
+  std::vector<uint8_t> ports_closed_;  // one entry per input port
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_stop_{false};
   ResourceTracker* tracker_ = nullptr;

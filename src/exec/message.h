@@ -7,7 +7,10 @@
 //  - append  (refresh == false): frames accumulate; earlier rows are final.
 //  - refresh (refresh == true):  each frame is a complete snapshot that
 //    replaces everything previously received on this edge.
-// End-of-stream is signalled by closing the channel, the EOF of §7.2.
+// Messages travel as Tagged entries of the consumer's inbox
+// (exec/exec_node.h). End-of-stream, the EOF of §7.2, is a marker entry
+// the producer sends after its last message; the inbox itself stays open,
+// since other inputs of the same consumer may still be streaming.
 #ifndef WAKE_EXEC_MESSAGE_H_
 #define WAKE_EXEC_MESSAGE_H_
 
@@ -32,12 +35,14 @@ struct Message {
   std::shared_ptr<const VarianceMap> variances;
 };
 
-/// Channel byte accounting: a queued message costs its frame (frames are
-/// shared immutable pointers, so broadcast edges each count the same
-/// frame — a deliberate overcount on the rare shared-subplan fan-outs).
-inline size_t ChannelItemBytes(const Message& msg) {
-  return msg.frame != nullptr ? msg.frame->ByteSize() : 0;
-}
+/// One entry of a consumer's inbox: a message that arrived on input
+/// `port`, or, when `eof` is set, the marker that the producer feeding
+/// `port` has sent its last message.
+struct Tagged {
+  size_t port = 0;
+  bool eof = false;
+  Message msg;
+};
 
 }  // namespace wake
 

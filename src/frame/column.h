@@ -7,9 +7,9 @@
 //   - dict:  one int32 code per row (codes_) into a shared, append-only
 //     StringDict (common/string_dict.h) holding each distinct string once
 //     alongside its pre-computed hash.
-// Sources (CSV/tbl/wpart readers, dbgen) build dict columns, so the join
-// and aggregation hot paths hash, compare, and gather dense codes instead
-// of whole strings; plain columns remain for small derived results
+// Sources (the tbl and wakeblock readers, dbgen) build dict columns, so
+// the join and aggregation hot paths hash, compare, and gather dense codes
+// instead of whole strings; plain columns remain for small derived results
 // (SUBSTR output, literal broadcasts) and the two encodings hash
 // identically, so they can always probe each other.
 //

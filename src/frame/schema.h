@@ -85,8 +85,7 @@ class Schema {
 
   /// For each field of this (full) schema: the matching field index in
   /// `narrowed`, or npos when the field was projected away. The projected
-  /// readers (tbl/wpart/CSV, dbgen) use this to map file fields to output
-  /// slots.
+  /// tbl reader and dbgen use this to map file fields to output slots.
   std::vector<size_t> ProjectionSlots(const Schema& narrowed) const;
 
   bool SameFields(const Schema& other) const {

@@ -217,7 +217,7 @@ class ValidityBitmap {
     }
   }
 
-  /// From one 0/1 byte per row (wire protocol / wpart on-disk layout).
+  /// From one 0/1 byte per row (the wire protocol's layout).
   static ValidityBitmap FromBoolBytes(const uint8_t* bytes, size_t n) {
     ValidityBitmap v;
     v.bits_ = n;

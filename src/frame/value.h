@@ -3,7 +3,7 @@
 //
 // Dates are stored as int64 days since 1970-01-01 (proleptic Gregorian) so
 // date arithmetic and range filters are plain integer operations; kDate is
-// a distinct logical type only for printing/CSV round trips.
+// a distinct logical type only for printing and .tbl round trips.
 #ifndef WAKE_FRAME_VALUE_H_
 #define WAKE_FRAME_VALUE_H_
 

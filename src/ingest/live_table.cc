@@ -131,6 +131,15 @@ uint64_t LiveTable::Append(const DataFrame& rows) {
   CheckArg(SchemaMatches(rows.schema(), schema_),
            "append schema mismatch for live table '" + name_ + "'");
   auto chunk = std::make_shared<DataFrame>(rows);  // immutable copy
+  for (size_t c = 0; c < chunk->num_columns(); ++c) {
+    // A slice of a larger frame shares that frame's whole dictionary,
+    // which ByteSize counts in full: a few small appends would then seal
+    // a tablet each. Give such a column a dictionary of its own rows.
+    const Column& col = chunk->column(c);
+    if (col.is_dict() && col.dict()->size() > col.size()) {
+      *chunk->mutable_column(c) = col.DecodeDict().EncodeDict();
+    }
+  }
   hot_rows_ += chunk->num_rows();
   hot_bytes_ += chunk->ByteSize();
   rows_appended_ += chunk->num_rows();

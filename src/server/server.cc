@@ -476,7 +476,9 @@ void Server::TeardownConnection(const std::shared_ptr<Connection>& conn) {
     if (q->pump.joinable()) q->pump.join();
   }
   queries.clear();  // ~QueryHandle joins each query's driver thread
-  conn->sock.Close();
+  // The descriptor stays open until ~Socket, after the reader is joined:
+  // closing it here would race Shutdown()'s ShutdownBoth on the same
+  // socket, which could then hit a reused descriptor number.
   conn->done.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(drain_mu_);

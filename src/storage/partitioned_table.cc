@@ -238,19 +238,6 @@ DataFrame PartitionedTable::Materialize(const std::vector<std::string>& columns,
   return out;
 }
 
-PartitionedTable PartitionedTable::SelectColumns(
-    const std::vector<std::string>& columns) const {
-  CheckArg(!lazy() && !composite(),
-           "SelectColumns on a wakeblock-backed or composite table");
-  PartitionedTable out(name_, schema_.Select(columns));
-  for (const auto& p : partitions_) {
-    auto narrowed = std::make_shared<DataFrame>(p->Select(columns));
-    *narrowed->mutable_schema() = out.schema_;
-    out.AddPartition(std::move(narrowed));
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Text (.tbl) serialization
 // ---------------------------------------------------------------------------
@@ -409,164 +396,6 @@ PartitionedTable PartitionedTable::ReadTblDir(
         }
       }
     }
-    table.AddPartition(std::move(df));
-  }
-  return table;
-}
-
-// ---------------------------------------------------------------------------
-// Binary (.wpart) serialization
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr uint32_t kWpartMagic = 0x57504B31;  // "WPK1"
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T ReadPod(std::ifstream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return v;
-}
-
-void WriteString(std::ofstream& out, const std::string& s) {
-  WritePod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string ReadString(std::ifstream& in) {
-  uint32_t len = ReadPod<uint32_t>(in);
-  std::string s(len, '\0');
-  in.read(s.data(), len);
-  return s;
-}
-
-}  // namespace
-
-void PartitionedTable::WriteWpartDir(const std::string& dir) const {
-  CheckArg(!lazy() && !composite(),
-           "WriteWpartDir on a wakeblock-backed or composite table");
-  std::filesystem::create_directories(dir);
-  WriteMeta(dir + "/" + name_ + ".meta", *this);
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    std::string path = dir + "/" + name_ + "." + std::to_string(i) + ".wpart";
-    std::ofstream out(path, std::ios::binary);
-    CheckArg(out.good(), "cannot write " + path);
-    const DataFrame& df = *partitions_[i];
-    WritePod<uint32_t>(out, kWpartMagic);
-    WritePod<uint64_t>(out, df.num_rows());
-    WritePod<uint32_t>(out, static_cast<uint32_t>(df.num_columns()));
-    for (size_t c = 0; c < df.num_columns(); ++c) {
-      const Column& col = df.column(c);
-      WritePod<uint8_t>(out, static_cast<uint8_t>(col.type()));
-      WritePod<uint8_t>(out, col.has_nulls() ? 1 : 0);
-      if (col.has_nulls()) {
-        // Wpart format keeps one 0/1 byte per row; expand from the bitmap.
-        std::vector<uint8_t> bytes(df.num_rows());
-        col.validity().ToBoolBytes(bytes.data());
-        out.write(reinterpret_cast<const char*>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-      }
-      if (col.type() == ValueType::kFloat64) {
-        out.write(reinterpret_cast<const char*>(col.doubles().data()),
-                  static_cast<std::streamsize>(col.doubles().size() *
-                                               sizeof(double)));
-      } else if (col.type() == ValueType::kString) {
-        // Row-wise via StringAt so both encodings serialize identically.
-        for (size_t r = 0; r < df.num_rows(); ++r) {
-          WriteString(out, col.StringAt(r));
-        }
-      } else {
-        out.write(reinterpret_cast<const char*>(col.ints().data()),
-                  static_cast<std::streamsize>(col.ints().size() *
-                                               sizeof(int64_t)));
-      }
-    }
-  }
-}
-
-namespace {
-
-// Advances past one serialized string without building it.
-void SkipString(std::ifstream& in) {
-  uint32_t len = ReadPod<uint32_t>(in);
-  in.seekg(len, std::ios::cur);
-}
-
-}  // namespace
-
-PartitionedTable PartitionedTable::ReadWpartDir(
-    const std::string& dir, const std::string& name,
-    const std::vector<std::string>& columns) {
-  std::string table_name;
-  size_t num_partitions = 0;
-  Schema full = ReadMeta(dir + "/" + name + ".meta", &table_name,
-                         &num_partitions);
-  Schema schema = columns.empty() ? full : full.Select(columns);
-  std::vector<size_t> slot_of = full.ProjectionSlots(schema);
-  PartitionedTable table(table_name, schema);
-  for (size_t i = 0; i < num_partitions; ++i) {
-    std::string path = dir + "/" + name + "." + std::to_string(i) + ".wpart";
-    std::ifstream in(path, std::ios::binary);
-    CheckArg(in.good(), "cannot read " + path);
-    CheckArg(ReadPod<uint32_t>(in) == kWpartMagic, "bad magic in " + path);
-    uint64_t rows = ReadPod<uint64_t>(in);
-    uint32_t cols = ReadPod<uint32_t>(in);
-    CheckArg(cols == full.num_fields(), "column count mismatch in " + path);
-    auto df = std::make_shared<DataFrame>(schema);
-    for (uint32_t f = 0; f < cols; ++f) {
-      bool wanted = slot_of[f] != Schema::npos;
-      ValueType type = static_cast<ValueType>(ReadPod<uint8_t>(in));
-      CheckArg(type == full.field(f).type, "type mismatch in " + path);
-      bool has_nulls = ReadPod<uint8_t>(in) != 0;
-      std::vector<uint8_t> valid;
-      if (has_nulls) {
-        if (wanted) {
-          valid.resize(rows);
-          in.read(reinterpret_cast<char*>(valid.data()),
-                  static_cast<std::streamsize>(rows));
-        } else {
-          in.seekg(static_cast<std::streamoff>(rows), std::ios::cur);
-        }
-      }
-      if (!wanted) {
-        // Skip the payload: fixed-width columns seek in one hop, string
-        // columns hop record-by-record (lengths are inline).
-        if (type == ValueType::kFloat64) {
-          in.seekg(static_cast<std::streamoff>(rows * sizeof(double)),
-                   std::ios::cur);
-        } else if (type == ValueType::kString) {
-          for (uint64_t r = 0; r < rows; ++r) SkipString(in);
-        } else {
-          in.seekg(static_cast<std::streamoff>(rows * sizeof(int64_t)),
-                   std::ios::cur);
-        }
-        continue;
-      }
-      Column* col = df->mutable_column(slot_of[f]);
-      if (type == ValueType::kFloat64) {
-        col->mutable_doubles()->resize(rows);
-        in.read(reinterpret_cast<char*>(col->mutable_doubles()->data()),
-                static_cast<std::streamsize>(rows * sizeof(double)));
-      } else if (type == ValueType::kString) {
-        *col = Column::NewDict();
-        col->Reserve(rows);
-        for (uint64_t r = 0; r < rows; ++r) {
-          col->AppendString(ReadString(in));
-        }
-      } else {
-        col->mutable_ints()->resize(rows);
-        in.read(reinterpret_cast<char*>(col->mutable_ints()->data()),
-                static_cast<std::streamsize>(rows * sizeof(int64_t)));
-      }
-      if (has_nulls) col->set_validity(std::move(valid));
-    }
-    CheckArg(in.good(), "truncated file " + path);
     table.AddPartition(std::move(df));
   }
   return table;

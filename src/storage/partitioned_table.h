@@ -7,9 +7,9 @@
 // clustering-key value never straddles two partitions — which is what makes
 // clustering-key aggregations local operations (Case 1, §2.2).
 //
-// Two serialization formats are provided: a pipe-separated text format
-// (TPC-H .tbl-compatible) and `.wpart`, a little-endian binary columnar
-// format standing in for Parquet.
+// Tables are stored either as pipe-separated text (TPC-H .tbl-compatible,
+// WriteTblDir/ReadTblDir below) or in the wakeblock columnar format
+// (storage/wakeblock.h), which OpenWakeblock reads lazily.
 #ifndef WAKE_STORAGE_PARTITIONED_TABLE_H_
 #define WAKE_STORAGE_PARTITIONED_TABLE_H_
 
@@ -122,11 +122,6 @@ class PartitionedTable {
   DataFrame Materialize(const std::vector<std::string>& columns,
                         const ExprPtr& filter) const;
 
-  /// Same rows narrowed to `columns`: each partition keeps only the named
-  /// columns (dict pools stay shared, unused columns are never copied).
-  /// Key metadata survives only if every key column survives.
-  PartitionedTable SelectColumns(const std::vector<std::string>& columns) const;
-
   /// --- serialization ---
   /// Writes one `<name>.<i>.tbl` per partition plus `<name>.meta` into
   /// `dir`; `ReadTblDir` is the inverse. A non-empty `columns` list makes
@@ -137,15 +132,6 @@ class PartitionedTable {
                                      const std::string& name,
                                      const std::vector<std::string>& columns =
                                          {});
-
-  /// Binary columnar format, one `<name>.<i>.wpart` per partition.
-  /// Projected reads seek past unselected fixed-width columns and skip
-  /// string columns record-by-record without interning them.
-  void WriteWpartDir(const std::string& dir) const;
-  static PartitionedTable ReadWpartDir(const std::string& dir,
-                                       const std::string& name,
-                                       const std::vector<std::string>&
-                                           columns = {});
 
  private:
   /// Maps a composite table's global chunk index to (segment, local

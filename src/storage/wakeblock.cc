@@ -168,7 +168,9 @@ void DecodeValues(uint8_t encoding, const uint8_t* payload, size_t len,
   switch (encoding) {
     case kEncodingRaw:
       Check(len == rows * 8, "raw payload length mismatch");
-      std::memcpy(out->data(), payload, len);
+      // An empty block has no buffer on either side, and memcpy's
+      // pointers must not be null even for a zero length.
+      if (len > 0) std::memcpy(out->data(), payload, len);
       break;
     case kEncodingRle: {
       wire::WireReader r(payload, len);
@@ -767,7 +769,7 @@ Column BlockTable::DecodeColumnBlock(size_t field, size_t b) const {
     // rarely pack, so this is the common case for measure columns).
     Check(h.payload_len == rows * 8, "raw payload length mismatch");
     std::vector<double> doubles(rows);
-    std::memcpy(doubles.data(), payload, h.payload_len);
+    if (rows > 0) std::memcpy(doubles.data(), payload, h.payload_len);
     *out.mutable_doubles() = std::move(doubles);
     if (h.null_count > 0) out.set_validity(std::move(valid));
     return out;

@@ -51,22 +51,6 @@ TEST(ChannelTest, ReceiveBlocksUntilSend) {
   producer.join();
 }
 
-TEST(ChannelTest, BoundedChannelAppliesBackpressure) {
-  Channel<int> ch(2);
-  ch.Send(1);
-  ch.Send(2);
-  std::atomic<bool> third_sent{false};
-  std::thread producer([&] {
-    ch.Send(3);  // blocks until a slot frees
-    third_sent = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_sent.load());
-  EXPECT_EQ(ch.Receive().value(), 1);
-  producer.join();
-  EXPECT_TRUE(third_sent.load());
-}
-
 TEST(ChannelTest, ManyProducersManyConsumersDeliverEverything) {
   Channel<int> ch;
   constexpr int kProducers = 4, kPerProducer = 1000, kConsumers = 3;
@@ -133,23 +117,6 @@ TEST(ChannelTest, ReceiveAllEmptyMeansClosedAndDrained) {
   EXPECT_TRUE(ch.ReceiveAll().empty());  // idempotent
 }
 
-TEST(ChannelTest, ReceiveAllReleasesBackpressuredSenders) {
-  Channel<int> ch(2);
-  ch.Send(1);
-  ch.Send(2);
-  std::atomic<int> sent{0};
-  std::thread p1([&] { ch.Send(3); ++sent; });
-  std::thread p2([&] { ch.Send(4); ++sent; });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(sent.load(), 0);
-  // One drain frees both slots; both blocked senders must wake.
-  EXPECT_EQ(ch.ReceiveAll().size(), 2u);
-  p1.join();
-  p2.join();
-  EXPECT_EQ(sent.load(), 2);
-  EXPECT_EQ(ch.ReceiveAll().size(), 2u);
-}
-
 TEST(ChannelTest, MoveOnlyPayload) {
   Channel<std::unique_ptr<int>> ch;
   ch.Send(std::make_unique<int>(11));
@@ -173,21 +140,6 @@ TEST(ChannelTest, SendAllToClosedChannelDropsEverything) {
   ch.Close();
   EXPECT_EQ(ch.SendAll({7, 8, 9}), 0u);
   EXPECT_TRUE(ch.ReceiveAll().empty());
-}
-
-TEST(ChannelTest, SendAllRespectsCapacityBound) {
-  Channel<int> ch(3);
-  std::atomic<size_t> accepted{0};
-  std::thread producer([&] { accepted = ch.SendAll({1, 2, 3, 4, 5}); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Producer is blocked after filling the bound.
-  EXPECT_EQ(ch.size(), 3u);
-  EXPECT_EQ(ch.Receive().value(), 1);
-  EXPECT_EQ(ch.Receive().value(), 2);
-  while (auto v = ch.TryReceive()) {
-  }
-  producer.join();
-  EXPECT_EQ(accepted.load(), 5u);
 }
 
 TEST(ChannelTest, SendAllEmptyIsNoOp) {
@@ -236,14 +188,6 @@ TEST(ChannelTest, CancelWakesBlockedReceivers) {
   drainer.join();
 }
 
-TEST(ChannelTest, CancelReleasesBackpressuredSenders) {
-  Channel<int> ch(1);
-  ch.Send(1);
-  std::thread sender([&] { EXPECT_FALSE(ch.Send(2)); });  // blocks on full
-  ch.Cancel();
-  sender.join();
-}
-
 TEST(ChannelTest, ReceiveForReturnsQueuedItem) {
   Channel<int> ch;
   ch.Send(42);
@@ -262,61 +206,6 @@ TEST(ChannelTest, ReceiveForReturnsImmediatelyWhenClosed) {
   Channel<int> ch;
   ch.Close();
   EXPECT_FALSE(ch.ReceiveFor(std::chrono::milliseconds(10000)).has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Byte accounting (size() / byte_size()), the hooks the resource layer
-// uses to meter queued-but-undrained partials.
-// ---------------------------------------------------------------------------
-
-// Payload whose queued memory matters; the overload is found by ADL,
-// exactly like Message's.
-struct Sized {
-  size_t bytes = 0;
-};
-size_t ChannelItemBytes(const Sized& s) { return s.bytes; }
-
-TEST(ChannelTest, ByteSizeTracksSendsAndReceives) {
-  Channel<Sized> ch;
-  EXPECT_EQ(ch.size(), 0u);
-  EXPECT_EQ(ch.byte_size(), 0u);
-  ch.Send(Sized{100});
-  ch.Send(Sized{250});
-  EXPECT_EQ(ch.size(), 2u);
-  EXPECT_EQ(ch.byte_size(), 350u);
-  EXPECT_EQ(ch.Receive()->bytes, 100u);
-  EXPECT_EQ(ch.size(), 1u);
-  EXPECT_EQ(ch.byte_size(), 250u);
-  EXPECT_EQ(ch.TryReceive()->bytes, 250u);
-  EXPECT_EQ(ch.byte_size(), 0u);
-}
-
-TEST(ChannelTest, SendAllAccumulatesBytesReceiveAllZeroes) {
-  Channel<Sized> ch;
-  std::vector<Sized> batch;
-  for (size_t i = 1; i <= 4; ++i) batch.push_back(Sized{i * 10});
-  EXPECT_EQ(ch.SendAll(std::move(batch)), 4u);
-  EXPECT_EQ(ch.byte_size(), 100u);
-  EXPECT_EQ(ch.ReceiveAll().size(), 4u);
-  EXPECT_EQ(ch.byte_size(), 0u);
-  EXPECT_EQ(ch.size(), 0u);
-}
-
-TEST(ChannelTest, CancelZeroesByteAccounting) {
-  Channel<Sized> ch;
-  ch.Send(Sized{512});
-  ch.Send(Sized{512});
-  ch.Cancel();
-  EXPECT_EQ(ch.size(), 0u);
-  EXPECT_EQ(ch.byte_size(), 0u);
-}
-
-TEST(ChannelTest, PayloadsWithoutAnOverloadCountZeroBytes) {
-  Channel<int> ch;
-  ch.Send(1);
-  ch.Send(2);
-  EXPECT_EQ(ch.size(), 2u);
-  EXPECT_EQ(ch.byte_size(), 0u);  // default ChannelItemBytes
 }
 
 }  // namespace

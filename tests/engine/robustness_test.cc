@@ -1,14 +1,10 @@
-// Robustness and stress tests: disk round trips feeding the engine,
-// concurrent query execution, skewed data distributions, single-partition
-// degenerate layouts, and corrupted storage inputs.
+// Robustness and stress tests: concurrent query execution, skewed data
+// distributions, and single-partition degenerate layouts.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "baseline/exact_engine.h"
-#include "common/error.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "engine/tpch_fixture.h"
@@ -16,65 +12,6 @@
 
 namespace wake {
 namespace {
-
-TEST(RobustnessTest, QueryOverDiskRoundTrippedCatalog) {
-  // Write TPC-H to .wpart files, reload, and verify query equality — the
-  // full §4.4 base-table-metadata path.
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() /
-                 ("wake_disk_" + std::to_string(::getpid()));
-  tpch::DbgenConfig cfg;
-  cfg.scale_factor = 0.005;
-  cfg.partitions = 4;
-  Catalog mem = tpch::Generate(cfg);
-  Catalog disk;
-  for (const auto& name : mem.TableNames()) {
-    mem.Get(name).WriteWpartDir(dir.string());
-    disk.Add(std::make_shared<PartitionedTable>(
-        PartitionedTable::ReadWpartDir(dir.string(), name)));
-  }
-  for (int q : {1, 6, 12, 18}) {
-    WakeEngine a(&mem), b(&disk);
-    std::string diff;
-    EXPECT_TRUE(a.ExecuteFinal(tpch::Query(q).node())
-                    .ApproxEquals(b.ExecuteFinal(tpch::Query(q).node()),
-                                  1e-9, &diff))
-        << "Q" << q << ": " << diff;
-  }
-  fs::remove_all(dir);
-}
-
-TEST(RobustnessTest, CorruptedWpartIsRejected) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() /
-                 ("wake_corrupt_" + std::to_string(::getpid()));
-  tpch::DbgenConfig cfg;
-  cfg.scale_factor = 0.002;
-  cfg.partitions = 2;
-  Catalog mem = tpch::Generate(cfg);
-  mem.Get("nation").WriteWpartDir(dir.string());
-
-  // Bad magic.
-  {
-    std::fstream f(dir / "nation.0.wpart",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(0);
-    f.write("XXXX", 4);
-  }
-  EXPECT_THROW(PartitionedTable::ReadWpartDir(dir.string(), "nation"),
-               Error);
-
-  // Truncation.
-  mem.Get("nation").WriteWpartDir(dir.string());
-  {
-    auto path = dir / "nation.0.wpart";
-    auto size = fs::file_size(path);
-    fs::resize_file(path, size / 2);
-  }
-  EXPECT_THROW(PartitionedTable::ReadWpartDir(dir.string(), "nation"),
-               Error);
-  fs::remove_all(dir);
-}
 
 TEST(RobustnessTest, ConcurrentEnginesShareOneCatalog) {
   const Catalog& cat = testing::SharedTpch();

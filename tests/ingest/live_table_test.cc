@@ -124,6 +124,32 @@ TEST_F(LiveTableTest, AppendSealSnapshotLifecycle) {
   EXPECT_THROW(live.Append(bad), Error);
 }
 
+TEST_F(LiveTableTest, SlicedAppendsCountOnlyTheirOwnStrings) {
+  // Slices of one big frame share its whole dictionary. Charging that
+  // dictionary to every append would seal a one-chunk tablet per append.
+  Schema schema({{"note", ValueType::kString}, {"id", ValueType::kInt64}});
+  DataFrame big(schema);
+  *big.mutable_column(0) = Column::NewDict();
+  const std::string pad(200, 'x');
+  for (int64_t i = 0; i < 100000; ++i) {
+    big.mutable_column(0)->AppendString(pad + std::to_string(i));
+    big.mutable_column(1)->AppendInt(i);
+  }
+  const LiveTableOptions defaults;
+  ASSERT_GT(big.Slice(0, 1024).ByteSize(), defaults.seal_bytes);
+
+  LiveTable live("notes", schema, defaults);
+  for (size_t i = 0; i < 32; ++i) {
+    live.Append(big.Slice(i * 1024, (i + 1) * 1024));
+  }
+  LiveTableStats st = live.stats();
+  EXPECT_EQ(st.cold_tablets, 0u);
+  EXPECT_EQ(st.hot_rows, 32u * 1024);
+  // The re-encoded rows read back unchanged, in append order.
+  EXPECT_EQ(WireBytes(live.Snapshot()->Materialize()),
+            WireBytes(big.Slice(0, 32 * 1024)));
+}
+
 // The tentpole acceptance matrix: at hot-only, mixed, and cold-only
 // tablet states, the standing query's snapshot must be byte-identical
 // to a from-scratch exact AND OLA query over the same tablet set, with

@@ -133,57 +133,11 @@ TEST_F(SerializationTest, TblRoundTrip) {
   EXPECT_EQ(back.schema().clustering_key(), t.schema().clustering_key());
 }
 
-TEST_F(SerializationTest, WpartRoundTripIsExact) {
-  PartitionedTable t = PartitionedTable::FromDataFrame("wp", MixedFrame(), 4);
-  t.WriteWpartDir(dir_.string());
-  PartitionedTable back =
-      PartitionedTable::ReadWpartDir(dir_.string(), "wp");
-  std::string diff;
-  EXPECT_TRUE(back.Materialize().ApproxEquals(t.Materialize(), 0.0, &diff))
-      << diff;
-}
-
-TEST_F(SerializationTest, WpartPreservesNulls) {
-  Schema schema({{"x", ValueType::kInt64}});
-  DataFrame df(schema);
-  df.mutable_column(0)->AppendInt(1);
-  df.mutable_column(0)->AppendNull();
-  df.mutable_column(0)->AppendInt(3);
-  PartitionedTable t = PartitionedTable::FromDataFrame("n", df, 1);
-  t.WriteWpartDir(dir_.string());
-  PartitionedTable back = PartitionedTable::ReadWpartDir(dir_.string(), "n");
-  const Column& col = back.partition(0)->column(0);
-  EXPECT_TRUE(col.IsValid(0));
-  EXPECT_TRUE(col.IsNull(1));
-  EXPECT_EQ(col.IntAt(2), 3);
-}
-
 TEST_F(SerializationTest, MissingFileThrows) {
-  EXPECT_THROW(PartitionedTable::ReadWpartDir(dir_.string(), "ghost"),
-               Error);
+  EXPECT_THROW(PartitionedTable::ReadTblDir(dir_.string(), "ghost"), Error);
 }
 
 // --- projected reads (scan column pruning reaches the storage layer) -----
-
-TEST(SelectColumnsTest, NarrowsPartitionsAndKeyMetadata) {
-  PartitionedTable t =
-      PartitionedTable::FromDataFrame("m", MixedFrame(), 3);
-  PartitionedTable narrow = t.SelectColumns({"k", "s"});
-  EXPECT_EQ(narrow.num_partitions(), t.num_partitions());
-  EXPECT_EQ(narrow.total_rows(), t.total_rows());
-  EXPECT_EQ(narrow.schema().num_fields(), 2u);
-  EXPECT_EQ(narrow.schema().primary_key(), t.schema().primary_key());
-  std::string diff;
-  EXPECT_TRUE(narrow.Materialize().ApproxEquals(
-      t.Materialize({"k", "s"}), 0.0, &diff))
-      << diff;
-  // Dropping a key column drops the (now meaningless partial) key.
-  EXPECT_TRUE(t.SelectColumns({"f", "s"}).schema().primary_key().empty());
-  // Unknown and duplicated selections are rejected (the projected
-  // readers map file fields to output slots by name).
-  EXPECT_THROW(t.SelectColumns({"nope"}), Error);
-  EXPECT_THROW(t.SelectColumns({"k", "k"}), Error);
-}
 
 TEST_F(SerializationTest, TblProjectedReadMatchesFullReadSelect) {
   PartitionedTable t = PartitionedTable::FromDataFrame("tbl", MixedFrame(), 3);
@@ -197,40 +151,6 @@ TEST_F(SerializationTest, TblProjectedReadMatchesFullReadSelect) {
   EXPECT_TRUE(projected.Materialize().ApproxEquals(
       full.Materialize({"f", "d"}), 1e-6, &diff))
       << diff;
-}
-
-TEST_F(SerializationTest, WpartProjectedReadSkipsColumnsExactly) {
-  PartitionedTable t = PartitionedTable::FromDataFrame("wp", MixedFrame(), 4);
-  t.WriteWpartDir(dir_.string());
-  // Project past a string column and past fixed-width columns, in both
-  // orders, to exercise the seek/skip paths.
-  for (const auto& cols : std::vector<std::vector<std::string>>{
-           {"k"}, {"s"}, {"d", "k"}, {"s", "f"}}) {
-    PartitionedTable projected =
-        PartitionedTable::ReadWpartDir(dir_.string(), "wp", cols);
-    std::string diff;
-    EXPECT_TRUE(projected.Materialize().ApproxEquals(
-        t.Materialize(cols), 0.0, &diff))
-        << diff;
-  }
-}
-
-TEST_F(SerializationTest, WpartProjectedReadPreservesNulls) {
-  Schema schema({{"a", ValueType::kInt64}, {"b", ValueType::kString}});
-  DataFrame df(schema);
-  df.mutable_column(0)->AppendInt(1);
-  df.mutable_column(0)->AppendNull();
-  *df.mutable_column(1) = Column::NewDict();
-  df.mutable_column(1)->AppendString("x");
-  df.mutable_column(1)->AppendNull();
-  PartitionedTable t = PartitionedTable::FromDataFrame("pn", df, 1);
-  t.WriteWpartDir(dir_.string());
-  // Skipping a nulled column must seek past its validity mask too.
-  PartitionedTable just_b =
-      PartitionedTable::ReadWpartDir(dir_.string(), "pn", {"b"});
-  const Column& b = just_b.partition(0)->column(0);
-  EXPECT_EQ(b.StringAt(0), "x");
-  EXPECT_TRUE(b.IsNull(1));
 }
 
 TEST(CatalogTest, AddGetHas) {
