@@ -6,6 +6,25 @@
 
 namespace wake {
 
+namespace {
+
+// Collects the plan nodes reachable from `node` without entering a join's
+// right input: the nodes whose intermediate states reach the root. A hash
+// join reads its build side only at build EOF (§3.3), when only the last
+// build state counts. A merge join's right input is append-mode, so it
+// holds no snapshot-producing node and stopping there changes nothing.
+void CollectStreamed(const PlanNode* node,
+                     std::unordered_set<const PlanNode*>* streamed) {
+  if (!streamed->insert(node).second) return;
+  size_t streamed_inputs =
+      node->op == PlanOp::kJoin ? 1 : node->inputs.size();
+  for (size_t i = 0; i < streamed_inputs; ++i) {
+    CollectStreamed(node->inputs[i].get(), streamed);
+  }
+}
+
+}  // namespace
+
 WakeEngine::WakeEngine(const Catalog* catalog, WakeOptions options)
     : catalog_(catalog), options_(options) {
   CheckArg(catalog != nullptr, "null catalog");
@@ -19,7 +38,7 @@ WakeEngine::WakeEngine(const Catalog* catalog, WakeOptions options)
 }
 
 WakeEngine::Compiled WakeEngine::CompileRec(
-    const PlanNodePtr& plan,
+    const PlanNodePtr& plan, const StreamedSet& streamed,
     std::vector<std::unique_ptr<ExecNode>>* nodes,
     CompileMemo* memo) const {
   // Shared-subplan reuse (§7.3): a PlanNode object reachable through
@@ -34,6 +53,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
   node_options.with_ci = options_.with_ci;
   node_options.fixed_growth_w = options_.fixed_growth_w;
   node_options.pool = pool_;
+  node_options.final_only = streamed.count(plan.get()) == 0;
 
   switch (plan->op) {
     case PlanOp::kScan: {
@@ -46,22 +66,22 @@ WakeEngine::Compiled WakeEngine::CompileRec(
       break;
     }
     case PlanOp::kMap: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], streamed, nodes, memo);
       nodes->push_back(std::make_unique<MapNode>(
           *plan, in.props.schema, out.props.schema, node_options));
       nodes->back()->AddInput(in.node);
       break;
     }
     case PlanOp::kFilter: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], streamed, nodes, memo);
       nodes->push_back(std::make_unique<FilterNode>(
           plan->predicate, in.props.schema, node_options));
       nodes->back()->AddInput(in.node);
       break;
     }
     case PlanOp::kJoin: {
-      Compiled left = CompileRec(plan->inputs[0], nodes, memo);
-      Compiled right = CompileRec(plan->inputs[1], nodes, memo);
+      Compiled left = CompileRec(plan->inputs[0], streamed, nodes, memo);
+      Compiled right = CompileRec(plan->inputs[1], streamed, nodes, memo);
       bool both_append = left.props.mode == EvolveMode::kAppend &&
                          right.props.mode == EvolveMode::kAppend;
       bool clustered =
@@ -85,7 +105,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
       break;
     }
     case PlanOp::kAggregate: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], streamed, nodes, memo);
       if (out.props.mode == EvolveMode::kAppend) {
         nodes->push_back(std::make_unique<LocalAggNode>(
             *plan, in.props.schema, out.props.schema, node_options));
@@ -97,7 +117,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
       break;
     }
     case PlanOp::kSortLimit: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], streamed, nodes, memo);
       nodes->push_back(std::make_unique<SortLimitNode>(
           *plan, in.props.schema, node_options));
       nodes->back()->AddInput(in.node);
@@ -111,8 +131,10 @@ WakeEngine::Compiled WakeEngine::CompileRec(
 
 std::unique_ptr<EngineRun> WakeEngine::Start(const PlanNodePtr& plan) const {
   auto run = std::unique_ptr<EngineRun>(new EngineRun());
+  StreamedSet streamed;
+  CollectStreamed(plan.get(), &streamed);
   CompileMemo memo;
-  Compiled root = CompileRec(plan, &run->nodes_, &memo);
+  Compiled root = CompileRec(plan, streamed, &run->nodes_, &memo);
   run->root_props_ = std::move(root.props);
   run->inbox_ = std::make_shared<Inbox>();
   root.node->AddOutlet(run->inbox_, 0);

@@ -12,6 +12,9 @@
 //                       clustering key (Case 1); ShuffleAggNode with
 //                       growth-based inference otherwise (Case 2)
 //  - sort/limit      -> SortLimitNode (Case 3 recompute)
+// A node that every path from the root reaches through a join's build
+// (right) input runs final-only (NodeOptions::final_only): the join reads
+// only its last state, so it computes no other.
 // Every node runs on exactly one thread and reads one unbounded inbox that
 // its producers send into directly (§7.2); the collector reads the root's
 // output the same way, from an inbox of its own.
@@ -22,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
 #include "common/resource.h"
@@ -191,8 +195,11 @@ class WakeEngine {
     PlanProps props;
   };
   using CompileMemo = std::unordered_map<const PlanNode*, Compiled>;
+  /// Plan nodes whose intermediate states some consumer reads; every
+  /// other node compiles final-only.
+  using StreamedSet = std::unordered_set<const PlanNode*>;
 
-  Compiled CompileRec(const PlanNodePtr& plan,
+  Compiled CompileRec(const PlanNodePtr& plan, const StreamedSet& streamed,
                       std::vector<std::unique_ptr<ExecNode>>* nodes,
                       CompileMemo* memo) const;
 

@@ -21,6 +21,16 @@
 //                  emits scaled extrinsic snapshots (§5), optionally with
 //                  variance output (§6).
 //  SortLimitNode   Case 3: re-sorts the full current content per state.
+//
+// Final-only nodes. A hash join reads its build side only at build EOF,
+// when just the last build state counts, so a node that every path from
+// the query root reaches through a join's build input has no reader for
+// its intermediate states. WakeEngine marks such nodes
+// NodeOptions::final_only, and the two snapshot-producing nodes then
+// compute one state instead of one per input partial: ShuffleAggNode
+// still consumes every partial and fits growth, but emits only its
+// Finish() snapshot; SortLimitNode sorts and emits only in Finish(). The
+// states the query root delivers are unchanged.
 #ifndef WAKE_CORE_NODES_H_
 #define WAKE_CORE_NODES_H_
 
@@ -49,6 +59,11 @@ struct NodeOptions {
   /// deterministic at any worker count — morsel decomposition depends
   /// only on the input, and outputs are stitched in morsel order.
   WorkerPool* pool = nullptr;
+  /// Only this node's last state has a reader (see the file comment):
+  /// ShuffleAggNode and SortLimitNode then emit once, from Finish(), and
+  /// after a budget drain that emit is the estimate at progress < 1.
+  /// Other nodes ignore it. Set by WakeEngine from the plan.
+  bool final_only = false;
 };
 
 /// Base-table reader (the paper's read_csv / table-reader node). Streams
@@ -221,7 +236,8 @@ class ShuffleAggNode : public ExecNode {
   bool emitted_final_ = false;
 };
 
-/// Case 3 sort/limit: recompute per state.
+/// Case 3 sort/limit: recompute per state (once, in Finish(), when
+/// final-only).
 class SortLimitNode : public ExecNode {
  public:
   SortLimitNode(const PlanNode& plan, const Schema& schema,
@@ -230,13 +246,18 @@ class SortLimitNode : public ExecNode {
 
  protected:
   void Process(size_t port, const Message& msg) override;
+  void Finish() override;
 
  private:
+  void EmitSorted();
+
   std::vector<SortKey> sort_keys_;
   size_t limit_;
   Schema schema_;
   NodeOptions options_;
   DataFrame content_;  // full current content
+  bool has_input_ = false;
+  double last_progress_ = 0.0;
   uint64_t version_ = 0;
 };
 

@@ -159,7 +159,7 @@ void ShuffleAggNode::Process(size_t, const Message& msg) {
   state_.Consume(*msg.frame, msg.variances.get());
   growth_.Observe(msg.progress, state_.MeanGroupCardinality());
   last_progress_ = msg.progress;
-  EmitSnapshot(msg.progress, msg.progress >= 1.0);
+  if (!options_.final_only) EmitSnapshot(msg.progress, msg.progress >= 1.0);
 }
 
 void ShuffleAggNode::Finish() {
@@ -224,6 +224,16 @@ void SortLimitNode::Process(size_t, const Message& msg) {
   } else {
     content_.Append(*msg.frame);
   }
+  has_input_ = true;
+  last_progress_ = msg.progress;
+  if (!options_.final_only) EmitSorted();
+}
+
+void SortLimitNode::Finish() {
+  if (options_.final_only && has_input_) EmitSorted();
+}
+
+void SortLimitNode::EmitSorted() {
   // Top-k aware and morsel-parallel: per-morsel partial sorts merge
   // k-way under a total comparator, reproducing the stable serial sort
   // at any worker count; with a limit, only the first k rows gather.
@@ -231,7 +241,7 @@ void SortLimitNode::Process(size_t, const Message& msg) {
       content_.Take(content_.SortedIndices(sort_keys_, limit_, options_.pool));
   Message result;
   result.frame = std::make_shared<DataFrame>(std::move(sorted));
-  result.progress = msg.progress;
+  result.progress = last_progress_;
   result.version = ++version_;
   result.refresh = true;
   Emit(std::move(result));

@@ -297,6 +297,12 @@ Column Column::FilterBy(const std::vector<uint8_t>& mask) const {
 void Column::AppendColumn(const Column& other) {
   CheckArg(type_ == other.type_, "append type mismatch");
   size_t old_size = size();
+  if (old_size == 0 && dict_ == nullptr && other.dict_ != nullptr) {
+    dict_ = other.dict_;  // empty destination adopts the encoding
+  }
+  // Nothing to append: in particular, a shared dictionary must not be
+  // copied for a mismatched encoding that brings no rows.
+  if (other.size() == 0) return;
   // Decide before appending: an empty mask on an empty column must still
   // pick up the appended column's nulls.
   const bool need_mask = other.has_nulls() || !valid_.empty();
@@ -306,9 +312,6 @@ void Column::AppendColumn(const Column& other) {
                       other.doubles_.end());
       break;
     case ValueType::kString: {
-      if (old_size == 0 && dict_ == nullptr && other.dict_ != nullptr) {
-        dict_ = other.dict_;  // empty destination adopts the encoding
-      }
       if (dict_ == nullptr && other.dict_ == nullptr) {
         strings_.insert(strings_.end(), other.strings_.begin(),
                         other.strings_.end());

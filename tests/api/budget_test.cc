@@ -1,15 +1,22 @@
 // Per-query resource budgets through the wake::Db session API: graceful
 // OLA degradation (kPartialBudget snapshots with CI), the kFail policy
 // (kResourceExhausted), budget behaviour of each engine, and the
-// idempotency of handle operations after a breach-driven stop. The TSAN
-// CI config runs this binary, so racing charge/credit paths fail loudly.
+// idempotency of handle operations after a breach-driven stop. One case
+// drives WakeEngine with Db's kDegrade wiring directly, because its plan
+// shares one scan between a join's two inputs, which SQL cannot express.
+// The TSAN CI config runs this binary, so racing charge/credit paths fail
+// loudly.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "api/db.h"
 #include "common/error.h"
+#include "common/resource.h"
+#include "core/engine.h"
 #include "engine/tpch_fixture.h"
 #include "tpch/queries_sql.h"
 
@@ -134,6 +141,61 @@ TEST_F(BudgetTest, ProgressiveEngineDegradesAtChunkBoundaries) {
   EXPECT_EQ(result.breach, BreachReason::kRowsScanned);
   EXPECT_LT(result.progress, 1.0);
   EXPECT_GT(result.frame->num_rows(), 0u);  // at least one chunk's estimate
+}
+
+TEST_F(BudgetTest, DegradedFinalOnlyBuildSideEndsInScaledEstimate) {
+  // One lineitem scan feeds both inputs of the join (a shared subplan),
+  // so the rows cap truncates probe and build at the same partial. The
+  // per-supplier count only feeds the join's build input, so it runs
+  // final-only: its one snapshot, sent at drain EOF, must be the scaled
+  // estimate the drain left, or the join probes an empty build. The
+  // kDegrade wiring is wake::Db's: the tracker's breach drain-stops the
+  // run.
+  Plan lineitem = Plan::Scan("lineitem", {"l_orderkey", "l_suppkey"});
+  Plan plan = lineitem.Join(
+      lineitem.Aggregate({"l_suppkey"}, {Count("n")}), JoinType::kInner,
+      {"l_suppkey"}, {"l_suppkey"});
+  ResourceTracker tracker;
+  QueryBudget budget;
+  budget.max_rows_scanned = cat_.Get("lineitem").total_rows() / 3;
+  tracker.Arm(budget);
+  WakeOptions options;
+  options.tracker = &tracker;
+  WakeEngine engine(&cat_, options);
+  std::mutex run_mu;
+  std::unique_ptr<EngineRun> run;
+  tracker.set_on_breach([&] {
+    std::lock_guard<std::mutex> lock(run_mu);
+    if (run != nullptr) run->DegradeStop();
+  });
+  {
+    std::lock_guard<std::mutex> lock(run_mu);
+    run = engine.Start(plan.node());
+    if (tracker.breached()) run->DegradeStop();
+  }
+  OlaState last;
+  run->Collect([&](const OlaState& s) {
+    if (s.is_final) last = s;
+  });
+  ASSERT_TRUE(tracker.breached());
+  ASSERT_NE(last.frame, nullptr);
+  EXPECT_GT(last.progress, 0.0);
+  EXPECT_LT(last.progress, 1.0);
+  const DataFrame& frame = *last.frame;
+  ASSERT_GT(frame.num_rows(), 0u) << "the join probed an empty build";
+  // Every probe row is in the build's prefix, so an unscaled count would
+  // equal the supplier's rows in the frame; the estimate scales it up.
+  std::map<int64_t, int64_t> prefix_rows;
+  std::map<int64_t, int64_t> estimate;
+  const Column& supp = frame.ColumnByName("l_suppkey");
+  const Column& n = frame.ColumnByName("n");
+  for (size_t i = 0; i < frame.num_rows(); ++i) {
+    ++prefix_rows[supp.IntAt(i)];
+    estimate[supp.IntAt(i)] = n.IntAt(i);
+  }
+  for (const auto& [key, rows] : prefix_rows) {
+    EXPECT_GT(estimate[key], rows) << "supplier " << key;
+  }
 }
 
 TEST_F(BudgetTest, HandleOperationsAreIdempotentAfterBreach) {

@@ -197,6 +197,100 @@ TEST(SortLimitNodeTest, EveryStateIsSortedAndLimited) {
   EXPECT_GE(checked, 6u);
 }
 
+// One trace span per message and per EOF marker a node processed (its
+// Finish() span is labelled "<label>:finish" and not counted here).
+size_t SpansOf(const std::vector<TraceSpan>& spans, const std::string& label) {
+  size_t n = 0;
+  for (const auto& s : spans) n += s.node == label ? 1 : 0;
+  return n;
+}
+
+TEST(FinalOnlyTest, BuildSideShuffleAggEmitsOneSnapshot) {
+  // The aggregate only feeds the join's build input, which is read at
+  // build EOF: it must emit its final snapshot and nothing else, while
+  // the probe stream the caller sees is the same as ever.
+  constexpr size_t kPartitions = 8;
+  Catalog cat = SyntheticCatalog(200, kPartitions);
+  WakeOptions options;
+  options.trace = true;
+  WakeEngine engine(&cat, options);
+  ExactEngine exact(&cat);
+  Plan per_dim = Plan::Scan("fact").Aggregate({"dim"}, {Count("n")});
+  Plan plan = Plan::Scan("fact")
+                  .Join(per_dim, JoinType::kInner, {"dim"}, {"dim"})
+                  .WithLabel("join");
+  size_t intermediate = 0;
+  DataFrame final_frame;
+  engine.Execute(plan.node(), [&](const OlaState& s) {
+    if (s.is_final) {
+      final_frame = *s.frame;
+      return;
+    }
+    ++intermediate;
+    // Every probe partial meets the exact build: 200 rows over 4 dims.
+    const Column& n = s.frame->ColumnByName("n");
+    for (size_t i = 0; i < n.size(); ++i) EXPECT_EQ(n.IntAt(i), 50);
+  });
+  EXPECT_EQ(intermediate, kPartitions);  // one state per probe partial
+  // The join saw every probe partial, two EOF markers and one build
+  // snapshot.
+  EXPECT_EQ(SpansOf(engine.last_trace(), "join"), kPartitions + 2 + 1);
+  std::string diff;
+  EXPECT_TRUE(final_frame.ApproxEquals(exact.Execute(plan.node()), 0.0, &diff))
+      << diff;
+}
+
+TEST(FinalOnlyTest, AggregateSharedByProbeAndBuildStillStreams) {
+  // One aggregate node feeds the probe directly and the build through a
+  // map: the probe path reads its intermediate states, so it must not
+  // run final-only.
+  Catalog cat = SyntheticCatalog(1000, 10, /*decorrelate=*/true);
+  WakeOptions options;
+  options.share_subplans = true;
+  WakeEngine engine(&cat, options);
+  ExactEngine exact(&cat);
+  Plan per_dim = Plan::Scan("fact").Aggregate({"dim"}, {Sum("val", "s")});
+  Plan plan = per_dim.Join(
+      per_dim.Map({{"dim2", Expr::Col("dim")}, {"s2", Expr::Col("s")}}),
+      JoinType::kInner, {"dim"}, {"dim2"});
+  size_t states = 0;
+  DataFrame final_frame;
+  engine.Execute(plan.node(), [&](const OlaState& s) {
+    ++states;
+    if (s.is_final) final_frame = *s.frame;
+  });
+  EXPECT_GT(states, 2u);
+  std::string diff;
+  EXPECT_TRUE(final_frame.SortBy({{"dim", false}})
+                  .ApproxEquals(exact.Execute(plan.node())
+                                    .SortBy({{"dim", false}}),
+                                1e-9, &diff))
+      << diff;
+}
+
+TEST(FinalOnlyTest, BuildSideSortLimitEmitsOnceAtFinish) {
+  constexpr size_t kPartitions = 6;
+  Catalog cat = SyntheticCatalog(90, kPartitions);
+  WakeOptions options;
+  options.trace = true;
+  WakeEngine engine(&cat, options);
+  ExactEngine exact(&cat);
+  Plan top = Plan::Scan("fact")
+                 .Sort({{"val", true}}, 10)
+                 .Map({{"top_key", Expr::Col("key")},
+                       {"top_val", Expr::Col("val")}});
+  Plan plan = Plan::Scan("fact")
+                  .Join(top, JoinType::kInner, {"key"}, {"top_key"})
+                  .WithLabel("join");
+  DataFrame got = engine.ExecuteFinal(plan.node());
+  EXPECT_EQ(SpansOf(engine.last_trace(), "join"), kPartitions + 2 + 1);
+  EXPECT_EQ(SpansOf(engine.last_trace(), "sort:finish"), 1u);
+  ASSERT_EQ(got.num_rows(), 10u);
+  std::string diff;
+  EXPECT_TRUE(got.ApproxEquals(exact.Execute(plan.node()), 0.0, &diff))
+      << diff;
+}
+
 TEST(EngineTest, TraceCollectsSpansWhenEnabled) {
   Catalog cat = SyntheticCatalog(100, 4);
   WakeOptions options;

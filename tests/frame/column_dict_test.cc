@@ -101,6 +101,28 @@ TEST(ColumnDictTest, EmptyPlainDestinationAdoptsDict) {
   EXPECT_EQ(dst.StringAt(1), "b");
 }
 
+TEST(ColumnDictTest, EmptyAppendLeavesSharedDictUncopied) {
+  Column dst = Column::DictFromStrings({"a", "b"});
+  Column alias = dst;  // shares dst's dict
+  const StringDict* shared = dst.dict().get();
+  dst.AppendColumn(Column(ValueType::kString));  // empty plain column
+  EXPECT_EQ(dst.dict().get(), shared);
+  Column other_dict = Column::DictFromStrings({"z"}).Slice(0, 0);
+  ASSERT_TRUE(other_dict.is_dict());
+  dst.AppendColumn(other_dict);  // empty, with a different dict
+  EXPECT_EQ(dst.dict().get(), shared);
+  EXPECT_EQ(dst.size(), 2u);
+  EXPECT_EQ(alias.dict().get(), shared);
+}
+
+TEST(ColumnDictTest, EmptyDestinationAdoptsDictOfEmptyAppend) {
+  Column src = Column::DictFromStrings({"a"}).Slice(0, 0);
+  Column dst(ValueType::kString);
+  dst.AppendColumn(src);
+  EXPECT_TRUE(dst.is_dict());
+  EXPECT_EQ(dst.dict().get(), src.dict().get());
+}
+
 TEST(ColumnDictTest, AppendPlainIntoDictInterns) {
   Column dict = Column::DictFromStrings({"a"});
   Column plain = Column::FromStrings({"b", "a"});

@@ -7,9 +7,11 @@
 
 #include <chrono>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/db.h"
@@ -26,8 +28,8 @@ namespace {
 
 using protocol::FrameType;
 
-/// Heavy enough to reliably hold an admission slot / be mid-flight when
-/// the test acts (same role it plays in tests/api/admission_test.cc).
+/// Heavy enough to be mid-flight when the test acts (the cancel,
+/// disconnect and drain tests).
 constexpr int kHeavyQuery = 9;
 
 ServerOptions FastServer() {
@@ -156,21 +158,29 @@ TEST_F(ServerClientTest, QueueFullSurfacesRetryableWithHint) {
   server.Start();
   Client client(FastClient(server.port()));
 
-  RemoteQuery heavy = client.Submit(tpch::QuerySql(kHeavyQuery));
-  ASSERT_TRUE(heavy.Next().has_value()) << "heavy query produced no state";
+  // An in-process run holds the only slot until the test opens the
+  // latch: its state callback blocks the thread that runs the query.
+  std::promise<void> unopened;
+  std::shared_future<void> opened = unopened.get_future().share();
+  RunOptions blocked;
+  blocked.on_state = [opened](const OlaState&) { opened.wait(); };
+  QueryHandle holder = db.Prepare(tpch::QuerySql(6)).Run(blocked);
+  // Declared after `holder`, so an early exit destroys the promise first,
+  // which opens the latch (broken promise) before ~QueryHandle joins.
+  std::promise<void> latch = std::move(unopened);
   // The slot is taken and the queue is zero-depth: this submit must be
   // rejected with the retryable category and a backoff hint.
   RemoteQuery rejected = client.Submit(tpch::QuerySql(6));
   try {
     rejected.Result();
-    FAIL() << "expected kQueueFull";
+    ADD_FAILURE() << "expected kQueueFull";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kQueueFull);
     EXPECT_TRUE(e.retryable());
     EXPECT_GT(e.retry_after_ms(), 0);
   }
-  heavy.Cancel();
-  heavy.Wait();
+  latch.set_value();
+  EXPECT_EQ(holder.Result().status, ResultStatus::kFinal);
   // Once the slot frees, Execute()'s retry loop recovers on its own.
   EXPECT_TRUE(EventuallyMs(5000, [&] {
     return server.stats().active_queries == 0;
