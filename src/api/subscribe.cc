@@ -8,7 +8,8 @@
 // [0,c) in one pass. So each Refresh() consumes only the rows between
 // its watermark and the snapshot's end, and the finalized frame equals
 // what the exact engine would produce from scratch over the same
-// snapshot.
+// snapshot. The operators around the aggregate are the exact engine's
+// own: each step runs through ExactEngine::Apply.
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
@@ -19,47 +20,13 @@
 #include <vector>
 
 #include "api/db.h"
+#include "baseline/exact_engine.h"
 #include "common/error.h"
 #include "core/agg_state.h"
 #include "ingest/live_table.h"
 #include "plan/props.h"
 
 namespace wake {
-
-namespace {
-
-// Applies a Filter/Map/SortLimit chain to a materialized frame, exactly
-// as the exact engine evaluates those operators.
-DataFrame ApplyOps(DataFrame in, const std::vector<PlanNodePtr>& ops) {
-  for (const auto& node : ops) {
-    switch (node->op) {
-      case PlanOp::kFilter:
-        in = in.FilterBy(node->predicate->Eval(in));
-        break;
-      case PlanOp::kMap: {
-        DataFrame out;
-        if (node->append_input) out = in;
-        for (const auto& p : node->projections) {
-          Column c = p.expr->Eval(in);
-          out.AddColumn(Field(p.name, c.type()), std::move(c));
-        }
-        in = std::move(out);
-        break;
-      }
-      case PlanOp::kSortLimit: {
-        DataFrame sorted = in.SortBy(node->sort_keys);
-        in = node->limit > 0 ? sorted.Head(node->limit) : std::move(sorted);
-        break;
-      }
-      default:
-        throw Error("unsupported operator in standing query",
-                    ErrorCategory::kPlan);
-    }
-  }
-  return in;
-}
-
-}  // namespace
 
 struct Subscription::Impl {
   std::shared_ptr<LiveTable> live;
@@ -145,20 +112,26 @@ struct Subscription::Impl {
     watermark = snap.end_row;
 
     if (delta.num_rows() > 0) {
-      DataFrame in = ApplyOps(std::move(delta), pre_ops);
+      for (const auto& op : pre_ops) {
+        delta = ExactEngine::Apply(*op, std::move(delta));
+      }
       if (state == nullptr) {
-        Schema agg_out = AggOutputSchema(in.schema(), agg->group_by, agg->aggs);
+        Schema agg_out =
+            AggOutputSchema(delta.schema(), agg->group_by, agg->aggs);
         state = std::make_unique<GroupedAggState>(agg->group_by, agg->aggs,
-                                                  in.schema(),
+                                                  delta.schema(),
                                                   std::move(agg_out));
       }
-      state->Consume(in);
+      state->Consume(delta);
     }
 
-    DataFrame out = state != nullptr
-                        ? ApplyOps(state->Finalize(AggScaling{}).frame,
-                                   post_ops)
-                        : DataFrame(output_schema);  // nothing ingested yet
+    DataFrame out(output_schema);  // nothing ingested yet
+    if (state != nullptr) {
+      out = state->Finalize(AggScaling{}).frame;
+      for (const auto& op : post_ops) {
+        out = ExactEngine::Apply(*op, std::move(out));
+      }
+    }
     last.epoch = snap.epoch;
     last.rows_covered = snap.end_row;
     last.frame = std::make_shared<DataFrame>(std::move(out));

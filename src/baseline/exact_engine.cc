@@ -35,30 +35,6 @@ DataFrame ExactEngine::Eval(const PlanNodePtr& node) const {
       if (tracker_ != nullptr) tracker_->ChargeRows(result.num_rows());
       break;
     }
-    case PlanOp::kMap: {
-      DataFrame in = Eval(node->inputs[0]);
-      DataFrame out;
-      if (node->append_input) {
-        out = in;
-        for (const auto& p : node->projections) {
-          Column c = p.expr->Eval(in);
-          out.AddColumn(Field(p.name, c.type()), std::move(c));
-        }
-      } else {
-        for (const auto& p : node->projections) {
-          Column c = p.expr->Eval(in);
-          out.AddColumn(Field(p.name, c.type()), std::move(c));
-        }
-      }
-      result = std::move(out);
-      break;
-    }
-    case PlanOp::kFilter: {
-      DataFrame in = Eval(node->inputs[0]);
-      // Selection-kernel filter off the evaluated predicate column.
-      result = in.FilterBy(node->predicate->Eval(in));
-      break;
-    }
     case PlanOp::kJoin: {
       DataFrame left = Eval(node->inputs[0]);
       DataFrame right = Eval(node->inputs[1]);
@@ -68,22 +44,12 @@ DataFrame ExactEngine::Eval(const PlanNodePtr& node) const {
                         node->join_type, out_schema);
       break;
     }
-    case PlanOp::kAggregate: {
-      DataFrame in = Eval(node->inputs[0]);
-      Schema out_schema =
-          AggOutputSchema(in.schema(), node->group_by, node->aggs);
-      GroupedAggState state(node->group_by, node->aggs, in.schema(),
-                            out_schema);
-      state.Consume(in);
-      result = state.Finalize(AggScaling{}).frame;
+    case PlanOp::kMap:
+    case PlanOp::kFilter:
+    case PlanOp::kAggregate:
+    case PlanOp::kSortLimit:
+      result = Apply(*node, Eval(node->inputs[0]));
       break;
-    }
-    case PlanOp::kSortLimit: {
-      DataFrame in = Eval(node->inputs[0]);
-      DataFrame sorted = in.SortBy(node->sort_keys);
-      result = node->limit > 0 ? sorted.Head(node->limit) : std::move(sorted);
-      break;
-    }
   }
   peak_bytes_ = std::max(peak_bytes_, result.ByteSize());
   if (tracker_ != nullptr) {
@@ -95,6 +61,41 @@ DataFrame ExactEngine::Eval(const PlanNodePtr& node) const {
     tracker_->Credit(result.ByteSize());
   }
   return result;
+}
+
+DataFrame ExactEngine::Apply(const PlanNode& node, DataFrame in) {
+  switch (node.op) {
+    case PlanOp::kMap: {
+      DataFrame out;
+      if (node.append_input) out = in;
+      for (const auto& p : node.projections) {
+        Column c = p.expr->Eval(in);
+        out.AddColumn(Field(p.name, c.type()), std::move(c));
+      }
+      return out;
+    }
+    case PlanOp::kFilter:
+      // Selection-kernel filter off the evaluated predicate column.
+      return in.FilterBy(node.predicate->Eval(in));
+    case PlanOp::kAggregate: {
+      Schema out_schema =
+          AggOutputSchema(in.schema(), node.group_by, node.aggs);
+      GroupedAggState state(node.group_by, node.aggs, in.schema(),
+                            out_schema);
+      state.Consume(in);
+      return state.Finalize(AggScaling{}).frame;
+    }
+    case PlanOp::kSortLimit: {
+      DataFrame sorted = in.SortBy(node.sort_keys);
+      if (node.limit > 0) return sorted.Head(node.limit);
+      return sorted;
+    }
+    case PlanOp::kScan:
+    case PlanOp::kJoin:
+      break;
+  }
+  throw Error("ExactEngine::Apply takes a single-input operator",
+              ErrorCategory::kPlan);
 }
 
 }  // namespace wake

@@ -25,6 +25,14 @@ class ExactEngine {
   /// Evaluates `plan` to completion and returns the result frame.
   DataFrame Execute(const PlanNodePtr& plan) const;
 
+  /// Evaluates one single-input operator (Map, Filter, Aggregate or
+  /// SortLimit) over its materialized input frame; `node.inputs` is not
+  /// read. Execute runs every such node through it, and standing queries
+  /// (Db::Subscribe) run their delta and aggregate frames through it, so
+  /// both give each operator one meaning. Throws wake::Error(kPlan) for
+  /// Scan and Join.
+  static DataFrame Apply(const PlanNode& node, DataFrame in);
+
   /// Cooperative cancellation: when set, Eval polls `cancel` at every
   /// operator entry and throws wake::Error(kCancelled) once it reads
   /// true, so cancellation latency is bounded by one operator. The

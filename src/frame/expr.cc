@@ -118,47 +118,90 @@ ExprPtr Expr::IsNull(ExprPtr input) {
   return e;
 }
 
+namespace {
+
+// Reports a type-rule violation of `e`. The message is built only here:
+// every served request runs the checker at Prepare.
+[[noreturn]] void TypeError(const Expr& e, const char* rule) {
+  throw Error("type error in " + e.ToString() + ": " + rule,
+              ErrorCategory::kPlan);
+}
+
+bool IsString(ValueType t) { return t == ValueType::kString; }
+
+}  // namespace
+
 ValueType Expr::ResultType(const Schema& schema) const {
+  // Truth values (AND/OR/NOT operands, CASE conditions) are read as
+  // int64 words, so they must be stored as integers.
+  auto truth = [&](const ExprPtr& c) {
+    if (!IsIntPhysical(c->ResultType(schema))) {
+      TypeError(*this, "operand is not a bool, int or date");
+    }
+  };
   switch (kind_) {
     case ExprKind::kColumn:
       return schema.field(schema.FieldIndex(name_)).type;
     case ExprKind::kLiteral:
       return literal_.type;
     case ExprKind::kArith: {
-      if (arith_op_ == ArithOp::kDiv) return ValueType::kFloat64;
       ValueType l = children_[0]->ResultType(schema);
       ValueType r = children_[1]->ResultType(schema);
-      if (l == ValueType::kFloat64 || r == ValueType::kFloat64) {
+      if (IsString(l) || IsString(r)) TypeError(*this, "string operand");
+      if (arith_op_ == ArithOp::kDiv || l == ValueType::kFloat64 ||
+          r == ValueType::kFloat64) {
         return ValueType::kFloat64;
       }
       return ValueType::kInt64;
     }
     case ExprKind::kCompare:
+      if (IsString(children_[0]->ResultType(schema)) !=
+          IsString(children_[1]->ResultType(schema))) {
+        TypeError(*this, "string compared with a number");
+      }
+      return ValueType::kBool;
     case ExprKind::kLogic:
     case ExprKind::kNot:
+      for (const auto& c : children_) truth(c);
+      return ValueType::kBool;
     case ExprKind::kLike:
+      if (!IsString(children_[0]->ResultType(schema))) {
+        TypeError(*this, "LIKE over a non-string");
+      }
+      return ValueType::kBool;
     case ExprKind::kInList:
-      // Recurse for validation (unknown column references must throw even
-      // though the result type is fixed).
-      for (const auto& c : children_) c->ResultType(schema);
+    case ExprKind::kIsNull:
+      children_[0]->ResultType(schema);  // validates column references
       return ValueType::kBool;
     case ExprKind::kCase: {
+      truth(children_[0]);
       ValueType t = children_[1]->ResultType(schema);
       ValueType f = children_[2]->ResultType(schema);
+      if (IsString(t) != IsString(f)) {
+        TypeError(*this, "branches mix strings and numbers");
+      }
       if (t == ValueType::kFloat64 || f == ValueType::kFloat64) {
         return ValueType::kFloat64;
       }
       return t;
     }
-    case ExprKind::kCoalesce:
-      return children_[0]->ResultType(schema);
+    case ExprKind::kCoalesce: {
+      ValueType t = children_[0]->ResultType(schema);
+      if (IsString(t) != IsString(literal_.type)) {
+        TypeError(*this, "fallback mixes strings and numbers");
+      }
+      return t;
+    }
     case ExprKind::kSubstr:
+      if (!IsString(children_[0]->ResultType(schema))) {
+        TypeError(*this, "SUBSTR over a non-string");
+      }
       return ValueType::kString;
     case ExprKind::kYear:
+      if (children_[0]->ResultType(schema) != ValueType::kDate) {
+        TypeError(*this, "YEAR over a non-date");
+      }
       return ValueType::kInt64;
-    case ExprKind::kIsNull:
-      children_[0]->ResultType(schema);  // validate
-      return ValueType::kBool;
   }
   return ValueType::kInt64;
 }

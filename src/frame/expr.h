@@ -86,7 +86,19 @@ class Expr {
   int64_t substr_start() const { return substr_start_; }
   int64_t substr_len() const { return substr_len_; }
 
-  /// Result type when evaluated against `schema`.
+  /// Result type when evaluated against `schema`, and the one type
+  /// checker: throws wake::Error(kPlan) for an unknown column or a tree
+  /// Eval cannot evaluate. The rules:
+  ///   - arithmetic takes no string operand;
+  ///   - a comparison takes two strings or two numbers;
+  ///   - AND/OR/NOT operands and CASE conditions are stored as integers
+  ///     (bool, int or date);
+  ///   - LIKE and SUBSTR take a string, YEAR a date;
+  ///   - CASE branches, and a COALESCE input and its fallback, are both
+  ///     strings or both numbers.
+  /// InferProps runs it over every Map and Filter (a Filter predicate is a
+  /// truth value too), so Db::Prepare rejects an ill-typed query before
+  /// it runs.
   ValueType ResultType(const Schema& schema) const;
 
   /// Vectorized evaluation; returns a column of df.num_rows() values.

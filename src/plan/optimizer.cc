@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/error.h"
-#include "common/strings.h"
 #include "plan/props.h"
 
 namespace wake {
@@ -107,6 +106,47 @@ ExprPtr RebuildExpr(const Expr& e, std::vector<ExprPtr> kids) {
 // Pass 1: constant folding / trivial-predicate elimination
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Folds a node whose children are all literals by evaluating it on a
+// one-row frame, so a folded literal is whatever Expr::Eval computes. A
+// node that fails the type check stays as it is for Prepare to reject.
+ExprPtr EvalLiterals(const ExprPtr& expr) {
+  static const DataFrame kOneRow = [] {
+    DataFrame df;
+    Column c(ValueType::kInt64);
+    c.AppendInt(0);
+    df.AddColumn(Field("row", ValueType::kInt64), std::move(c));
+    return df;
+  }();
+  try {
+    expr->ResultType(kOneRow.schema());
+  } catch (const Error&) {
+    return expr;
+  }
+  return Expr::Lit(expr->Eval(kOneRow).GetValue(0));
+}
+
+// AND/OR with one literal side: logical operators treat null as false
+// (Expr::Eval contract), so the literal either decides the result or
+// disappears. Dropping the node is only lossless when the surviving side
+// already produces exactly what the logic node would (non-null kBool) —
+// e.g. `TRUE AND l_orderkey` coerces to bool, bare l_orderkey does not.
+ExprPtr ShortCircuit(const ExprPtr& expr) {
+  const auto& kids = expr->children();
+  bool is_and = expr->logic_op() == LogicOp::kAnd;
+  for (size_t i = 0; i < 2; ++i) {
+    if (!IsLiteral(kids[i])) continue;
+    bool t = LiteralTruthy(kids[i]->literal());
+    if (is_and != t) return Expr::Lit(Value::Bool(t));
+    if (ProducesNonNullBool(kids[1 - i])) return kids[1 - i];
+    break;
+  }
+  return expr;
+}
+
+}  // namespace
+
 ExprPtr FoldExpr(const ExprPtr& expr) {
   if (expr->kind() == ExprKind::kColumn ||
       expr->kind() == ExprKind::kLiteral) {
@@ -115,164 +155,16 @@ ExprPtr FoldExpr(const ExprPtr& expr) {
   std::vector<ExprPtr> kids;
   kids.reserve(expr->children().size());
   bool changed = false;
+  bool all_literal = true;
   for (const auto& c : expr->children()) {
     kids.push_back(FoldExpr(c));
     changed |= kids.back() != c;
+    all_literal &= IsLiteral(kids.back());
   }
-
-  // Every folding rule below mirrors Expr::Eval exactly (null handling,
-  // type promotion, division by zero) so a folded plan is value-identical
-  // to the unfolded one.
-  switch (expr->kind()) {
-    case ExprKind::kArith: {
-      if (!IsLiteral(kids[0]) || !IsLiteral(kids[1])) break;
-      const Value& a = kids[0]->literal();
-      const Value& b = kids[1]->literal();
-      if (a.is_null || b.is_null) break;  // null propagates; keep the tree
-      if (!IsNumeric(a.type) || !IsNumeric(b.type)) break;
-      bool to_double = expr->arith_op() == ArithOp::kDiv ||
-                       a.type == ValueType::kFloat64 ||
-                       b.type == ValueType::kFloat64;
-      if (to_double) {
-        double x = a.AsDouble(), y = b.AsDouble(), r = 0.0;
-        switch (expr->arith_op()) {
-          case ArithOp::kAdd: r = x + y; break;
-          case ArithOp::kSub: r = x - y; break;
-          case ArithOp::kMul: r = x * y; break;
-          case ArithOp::kDiv: r = y == 0.0 ? 0.0 : x / y; break;
-        }
-        return Expr::Lit(Value::Float(r));
-      }
-      int64_t r = 0;
-      switch (expr->arith_op()) {
-        case ArithOp::kAdd: r = a.i + b.i; break;
-        case ArithOp::kSub: r = a.i - b.i; break;
-        case ArithOp::kMul: r = a.i * b.i; break;
-        case ArithOp::kDiv: break;  // unreachable: kDiv promotes
-      }
-      return Expr::Lit(Value::Int(r));
-    }
-    case ExprKind::kCompare: {
-      if (!IsLiteral(kids[0]) || !IsLiteral(kids[1])) break;
-      const Value& a = kids[0]->literal();
-      const Value& b = kids[1]->literal();
-      if (a.is_null || b.is_null) return Expr::Lit(Value::Bool(false));
-      int c;
-      if (a.type == ValueType::kString && b.type == ValueType::kString) {
-        c = a.s.compare(b.s) < 0 ? -1 : (a.s == b.s ? 0 : 1);
-      } else if (IsNumeric(a.type) && IsNumeric(b.type)) {
-        if (IsIntPhysical(a.type) && IsIntPhysical(b.type)) {
-          c = a.i < b.i ? -1 : (a.i == b.i ? 0 : 1);
-        } else {
-          double x = a.AsDouble(), y = b.AsDouble();
-          c = x < y ? -1 : (x == y ? 0 : 1);
-        }
-      } else {
-        break;  // string vs numeric: leave for runtime to reject
-      }
-      bool r = false;
-      switch (expr->cmp_op()) {
-        case CompareOp::kEq: r = c == 0; break;
-        case CompareOp::kNe: r = c != 0; break;
-        case CompareOp::kLt: r = c < 0; break;
-        case CompareOp::kLe: r = c <= 0; break;
-        case CompareOp::kGt: r = c > 0; break;
-        case CompareOp::kGe: r = c >= 0; break;
-      }
-      return Expr::Lit(Value::Bool(r));
-    }
-    case ExprKind::kLogic: {
-      // Logical operators treat null as false (Expr::Eval contract), so a
-      // literal side either decides the result or disappears. Dropping
-      // the AND/OR node is only lossless when the surviving side already
-      // produces exactly what the logic node would (non-null kBool) —
-      // e.g. `TRUE AND l_orderkey` coerces to bool, bare l_orderkey does
-      // not.
-      bool is_and = expr->logic_op() == LogicOp::kAnd;
-      if (IsLiteral(kids[0])) {
-        bool t = LiteralTruthy(kids[0]->literal());
-        if (is_and && !t) return Expr::Lit(Value::Bool(false));
-        if (!is_and && t) return Expr::Lit(Value::Bool(true));
-        if (ProducesNonNullBool(kids[1])) return kids[1];
-        break;
-      }
-      if (IsLiteral(kids[1])) {
-        bool t = LiteralTruthy(kids[1]->literal());
-        if (is_and && !t) return Expr::Lit(Value::Bool(false));
-        if (!is_and && t) return Expr::Lit(Value::Bool(true));
-        if (ProducesNonNullBool(kids[0])) return kids[0];
-        break;
-      }
-      break;
-    }
-    case ExprKind::kNot:
-      if (IsLiteral(kids[0])) {
-        return Expr::Lit(Value::Bool(!LiteralTruthy(kids[0]->literal())));
-      }
-      break;
-    case ExprKind::kIsNull:
-      if (IsLiteral(kids[0])) {
-        return Expr::Lit(Value::Bool(kids[0]->literal().is_null));
-      }
-      break;
-    case ExprKind::kLike:
-      if (IsLiteral(kids[0])) {
-        const Value& v = kids[0]->literal();
-        if (v.is_null) return Expr::Lit(Value::Bool(false));
-        // Non-string input is a type error Eval reports loudly; leave the
-        // tree so runtime behavior is unchanged.
-        if (v.type != ValueType::kString) break;
-        return Expr::Lit(Value::Bool(LikeMatch(v.s, expr->like_pattern())));
-      }
-      break;
-    case ExprKind::kInList:
-      if (IsLiteral(kids[0])) {
-        const Value& v = kids[0]->literal();
-        if (v.is_null) return Expr::Lit(Value::Bool(false));
-        for (const auto& cand : expr->in_list()) {
-          if (v == cand) return Expr::Lit(Value::Bool(true));
-        }
-        return Expr::Lit(Value::Bool(false));
-      }
-      break;
-    case ExprKind::kCoalesce:
-      if (IsLiteral(kids[0])) {
-        const Value& v = kids[0]->literal();
-        if (!v.is_null) return kids[0];
-        // Null input: the fallback only substitutes losslessly when its
-        // type matches the declared (input) result type.
-        if (expr->literal().type == v.type) return Expr::Lit(expr->literal());
-      }
-      break;
-    case ExprKind::kYear:
-      if (IsLiteral(kids[0]) && !kids[0]->literal().is_null &&
-          IsIntPhysical(kids[0]->literal().type)) {
-        return Expr::Lit(Value::Int(ExtractYear(kids[0]->literal().i)));
-      }
-      break;
-    case ExprKind::kSubstr:
-      if (IsLiteral(kids[0])) {
-        const Value& v = kids[0]->literal();
-        if (!v.is_null && v.type == ValueType::kString) {
-          size_t start = static_cast<size_t>(
-              std::max<int64_t>(expr->substr_start() - 1, 0));
-          std::string s = start >= v.s.size()
-                              ? ""
-                              : v.s.substr(start, static_cast<size_t>(
-                                                      expr->substr_len()));
-          return Expr::Lit(Value::Str(std::move(s)));
-        }
-      }
-      break;
-    case ExprKind::kCase:
-      // Folding a literal condition to one branch could change the result
-      // type (branches promote jointly); left alone on purpose.
-      break;
-    case ExprKind::kColumn:
-    case ExprKind::kLiteral:
-      break;
-  }
-  return changed ? RebuildExpr(*expr, std::move(kids)) : expr;
+  ExprPtr node = changed ? RebuildExpr(*expr, std::move(kids)) : expr;
+  if (all_literal) return EvalLiterals(node);
+  if (node->kind() == ExprKind::kLogic) return ShortCircuit(node);
+  return node;
 }
 
 namespace {
@@ -1009,6 +901,9 @@ const std::vector<OptimizerPass>& DefaultPasses() {
 
 PlanNodePtr Optimize(const PlanNodePtr& plan, const Catalog& catalog) {
   CheckPlan(plan != nullptr, "Optimize on empty plan");
+  // Type-check the plan as written: folding may drop an operand (`x AND
+  // FALSE`), and an ill-typed one must still be rejected.
+  InferProps(plan, catalog);
   constexpr int kMaxRounds = 8;
   PlanNodePtr current = plan;
   std::string before = PlanToString(current);

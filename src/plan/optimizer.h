@@ -7,8 +7,9 @@
 // These passes close that gap so any parsed query runs at hand-tuned
 // speed:
 //
-//   fold-constants      evaluates literal-only subexpressions and removes
-//                       trivially-true filters
+//   fold-constants      evaluates literal-only subexpressions through
+//                       Expr::Eval, short-circuits AND/OR over a literal,
+//                       and removes trivially-true filters
 //   push-filters        splits conjunctions and pushes each conjunct
 //                       through maps / joins / aggregations down to the
 //                       operator that owns its columns (respecting
@@ -61,7 +62,8 @@ struct OptimizerPass {
 const std::vector<OptimizerPass>& DefaultPasses();
 
 /// Runs the default passes in order, repeating the whole list until a full
-/// round leaves the plan unchanged (bounded by a small round limit).
+/// round leaves the plan unchanged (bounded by a small round limit). The
+/// input and the result are both validated with InferProps.
 PlanNodePtr Optimize(const PlanNodePtr& plan, const Catalog& catalog);
 Plan Optimize(const Plan& plan, const Catalog& catalog);
 
@@ -78,7 +80,9 @@ PlanNodePtr PushScanFiltersPass(const PlanNodePtr& plan,
                                 const Catalog& catalog);
 
 /// Constant-folds one expression tree (returns the original pointer when
-/// nothing folds). Exposed for tests.
+/// nothing folds). A node over literals becomes the literal Expr::Eval
+/// computes, unless it fails Expr::ResultType's type check. Exposed for
+/// tests.
 ExprPtr FoldExpr(const ExprPtr& expr);
 
 }  // namespace wake

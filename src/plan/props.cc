@@ -133,8 +133,13 @@ PlanProps InferProps(const PlanNodePtr& node, const Catalog& catalog) {
 
     case PlanOp::kFilter: {
       PlanProps props = InferProps(node->inputs[0], catalog);
-      // Validate the predicate against the schema (throws on bad columns).
-      node->predicate->ResultType(props.schema);
+      // Type-check the predicate; its rows are kept by truth value, which
+      // must be stored as an integer like any other AND/OR operand.
+      if (!IsIntPhysical(node->predicate->ResultType(props.schema))) {
+        throw Error("filter predicate " + node->predicate->ToString() +
+                        " is not a bool, int or date",
+                    ErrorCategory::kPlan);
+      }
       // Filtering on a mutable attribute is a Case 3 operation (§2.3): it
       // is only well-defined over refresh-mode inputs, which is guaranteed
       // by construction (mutable attributes arise only from shuffle

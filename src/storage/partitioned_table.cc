@@ -111,13 +111,6 @@ const DataFramePtr& PartitionedTable::partition(size_t i) const {
   return partitions_[i];
 }
 
-const std::vector<DataFramePtr>& PartitionedTable::partitions() const {
-  CheckArg(!lazy() && !composite(),
-           "partitions(): table '" + name_ +
-               "' is wakeblock-backed or composite; use the chunk API");
-  return partitions_;
-}
-
 void PartitionedTable::AddPartition(DataFramePtr partition) {
   CheckArg(!lazy() && !composite(),
            "AddPartition on a wakeblock-backed or composite table");
@@ -146,31 +139,6 @@ DataFramePtr PartitionedTable::ReadChunk(size_t i,
   return narrowed;
 }
 
-TableMetadata PartitionedTable::metadata() const {
-  TableMetadata meta;
-  meta.name = name_;
-  meta.schema = schema_;
-  meta.total_rows = total_rows_;
-  if (composite()) {
-    // One entry per segment.
-    for (const auto& seg : segments_) {
-      meta.partition_rows.push_back(seg->total_rows());
-    }
-  } else if (lazy()) {
-    // One entry per stored partition: sum of its blocks' row counts.
-    meta.partition_rows.assign(block_source_->num_partitions(), 0);
-    for (size_t b = 0; b < block_source_->num_blocks(); ++b) {
-      meta.partition_rows[block_source_->block_partition(b)] +=
-          block_source_->block_rows(b);
-    }
-  } else {
-    for (const auto& p : partitions_) {
-      meta.partition_rows.push_back(p->num_rows());
-    }
-  }
-  return meta;
-}
-
 PartitionedTable PartitionedTable::Repartition(size_t num_partitions) const {
   return FromDataFrame(name_, Materialize(), num_partitions);
 }
@@ -186,53 +154,21 @@ PartitionedTable PartitionedTable::ShufflePartitions(uint64_t seed) const {
   return out;
 }
 
-DataFrame PartitionedTable::Materialize() const {
-  if (lazy() || composite()) return Materialize({}, nullptr);
-  DataFrame out(schema_);
-  for (const auto& p : partitions_) out.Append(*p);
-  return out;
-}
-
-DataFrame PartitionedTable::Materialize(
-    const std::vector<std::string>& columns) const {
-  return Materialize(columns, nullptr);
-}
-
 DataFrame PartitionedTable::Materialize(const std::vector<std::string>& columns,
                                         const ExprPtr& filter) const {
-  if (composite()) {
-    DataFrame out(columns.empty() ? schema_ : schema_.Select(columns));
-    for (const auto& seg : segments_) {
-      out.Append(seg->Materialize(columns, filter));
-    }
-    return out;
-  }
-  if (lazy()) {
-    DataFrame out(columns.empty() ? schema_ : schema_.Select(columns));
-    bool reserved = false;
-    for (size_t b = 0; b < block_source_->num_blocks(); ++b) {
-      DataFramePtr block = block_source_->ReadBlock(b, columns, filter);
-      if (block == nullptr) continue;
-      out.Append(*block);
-      if (!reserved) {
-        // The first append fixed the columns' encodings; reserving the
-        // whole table up front spares the per-block growth reallocations.
-        for (size_t c = 0; c < out.num_columns(); ++c) {
-          out.mutable_column(c)->Reserve(total_rows_);
-        }
-        reserved = true;
+  DataFrame out(columns.empty() ? schema_ : schema_.Select(columns));
+  bool reserved = false;
+  for (size_t i = 0; i < num_chunks(); ++i) {
+    DataFramePtr chunk = ReadChunk(i, columns, filter);
+    if (chunk == nullptr) continue;
+    out.Append(*chunk);
+    if (!reserved) {
+      // The first append fixed the columns' encodings; reserving the
+      // whole table up front spares the per-chunk growth reallocations.
+      for (size_t c = 0; c < out.num_columns(); ++c) {
+        out.mutable_column(c)->Reserve(total_rows_);
       }
-    }
-    return out;
-  }
-  if (columns.empty()) return Materialize();
-  DataFrame out(schema_.Select(columns));
-  std::vector<size_t> idx;
-  idx.reserve(columns.size());
-  for (const auto& c : columns) idx.push_back(schema_.FieldIndex(c));
-  for (const auto& p : partitions_) {
-    for (size_t c = 0; c < idx.size(); ++c) {
-      out.mutable_column(c)->AppendColumn(p->column(idx[c]));
+      reserved = true;
     }
   }
   return out;

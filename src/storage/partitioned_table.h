@@ -24,14 +24,6 @@
 
 namespace wake {
 
-/// The only statistics Wake requires from the underlying data (§4.4).
-struct TableMetadata {
-  std::string name;
-  Schema schema;
-  std::vector<size_t> partition_rows;  // tuple count per partition/file
-  size_t total_rows = 0;
-};
-
 class PartitionedTable;
 using TablePtr = std::shared_ptr<const PartitionedTable>;
 
@@ -79,7 +71,6 @@ class PartitionedTable {
     return lazy() ? block_source_->num_partitions() : partitions_.size();
   }
   const DataFramePtr& partition(size_t i) const;
-  const std::vector<DataFramePtr>& partitions() const;
 
   void AddPartition(DataFramePtr partition);
 
@@ -98,7 +89,6 @@ class PartitionedTable {
                          const ExprPtr& filter = nullptr) const;
 
   size_t total_rows() const { return total_rows_; }
-  TableMetadata metadata() const;
 
   /// Same rows, different partition count (used by the Fig 12 sweep).
   PartitionedTable Repartition(size_t num_partitions) const;
@@ -107,20 +97,13 @@ class PartitionedTable {
   /// inputs to simulate unexpected arrival order).
   PartitionedTable ShufflePartitions(uint64_t seed) const;
 
-  /// Concatenation of all partitions (used by the exact engine).
-  DataFrame Materialize() const;
-
-  /// Concatenation of all partitions narrowed to `columns` (in the given
-  /// order); only the named columns are copied.
-  DataFrame Materialize(const std::vector<std::string>& columns) const;
-
-  /// As above, additionally skipping chunks whose synopses refute
-  /// `filter` (lazy tables only; eager tables ignore the filter). Only
-  /// correct when the caller re-applies the predicate — the plan's
-  /// residual Filter does — since surviving chunks still hold
-  /// non-matching rows.
-  DataFrame Materialize(const std::vector<std::string>& columns,
-                        const ExprPtr& filter) const;
+  /// Concatenation of every chunk narrowed to `columns` (in the given
+  /// order; empty = all), skipping chunks whose synopses refute `filter`
+  /// (see ReadChunk). A filter is only correct when the caller re-applies
+  /// the predicate — the plan's residual Filter does — since surviving
+  /// chunks still hold non-matching rows.
+  DataFrame Materialize(const std::vector<std::string>& columns = {},
+                        const ExprPtr& filter = nullptr) const;
 
   /// --- serialization ---
   /// Writes one `<name>.<i>.tbl` per partition plus `<name>.meta` into

@@ -1013,27 +1013,8 @@ void BlockTable::ResetStats() const {
 }
 
 // ---------------------------------------------------------------------------
-// Eager read + catalog helpers
+// Catalog helpers
 // ---------------------------------------------------------------------------
-
-PartitionedTable Read(const std::string& dir, const std::string& name,
-                      const std::vector<std::string>& columns) {
-  BlockTablePtr handle = BlockTable::Open(dir, name);
-  Schema schema =
-      columns.empty() ? handle->schema() : handle->schema().Select(columns);
-  PartitionedTable table(handle->name(), schema);
-  size_t b = 0;
-  for (size_t p = 0; p < handle->num_partitions(); ++p) {
-    auto df = std::make_shared<DataFrame>(schema);
-    while (b < handle->num_blocks() && handle->block_partition(b) == p) {
-      DataFramePtr block = handle->ReadBlock(b, columns);
-      df->Append(*block);
-      ++b;
-    }
-    table.AddPartition(std::move(df));
-  }
-  return table;
-}
 
 std::vector<std::string> ListTables(const std::string& dir) {
   std::vector<std::string> names;

@@ -66,8 +66,8 @@ struct ScanStats {
 };
 
 /// Packs `table` (must be materialized, not wakeblock-backed) into
-/// `<dir>/<table.name()>/`. Blocks never cross partition boundaries, so a
-/// later eager Read reconstructs the exact partition layout.
+/// `<dir>/<table.name()>/`. Blocks never cross partition boundaries, and
+/// the meta records the partition count, which a lazy open reports.
 void Write(const PartitionedTable& table, const std::string& dir,
            const WriteOptions& options = {});
 
@@ -90,7 +90,6 @@ class BlockTable {
 
   size_t num_blocks() const { return blocks_.size(); }
   size_t block_rows(size_t b) const { return blocks_[b].rows; }
-  size_t block_partition(size_t b) const { return blocks_[b].partition; }
 
   /// Decodes block `b` narrowed to `columns` (empty = all, table order).
   /// When `filter` refutes the block via its synopses (min/max, null
@@ -154,11 +153,6 @@ class BlockTable {
 };
 
 using BlockTablePtr = std::shared_ptr<const BlockTable>;
-
-/// Eager read: decodes every block (optionally narrowed to `columns`) and
-/// reassembles the original partition layout. Inverse of Write.
-PartitionedTable Read(const std::string& dir, const std::string& name,
-                      const std::vector<std::string>& columns = {});
 
 /// Names of the packed tables under `dir` (subdirectories holding a
 /// table.meta), sorted.

@@ -68,6 +68,41 @@ TEST_F(DbTest, PlanErrorSurfacesWithoutOptimizerToo) {
   EXPECT_THROW(db.Prepare("SELECT no_such_column FROM lineitem"), Error);
 }
 
+TEST_F(DbTest, IllTypedExpressionsArePlanErrorsAtPrepare) {
+  // Each of these once prepared and then crashed or failed mid-run.
+  const char* kIllTyped[] = {
+      "SELECT COUNT(*) AS n FROM lineitem WHERE l_comment < 5",
+      "SELECT SUM(l_comment + 1) AS s FROM lineitem",
+      "SELECT COUNT(*) AS n FROM lineitem WHERE NOT l_comment",
+      "SELECT COUNT(*) AS n FROM lineitem WHERE NOT l_quantity",
+      "SELECT COUNT(*) AS n FROM lineitem "
+      "WHERE CASE WHEN l_quantity > 10 THEN l_comment ELSE 1 END = 1",
+      "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity LIKE '1%'",
+      "SELECT SUBSTR(l_quantity, 1, 2) AS s FROM lineitem",
+      "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity",
+      // Folding drops the string operand; the plan as written is checked.
+      "SELECT COUNT(*) AS n FROM lineitem WHERE l_comment AND 1 = 0",
+  };
+  for (bool optimize : {true, false}) {
+    DbOptions options;
+    options.optimize = optimize;
+    Db db(&cat_, options);
+    for (const char* sql : kIllTyped) {
+      try {
+        db.Prepare(sql);
+        ADD_FAILURE() << "expected a plan error for " << sql;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kPlan) << sql << ": "
+                                                      << e.what();
+      }
+    }
+    // The rules accept every TPC-H query.
+    for (int q = 1; q <= 22; ++q) {
+      EXPECT_NO_THROW(db.Prepare(tpch::QuerySql(q))) << "q" << q;
+    }
+  }
+}
+
 TEST_F(DbTest, ExplainRendersTheOptimizedPlan) {
   Db db(&cat_);
   PreparedQuery q = db.Prepare(kShipmodeSql);

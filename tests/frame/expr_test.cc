@@ -211,6 +211,47 @@ TEST(ExprTest, ResultTypeInference) {
             ValueType::kInt64);
 }
 
+TEST(ExprTest, ResultTypeRejectsWhatEvalCannotEvaluate) {
+  Schema schema = TestFrame().schema();
+  const ExprPtr pred = Gt(Expr::Col("i"), Expr::Int(1));
+  const ExprPtr ill_typed[] = {
+      Expr::Col("s") + Expr::Int(1),
+      Expr::Int(1) / Expr::Col("s"),
+      Lt(Expr::Col("s"), Expr::Int(5)),
+      Eq(Expr::Float(1.0), Expr::Col("s")),
+      Expr::And(Expr::Col("f"), pred),
+      Expr::Or(pred, Expr::Col("s")),
+      Expr::Not(Expr::Col("f")),
+      Expr::Case(Expr::Col("f"), Expr::Int(1), Expr::Int(2)),
+      Expr::Case(pred, Expr::Col("s"), Expr::Int(1)),
+      Expr::Coalesce(Expr::Col("i"), Value::Str("none")),
+      Expr::Like(Expr::Col("i"), "1%"),
+      Expr::Substr(Expr::Col("f"), 1, 2),
+      Expr::Year(Expr::Col("i")),
+  };
+  for (const ExprPtr& e : ill_typed) {
+    try {
+      e->ResultType(schema);
+      ADD_FAILURE() << "expected a type error for " << e->ToString();
+    } catch (const Error& err) {
+      EXPECT_EQ(err.category(), ErrorCategory::kPlan) << err.what();
+    }
+  }
+  // A division's operands are checked too: an unknown column throws.
+  EXPECT_THROW((Expr::Col("zzz") / Expr::Int(2))->ResultType(schema), Error);
+  // Integer-stored truth values, same-kind branches and numeric fallbacks
+  // of another numeric type are well typed.
+  EXPECT_EQ(Expr::And(Expr::Col("i"), Expr::Col("d"))->ResultType(schema),
+            ValueType::kBool);
+  EXPECT_EQ(Expr::Case(pred, Expr::Col("s"), Expr::Str("x"))
+                ->ResultType(schema),
+            ValueType::kString);
+  EXPECT_EQ(Expr::Coalesce(Expr::Col("f"), Value::Int(0))->ResultType(schema),
+            ValueType::kFloat64);
+  EXPECT_EQ(Lt(Expr::Col("d"), Expr::Col("f"))->ResultType(schema),
+            ValueType::kBool);
+}
+
 TEST(ExprTest, CollectColumnsAndReadsMutable) {
   Schema schema({{"a", ValueType::kFloat64, /*mut=*/true},
                  {"b", ValueType::kFloat64, /*mut=*/false}});

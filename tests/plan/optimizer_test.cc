@@ -125,6 +125,70 @@ TEST_F(OptimizerTest, FoldsStringPredicates) {
   EXPECT_EQ(e->literal().s, "13");
 }
 
+// Folding evaluates through Expr::Eval: for each expression kind, the
+// folded literal has the type, nullness and value that Eval gives the
+// unfolded tree on every row of a three-row frame.
+TEST_F(OptimizerTest, FoldedLiteralsMatchEval) {
+  const ExprPtr t = Expr::Lit(Value::Bool(true));
+  const ExprPtr f = Expr::Lit(Value::Bool(false));
+  const ExprPtr null_bool = Expr::Lit(Value::Null(ValueType::kBool));
+  const ExprPtr null_int = Expr::Lit(Value::Null(ValueType::kInt64));
+  const ExprPtr null_str = Expr::Lit(Value::Null(ValueType::kString));
+  const ExprPtr cases[] = {
+      Expr::Int(2) * Expr::Int(3) + Expr::Int(4),
+      Expr::Float(1.5) - Expr::Int(4),
+      Expr::Date(1995, 1, 1) + Expr::Int(30),
+      Expr::Int(7) / Expr::Int(2),
+      Expr::Int(1) / Expr::Int(0),
+      Expr::Float(1.0) / Expr::Float(0.0),
+      Expr::Int(1) + null_int,
+      null_int * Expr::Float(2.0),
+      Eq(Expr::Int(3), Expr::Int(3)),
+      Gt(Expr::Float(2.5), Expr::Int(2)),
+      Le(Expr::Date(1995, 1, 1), Expr::Int(9000)),
+      Gt(null_int, Expr::Int(0)),
+      Lt(Expr::Str("abc"), Expr::Str("abd")),
+      Ne(Expr::Str("x"), null_str),
+      Expr::Like(Expr::Str("PROMO BRASS"), "PROMO%"),
+      Expr::Like(null_str, "x%"),
+      Expr::In(Expr::Str("x"), {Value::Str("a"), Value::Str("x")}),
+      Expr::In(Expr::Int(3), {Value::Int(1), Value::Int(2)}),
+      Expr::In(null_int, {Value::Int(1)}),
+      Expr::Substr(Expr::Str("13-555"), 1, 2),
+      Expr::Substr(Expr::Str("ab"), 5, 2),
+      Expr::Year(Expr::Date(1996, 3, 14)),
+      Expr::Coalesce(null_int, Value::Int(7)),
+      Expr::Coalesce(Expr::Int(5), Value::Int(7)),
+      Expr::Coalesce(null_int, Value::Float(2.5)),
+      Expr::IsNull(null_int),
+      Expr::IsNull(Expr::Str("x")),
+      Expr::Not(t),
+      Expr::Not(null_bool),
+      Expr::Case(t, Expr::Int(1), Expr::Float(2.5)),
+      Expr::Case(null_bool, Expr::Str("a"), Expr::Str("b")),
+      Expr::Case(f, Expr::Int(1), null_int),
+      Expr::And(t, f),
+      Expr::Or(f, null_bool),
+  };
+  DataFrame three(Schema({{"x", ValueType::kInt64}}));
+  for (int i = 0; i < 3; ++i) three.mutable_column(0)->AppendInt(i);
+  for (const ExprPtr& e : cases) {
+    ExprPtr folded = FoldExpr(e);
+    ASSERT_EQ(folded->kind(), ExprKind::kLiteral) << e->ToString();
+    const Value& got = folded->literal();
+    Column want = e->Eval(three);
+    ASSERT_EQ(want.size(), 3u);
+    for (size_t r = 0; r < want.size(); ++r) {
+      Value w = want.GetValue(r);
+      EXPECT_EQ(got.type, w.type) << e->ToString();
+      EXPECT_EQ(got.is_null, w.is_null) << e->ToString();
+      EXPECT_TRUE(got == w) << e->ToString() << " folded to "
+                            << got.ToString() << ", Eval gives "
+                            << w.ToString();
+    }
+  }
+}
+
 TEST_F(OptimizerTest, TriviallyTrueFilterIsRemoved) {
   Plan plan = Plan::Scan("sales").Filter(
       Expr::And(Eq(Expr::Int(1), Expr::Int(1)), Gt(C("amount"),
@@ -268,11 +332,18 @@ TEST_F(OptimizerTest, SharedSubplansAreNotDuplicatedOrPolluted) {
   ExpectSameResults(joined.node(), pushed);
 }
 
-TEST_F(OptimizerTest, LikeOverNonStringLiteralIsLeftForRuntime) {
-  // Eval raises 'LIKE over non-string'; folding to FALSE would silently
-  // swallow the type error. Null input does fold (Eval yields false).
+TEST_F(OptimizerTest, IllTypedLiteralNodesAreLeftForPrepare) {
+  // Folding to a literal would swallow the type error that Prepare
+  // reports. Null string input does fold (Eval yields false).
   ExprPtr bad = FoldExpr(Expr::Like(Expr::Int(5), "5%"));
   EXPECT_EQ(bad->kind(), ExprKind::kLike);
+  EXPECT_EQ(FoldExpr(Expr::Str("a") + Expr::Int(1))->kind(),
+            ExprKind::kArith);
+  EXPECT_EQ(FoldExpr(Expr::Not(Expr::Float(1.0)))->kind(), ExprKind::kNot);
+  // The folded children of an ill-typed node still fold.
+  ExprPtr kids = FoldExpr(Lt(Expr::Str("a"), Expr::Int(2) + Expr::Int(3)));
+  ASSERT_EQ(kids->kind(), ExprKind::kCompare);
+  EXPECT_EQ(kids->children()[1]->kind(), ExprKind::kLiteral);
   ExprPtr null_in =
       FoldExpr(Expr::Like(Expr::Lit(Value::Null(ValueType::kString)), "x"));
   ASSERT_EQ(null_in->kind(), ExprKind::kLiteral);

@@ -7,9 +7,11 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "api/db.h"
 #include "client/client.h"
@@ -194,11 +196,14 @@ TEST_F(IngestEndToEndTest, DrainingServerRefusesAppends) {
 
   std::thread drainer([&] { server.Shutdown(2000); });
   bool refused = false;
-  // The drain announcement races the next append; whichever way it
+  // The drain announcement races the appends; whichever way each one
   // lands, no append may be silently dropped: each either acks (rows
-  // counted) or throws.
+  // counted) or throws. Append until one is refused — however long the
+  // drainer takes to start — bounded by a deadline, not an attempt count.
   uint64_t acked_rows = 4;
-  for (int i = 0; i < 50 && !refused; ++i) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!refused && std::chrono::steady_clock::now() < deadline) {
     try {
       IngestResult r = client.Ingest("events", MakeRows(0, 1));
       acked_rows += 1;

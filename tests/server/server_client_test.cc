@@ -87,6 +87,29 @@ TEST_F(ServerClientTest, RemoteResultIsByteIdenticalToLocal) {
   EXPECT_TRUE(server.Shutdown(1000));
 }
 
+TEST_F(ServerClientTest, IllTypedQueryIsAPlanErrorAndTheServerKeepsServing) {
+  Db db(&cat_);
+  Server server(&db, FastServer());
+  server.Start();
+  Client client(FastClient(server.port()));
+  try {
+    client.Execute("SELECT COUNT(*) AS n FROM lineitem WHERE l_comment < 5");
+    FAIL() << "expected a plan error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kPlan) << e.what();
+    EXPECT_FALSE(e.retryable());
+  }
+  // The same client, on the same server, still runs Q6 to its final state.
+  DataFrame local = db.Prepare(tpch::QuerySql(6)).Execute();
+  QueryResult remote = client.Execute(tpch::QuerySql(6));
+  ASSERT_TRUE(remote.frame != nullptr);
+  EXPECT_EQ(remote.status, ResultStatus::kFinal);
+  std::string diff;
+  EXPECT_TRUE(remote.frame->ApproxEquals(local, 0.0, &diff)) << diff;
+  client.Close();
+  EXPECT_TRUE(server.Shutdown(1000));
+}
+
 TEST_F(ServerClientTest, StreamingSnapshotsConvergeToFinal) {
   Db db(&cat_);
   Server server(&db, FastServer());

@@ -85,13 +85,18 @@ TEST(PartitionedTableTest, EmptyFrameYieldsSinglePartition) {
   EXPECT_EQ(t.total_rows(), 0u);
 }
 
-TEST(PartitionedTableTest, MetadataMatchesPartitions) {
+TEST(PartitionedTableTest, ChunkRowsMatchPartitions) {
   PartitionedTable t =
       PartitionedTable::FromDataFrame("t", ClusteredFrame(40), 4);
-  TableMetadata meta = t.metadata();
-  EXPECT_EQ(meta.name, "t");
-  EXPECT_EQ(meta.total_rows, 40u);
-  EXPECT_EQ(meta.partition_rows.size(), t.num_partitions());
+  EXPECT_EQ(t.name(), "t");
+  EXPECT_EQ(t.total_rows(), 40u);
+  ASSERT_EQ(t.num_chunks(), t.num_partitions());
+  size_t sum = 0;
+  for (size_t i = 0; i < t.num_chunks(); ++i) {
+    EXPECT_EQ(t.chunk_rows(i), t.partition(i)->num_rows());
+    sum += t.chunk_rows(i);
+  }
+  EXPECT_EQ(sum, t.total_rows());
 }
 
 class SerializationTest : public ::testing::Test {

@@ -193,7 +193,7 @@ TEST_F(WakeblockFuzzTest, MissingColumnFileRejected) {
 
 TEST_F(WakeblockFuzzTest, MissingTableRejected) {
   EXPECT_THROW(wakeblock::BlockTable::Open(dir_.string(), "ghost"), Error);
-  EXPECT_THROW(wakeblock::Read(dir_.string(), "ghost"), Error);
+  EXPECT_THROW(PartitionedTable::OpenWakeblock(dir_.string(), "ghost"), Error);
 }
 
 }  // namespace

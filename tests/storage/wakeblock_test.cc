@@ -64,7 +64,8 @@ TEST_F(WakeblockTest, RoundTripIsExact) {
     wakeblock::WriteOptions opts;
     opts.block_rows = 64;  // many blocks, so every encoding path repeats
     wakeblock::Write(t, dir_.string(), opts);
-    PartitionedTable back = wakeblock::Read(dir_.string(), "rt");
+    PartitionedTable back =
+        PartitionedTable::OpenWakeblock(dir_.string(), "rt");
     EXPECT_EQ(back.num_partitions(), t.num_partitions());
     std::string diff;
     EXPECT_TRUE(back.Materialize().ApproxEquals(t.Materialize(), 0.0, &diff))
@@ -80,11 +81,12 @@ TEST_F(WakeblockTest, EmptyTableAndEmptyPartitionsRoundTrip) {
   PartitionedTable t =
       PartitionedTable::FromDataFrame("empty", DataFrame(schema), 3);
   wakeblock::Write(t, dir_.string());
-  PartitionedTable back = wakeblock::Read(dir_.string(), "empty");
+  PartitionedTable back =
+      PartitionedTable::OpenWakeblock(dir_.string(), "empty");
   EXPECT_EQ(back.total_rows(), 0u);
+  EXPECT_EQ(back.num_partitions(), t.num_partitions());
   EXPECT_EQ(back.schema().num_fields(), 2u);
-  auto lazy = wakeblock::BlockTable::Open(dir_.string(), "empty");
-  EXPECT_EQ(lazy->total_rows(), 0u);
+  EXPECT_EQ(back.Materialize().num_rows(), 0u);
 }
 
 TEST_F(WakeblockTest, ClusteringKeyNeverStraddlesBlocks) {
@@ -126,7 +128,8 @@ TEST_F(WakeblockTest, WideBitpackRoundTripIsExact) {
   }
   wakeblock::Write(PartitionedTable::FromDataFrame("wide", df, 1),
                    dir_.string());
-  PartitionedTable back = wakeblock::Read(dir_.string(), "wide");
+  PartitionedTable back =
+      PartitionedTable::OpenWakeblock(dir_.string(), "wide");
   std::string diff;
   EXPECT_TRUE(back.Materialize().ApproxEquals(df, 0.0, &diff)) << diff;
 }
@@ -137,10 +140,11 @@ TEST_F(WakeblockTest, ProjectedReadMatchesFullReadSelect) {
   wakeblock::Write(t, dir_.string());
   for (const auto& cols : std::vector<std::vector<std::string>>{
            {"key"}, {"s"}, {"f", "narrow"}, {"s", "key"}}) {
-    PartitionedTable projected = wakeblock::Read(dir_.string(), "proj", cols);
+    PartitionedTable lazy =
+        PartitionedTable::OpenWakeblock(dir_.string(), "proj");
     std::string diff;
-    EXPECT_TRUE(projected.Materialize().ApproxEquals(t.Materialize(cols), 0.0,
-                                                     &diff))
+    EXPECT_TRUE(lazy.Materialize(cols).ApproxEquals(t.Materialize(cols), 0.0,
+                                                    &diff))
         << diff;
   }
 }
@@ -168,7 +172,6 @@ TEST_F(WakeblockTest, LazyChunkApiCoversAllRowsOnce) {
   EXPECT_TRUE(gathered.ApproxEquals(t.Materialize(), 0.0, &diff)) << diff;
   // Partition-level APIs are the eager tables' contract.
   EXPECT_THROW(lazy.partition(0), Error);
-  EXPECT_THROW(lazy.partitions(), Error);
 }
 
 TEST_F(WakeblockTest, EagerChunkApiIsThePartitionList) {
@@ -208,8 +211,9 @@ DataFrame ApplyFilter(const DataFrame& df, const ExprPtr& filter) {
 
 // Rows of `sk` matching `filter`, computed the slow way.
 DataFrame Expected(const std::filesystem::path& dir, const ExprPtr& filter) {
-  return ApplyFilter(wakeblock::Read(dir.string(), "sk").Materialize(),
-                     filter);
+  return ApplyFilter(
+      PartitionedTable::OpenWakeblock(dir.string(), "sk").Materialize(),
+      filter);
 }
 
 TEST_F(WakeblockTest, RangePredicateSkipsBlocksAndLosesNoMatches) {
