@@ -276,19 +276,11 @@ KernelRates MeasureKernels(size_t rows, Column build_keys, Column probe_keys,
   return rates;
 }
 
-// Morsel-parallel kernel rates at a given worker count: join_probe over a
-// shared read-mostly table, group_by through the hash-sharded state. The
-// outputs are byte-identical across worker counts (verified by
-// core_parallel_exec_test / core_agg_merge_test); only wall time changes.
-struct WorkerRates {
-  double join_probe = 0.0;
-  double group_by = 0.0;
-};
-
-WorkerRates MeasureWorkers(size_t rows, size_t workers,
-                           const DataFrame& build, const DataFrame& probe,
-                           const DataFrame& agg_in) {
-  WorkerRates rates;
+// Morsel-parallel join_probe rate at a given worker count, over a shared
+// read-mostly table. The output is byte-identical across worker counts
+// (verified by core_parallel_exec_test); only wall time changes.
+double MeasureProbeWorkers(size_t rows, size_t workers,
+                           const DataFrame& build, const DataFrame& probe) {
   WorkerPool pool(workers);
   WorkerPool* p = workers > 1 ? &pool : nullptr;
 
@@ -297,22 +289,11 @@ WorkerRates MeasureWorkers(size_t rows, size_t workers,
   table.Insert(build.Slice(0, rows / 4));
   Schema out_schema = JoinOutputSchema(probe.schema(), build_schema, {"bk"},
                                        JoinType::kInner);
-  rates.join_probe = BestMrowsPerSec(rows, [&] {
+  return BestMrowsPerSec(rows, [&] {
     DataFrame out = table.Probe(probe, {"g"}, JoinType::kInner, out_schema,
                                 nullptr, nullptr, p);
     if (out.num_rows() == 0) std::abort();
   });
-
-  std::vector<AggSpec> aggs = {Sum("v", "s"), Count("n"), Avg("v", "a")};
-  Schema agg_out = AggOutputSchema(agg_in.schema(), {"g"}, aggs);
-  GroupedAggState agg({"g"}, aggs, agg_in.schema(), agg_out);
-  agg.EnableSharding(p);
-  // Warm-up consume: the first large partial runs serially and triggers
-  // the split; timed consumes measure the steady-state sharded path.
-  agg.Consume(agg_in);
-  rates.group_by = BestMrowsPerSec(rows, [&] { agg.Consume(agg_in); });
-  if (agg.num_groups() == 0) std::abort();
-  return rates;
 }
 
 // Storage read paths over TPC-H lineitem (16 columns):
@@ -527,7 +508,7 @@ int RunMicroJson() {
                      group_sk.DecodeDict());
   KernelRates dict = MeasureKernels(kRows, build_sk, probe_sk, group_sk);
 
-  // Morsel-parallel variants (int keys) at 1/2/4 workers. On hosts with
+  // Morsel-parallel probe (int keys) at 1/2/4 workers. On hosts with
   // fewer physical cores than workers the threads timeslice, so scaling
   // is only visible when host_cores >= workers.
   Schema build_schema({{"bk", ValueType::kInt64},
@@ -539,12 +520,9 @@ int RunMicroJson() {
   DataFrame wprobe(probe_schema);
   *wprobe.mutable_column(0) = probe.column(0);
   *wprobe.mutable_column(1) = probe.column(1);
-  DataFrame wagg(probe_schema);
-  *wagg.mutable_column(0) = agg_in.column(0);
-  *wagg.mutable_column(1) = agg_in.column(1);
-  WorkerRates w1 = MeasureWorkers(kRows, 1, wbuild, wprobe, wagg);
-  WorkerRates w2 = MeasureWorkers(kRows, 2, wbuild, wprobe, wagg);
-  WorkerRates w4 = MeasureWorkers(kRows, 4, wbuild, wprobe, wagg);
+  double probe_w1 = MeasureProbeWorkers(kRows, 1, wbuild, wprobe);
+  double probe_w2 = MeasureProbeWorkers(kRows, 2, wbuild, wprobe);
+  double probe_w4 = MeasureProbeWorkers(kRows, 4, wbuild, wprobe);
 
   ExprFilterRates ef = MeasureExprFilter(kRows);
 
@@ -565,9 +543,6 @@ int RunMicroJson() {
       "\"join_probe_w1_mrows_per_s\":%.2f,"
       "\"join_probe_w2_mrows_per_s\":%.2f,"
       "\"join_probe_w4_mrows_per_s\":%.2f,"
-      "\"group_by_w1_mrows_per_s\":%.2f,"
-      "\"group_by_w2_mrows_per_s\":%.2f,"
-      "\"group_by_w4_mrows_per_s\":%.2f,"
       "\"expr_filter_scalar_mrows_per_s\":%.2f,"
       "\"expr_filter_mrows_per_s\":%.2f,"
       "\"null_hash_scalar_mrows_per_s\":%.2f,"
@@ -581,8 +556,7 @@ int RunMicroJson() {
       kRows, std::thread::hardware_concurrency(), ints.join_build,
       ints.join_probe, ints.group_by, plain.join_build, plain.join_probe,
       plain.group_by, dict.join_build, dict.join_probe, dict.group_by,
-      w1.join_probe, w2.join_probe, w4.join_probe, w1.group_by, w2.group_by,
-      w4.group_by, ef.expr_filter_scalar, ef.expr_filter,
+      probe_w1, probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
       ef.null_hash_scalar, ef.null_hash, scan.scan_full, scan.scan_pruned,
       scan.scan_columnar, scan.scan_columnar_skip, ingest.ingest_append,
       ingest.ingest_standing);

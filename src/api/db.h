@@ -68,7 +68,8 @@ enum class QueryEngine : uint8_t {
 
 /// Session-wide configuration.
 struct DbOptions {
-  /// Worker pool shared by all queries of this Db: 0 = process-wide pool
+  /// Worker pool shared by all queries of this Db, which runs their
+  /// join-probe and projection morsels: 0 = process-wide pool
   /// (WAKE_WORKERS, default hardware concurrency), 1 = serial operator
   /// bodies, N > 1 = a Db-owned pool of N workers. Results are
   /// byte-identical across settings.

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
-#include "common/error.h"
-#include "common/worker_pool.h"
 #include "core/inference.h"
 
 namespace wake {
@@ -44,12 +41,10 @@ GroupedAggState::GroupedAggState(std::vector<std::string> group_by,
                                  Schema output_schema)
     : group_by_(std::move(group_by)),
       aggs_(std::move(aggs)),
-      input_schema_(input_schema),
       output_schema_(std::move(output_schema)) {
   for (const auto& a : aggs_) {
     agg_input_cols_.push_back(
         a.input.empty() ? kNoInput : input_schema.FieldIndex(a.input));
-    if (NeedsCold(a.func)) hot_only_ = false;
   }
   Schema key_schema;
   for (const auto& g : group_by_) {
@@ -68,48 +63,16 @@ void GroupedAggState::AppendAccums() {
   }
 }
 
-void GroupedAggState::EnableSharding(WorkerPool* pool, size_t min_rows) {
-  pool_ = pool;
-  shard_min_rows_ = min_rows;
-  // Smallest power of two covering the pool's workers, clamped to
-  // [kMinShards, kMaxShards]; a pool-less state keeps kDefaultShards. A
-  // little headroom over the worker count keeps bucket skew from
-  // serializing the routing, while a small pool no longer pays the
-  // fixed-8 floor's routing overhead; the result never depends on the
-  // choice (see class comment).
-  size_t want = pool != nullptr ? pool->workers() : kDefaultShards;
-  num_shards_ = kMinShards;
-  while (num_shards_ < want && num_shards_ < kMaxShards) num_shards_ *= 2;
-  shard_shift_ = 64;
-  for (size_t n = num_shards_; n > 1; n /= 2) --shard_shift_;
-}
-
-void GroupedAggState::ClearGroupStorage() {
+void GroupedAggState::Reset() {
   group_keys_ = DataFrame(group_keys_.schema());
   key_index_.Reset();
   group_rows_.clear();
-  group_hashes_.clear();
-  group_first_seen_.clear();
   for (auto& h : hot_) h.clear();
   for (auto& c : cold_) c.clear();
   code_cache_dict_ = nullptr;
   code_to_gid_.clear();
   null_gid_ = FlatHashIndex::kNil;
-}
-
-void GroupedAggState::Reset() {
-  ClearGroupStorage();
   total_rows_ = 0;
-  InvalidateView();  // before the refs' shards are destroyed
-  shards_.clear();   // re-shards when the trigger fires again
-}
-
-size_t GroupedAggState::num_groups() const {
-  if (shards_.empty()) return group_rows_.size();
-  // Shards hold hash-disjoint group sets, so counts add.
-  size_t n = 0;
-  for (const auto& s : shards_) n += s->group_rows_.size();
-  return n;
 }
 
 uint32_t GroupedAggState::FindOrCreateGroup(
@@ -126,9 +89,6 @@ uint32_t GroupedAggState::FindOrCreateGroup(
                                               row);
   }
   group_rows_.push_back(0);
-  group_hashes_.push_back(hash);
-  group_first_seen_.push_back(order_ids_ != nullptr ? order_ids_[row]
-                                                    : order_base_ + row);
   AppendAccums();
   key_index_.Insert(hash, gid);
   return gid;
@@ -181,8 +141,7 @@ void GroupedAggState::AssignGroupsByCode(const DataFrame& partial,
 }
 
 void GroupedAggState::Consume(const DataFrame& partial,
-                              const VarianceMap* input_variances,
-                              const uint64_t* order_ids) {
+                              const VarianceMap* input_variances) {
   size_t n = partial.num_rows();
   if (n == 0) {
     // A global aggregate (no group keys) still needs its single group so
@@ -190,91 +149,6 @@ void GroupedAggState::Consume(const DataFrame& partial,
     // rows ever arrive; rows == 0 keeps the state empty.
     return;
   }
-  if (!shards_.empty()) {
-    CheckArg(input_variances == nullptr,
-             "sharded aggregation state cannot consume variance-carrying "
-             "partials");
-    order_ids_ = order_ids;
-    RouteToShards(partial);
-    order_ids_ = nullptr;
-    return;
-  }
-  order_ids_ = order_ids;
-  order_base_ = total_rows_;
-  ConsumeSerial(partial, input_variances, order_ids);
-  order_ids_ = nullptr;
-  if (input_variances == nullptr && ShardTriggered(n)) SplitIntoShards();
-}
-
-bool GroupedAggState::ShardTriggered(size_t partial_rows) const {
-  // All criteria are functions of configuration and data — never of the
-  // pool — so the split point (and thus the result) is deterministic at
-  // any worker count.
-  return shard_min_rows_ != 0 && hot_only_ && !group_by_.empty() &&
-         partial_rows >= shard_min_rows_ &&
-         group_rows_.size() >= kMinShardGroups;
-}
-
-void GroupedAggState::SplitIntoShards() {
-  shards_.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    shards_.emplace_back(new GroupedAggState(group_by_, aggs_, input_schema_,
-                                             output_schema_));
-  }
-  // Re-home every accumulated group by its key hash. Ranks (first_seen)
-  // move with the groups, so the final output order is unchanged.
-  std::vector<std::vector<uint32_t>> buckets(num_shards_);
-  for (uint32_t g = 0; g < group_rows_.size(); ++g) {
-    buckets[ShardOf(group_hashes_[g])].push_back(g);
-  }
-  for (size_t s = 0; s < num_shards_; ++s) {
-    if (!buckets[s].empty()) {
-      shards_[s]->MergeGroupList(*this, buckets[s].data(),
-                                 buckets[s].size());
-    }
-  }
-  // Group state now lives in the shards; totals stay top-level.
-  ClearGroupStorage();
-  InvalidateView();  // the view (if any) predates this shard set
-}
-
-void GroupedAggState::RouteToShards(const DataFrame& partial) {
-  size_t n = partial.num_rows();
-  std::vector<size_t> key_cols = partial.ColumnIndices(group_by_);
-  static thread_local std::vector<uint64_t> hashes;
-  partial.HashRowsBatch(key_cols, &hashes);
-  std::vector<std::vector<uint32_t>> buckets(num_shards_);
-  for (auto& b : buckets) b.reserve(n / num_shards_ + 16);
-  for (size_t r = 0; r < n; ++r) {
-    buckets[ShardOf(hashes[r])].push_back(static_cast<uint32_t>(r));
-  }
-  const uint64_t* ids = order_ids_;
-  uint64_t base = total_rows_;
-  // Each shard gathers and consumes its bucket; rows keep their global
-  // arrival ranks, and a group's rows reach its shard in arrival order,
-  // so every accumulator adds in exactly the serial order.
-  auto work = [&](size_t s) {
-    const std::vector<uint32_t>& idx = buckets[s];
-    if (idx.empty()) return;
-    DataFrame bucket = partial.Take(idx);
-    std::vector<uint64_t> order(idx.size());
-    for (size_t i = 0; i < idx.size(); ++i) {
-      order[i] = ids != nullptr ? ids[idx[i]] : base + idx[i];
-    }
-    shards_[s]->Consume(bucket, nullptr, order.data());
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelShards(num_shards_, work);
-  } else {
-    for (size_t s = 0; s < num_shards_; ++s) work(s);
-  }
-  total_rows_ += n;
-}
-
-void GroupedAggState::ConsumeSerial(const DataFrame& partial,
-                                    const VarianceMap* input_variances,
-                                    const uint64_t* order_ids) {
-  size_t n = partial.num_rows();
   std::vector<size_t> key_cols = partial.ColumnIndices(group_by_);
   // Per-agg input column pointers and variance vectors.
   std::vector<const Column*> in_cols(aggs_.size(), nullptr);
@@ -297,9 +171,6 @@ void GroupedAggState::ConsumeSerial(const DataFrame& partial,
     // Global aggregate: one group with no key columns.
     if (group_rows_.empty()) {
       group_rows_.push_back(0);
-      group_hashes_.push_back(0);
-      group_first_seen_.push_back(order_ids != nullptr ? order_ids[0]
-                                                       : order_base_);
       AppendAccums();
     }
   } else {
@@ -405,241 +276,22 @@ void GroupedAggState::ConsumeSerial(const DataFrame& partial,
   }
 }
 
-void GroupedAggState::CombineGroup(uint32_t gid, const GroupedAggState& other,
-                                   uint32_t g) {
-  group_rows_[gid] += other.group_rows_[g];
-  if (other.group_first_seen_[g] < group_first_seen_[gid]) {
-    group_first_seen_[gid] = other.group_first_seen_[g];
-  }
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    HotAccum& d = hot_[a][gid];
-    const HotAccum& s = other.hot_[a][g];
-    d.sum += s.sum;
-    d.sumsq += s.sumsq;
-    d.count += s.count;
-    d.var_in_sum += s.var_in_sum;
-    if (!NeedsCold(aggs_[a].func)) continue;
-    ColdAccum& dc = cold_[a][gid];
-    const ColdAccum& sc = other.cold_[a][g];
-    switch (aggs_[a].func) {
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        if (!sc.has_extreme) break;
-        const bool is_min = aggs_[a].func == AggFunc::kMin;
-        if (!dc.has_extreme ||
-            (is_min ? sc.extreme < dc.extreme : dc.extreme < sc.extreme)) {
-          dc.extreme = sc.extreme;
-          dc.has_extreme = true;
-        }
-        break;
-      }
-      case AggFunc::kCountDistinct:
-        dc.distinct.insert(sc.distinct.begin(), sc.distinct.end());
-        break;
-      case AggFunc::kMedian:
-        dc.samples.insert(dc.samples.end(), sc.samples.begin(),
-                          sc.samples.end());
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-void GroupedAggState::MergeGroupList(const GroupedAggState& other,
-                                     const uint32_t* gids, size_t count) {
-  // Adopt dict encodings so candidate verification compares codes.
-  for (size_t k = 0; k < stored_key_cols_.size(); ++k) {
-    const Column& src = other.group_keys_.column(k);
-    if (src.is_dict()) group_keys_.mutable_column(k)->AdoptDict(src.dict());
-  }
-  KeyEq eq(other.group_keys_, other.stored_key_cols_, group_keys_,
-           stored_key_cols_);
-  // Created groups inherit the source group's first-appearance rank.
-  order_ids_ = other.group_first_seen_.data();
-  for (size_t i = 0; i < count; ++i) {
-    uint32_t g = gids[i];
-    uint32_t gid =
-        FindOrCreateGroup(other.group_hashes_[g], other.group_keys_,
-                          other.stored_key_cols_, g, eq);
-    CombineGroup(gid, other, g);
-  }
-  order_ids_ = nullptr;
-}
-
-void GroupedAggState::MergeGroups(const GroupedAggState& other) {
-  if (!other.shards_.empty()) {
-    for (const auto& s : other.shards_) MergeGroups(*s);
-    return;
-  }
-  size_t src_groups = other.group_rows_.size();
-  if (src_groups == 0) return;
-  if (group_by_.empty()) {
-    // Global aggregate: at most one group on each side.
-    if (group_rows_.empty()) {
-      group_rows_.push_back(0);
-      group_hashes_.push_back(0);
-      group_first_seen_.push_back(other.group_first_seen_[0]);
-      AppendAccums();
-    }
-    CombineGroup(0, other, 0);
-    return;
-  }
-  if (!shards_.empty()) {
-    // Sharded destination: groups go to the shard owning their hash. The
-    // adopted groups may carry ranks below (or lower the rank of) groups
-    // already in the snapshot view, so the cached ordering is stale.
-    InvalidateView();
-    std::vector<std::vector<uint32_t>> buckets(num_shards_);
-    for (uint32_t g = 0; g < src_groups; ++g) {
-      buckets[ShardOf(other.group_hashes_[g])].push_back(g);
-    }
-    for (size_t s = 0; s < num_shards_; ++s) {
-      if (!buckets[s].empty()) {
-        shards_[s]->MergeGroupList(other, buckets[s].data(),
-                                   buckets[s].size());
-      }
-    }
-    return;
-  }
-  std::vector<uint32_t> all(src_groups);
-  std::iota(all.begin(), all.end(), 0u);
-  MergeGroupList(other, all.data(), all.size());
-}
-
-void GroupedAggState::Merge(const GroupedAggState& other) {
-  CheckArg(group_by_.size() == other.group_by_.size() &&
-               aggs_.size() == other.aggs_.size(),
-           "merge of incompatible aggregation states");
-  MergeGroups(other);
-  total_rows_ += other.total_rows_;
-}
-
 double GroupedAggState::MeanGroupCardinality() const {
   size_t groups = num_groups();
   if (groups == 0) return 0.0;
   return static_cast<double>(total_rows_) / static_cast<double>(groups);
 }
 
-void GroupedAggState::InvalidateView() const {
-  view_valid_ = false;
-  view_refs_.clear();  // refs may point at shards about to be destroyed
-  view_keys_ = DataFrame();
-  view_seen_.clear();
-  view_max_rank_ = 0;
-}
-
-void GroupedAggState::RefreshView() const {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!view_valid_) {
-      view_refs_.clear();
-      view_keys_ = DataFrame(group_keys_.schema());
-      view_seen_.assign(shards_.size(), 0);
-      view_max_rank_ = 0;
-      view_valid_ = true;
-    }
-    // Collect the groups each shard created since the last refresh.
-    // Within a shard, groups append in creation order, so view_seen_[s]
-    // is a high-water mark; ranks are globally unique (the global index
-    // of the group's first input row).
-    struct Fresh {
-      uint64_t rank;
-      uint32_t shard;
-      uint32_t g;
-    };
-    std::vector<Fresh> fresh;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const GroupedAggState& sh = *shards_[s];
-      for (size_t g = view_seen_[s]; g < sh.group_rows_.size(); ++g) {
-        fresh.push_back({sh.group_first_seen_[g], static_cast<uint32_t>(s),
-                         static_cast<uint32_t>(g)});
-      }
-      view_seen_[s] = sh.group_rows_.size();
-    }
-    if (fresh.empty()) return;
-    std::sort(fresh.begin(), fresh.end(), [](const Fresh& a, const Fresh& b) {
-      return a.rank != b.rank ? a.rank < b.rank
-                              : (a.shard != b.shard ? a.shard < b.shard
-                                                    : a.g < b.g);
-    });
-    if (!view_refs_.empty() && fresh.front().rank < view_max_rank_) {
-      // A group appeared below the view's frontier (a Merge adopted
-      // earlier-ranked groups): the cached ordering is wrong — rebuild
-      // the view from scratch on the next pass.
-      view_valid_ = false;
-      continue;
-    }
-    // Append the fresh groups in rank order. Adopting the shards' key
-    // dicts first keeps the cached key columns code-encoded (mirrors
-    // MergeGroupList).
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      for (size_t k = 0; k < view_keys_.num_columns(); ++k) {
-        const Column& src = shards_[s]->group_keys_.column(k);
-        if (src.is_dict()) view_keys_.mutable_column(k)->AdoptDict(src.dict());
-      }
-    }
-    for (const Fresh& f : fresh) {
-      const GroupedAggState& sh = *shards_[f.shard];
-      view_refs_.push_back({&sh, f.g});
-      for (size_t k = 0; k < view_keys_.num_columns(); ++k) {
-        view_keys_.mutable_column(k)->AppendFrom(sh.group_keys_.column(k),
-                                                 f.g);
-      }
-    }
-    view_max_rank_ = fresh.back().rank;
-    view_merge_ops_ += fresh.size();
-    return;
-  }
-}
-
 AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
-  if (!shards_.empty()) {
-    // Incremental snapshot view: fold in only the groups that appeared
-    // since the previous Finalize (no key can live in two shards, and
-    // accumulators are read in place, so existing refs stay current).
-    // The view holds the global first-appearance order, reproducing the
-    // serial output byte for byte.
-    RefreshView();
-    return FinalizeRefs(scaling, view_refs_, view_keys_);
-  }
-
-  size_t num_groups = group_rows_.size();
-
-  // Output rows appear in group first-appearance order. The serial path
-  // creates groups in that order already (order == identity); merged
-  // states need the permutation.
-  bool identity = std::is_sorted(group_first_seen_.begin(),
-                                 group_first_seen_.end());
-  std::vector<GroupRef> refs(num_groups);
-  if (identity) {
-    for (uint32_t g = 0; g < num_groups; ++g) refs[g] = {this, g};
-    return FinalizeRefs(scaling, refs, group_keys_);
-  }
-  std::vector<uint32_t> order(num_groups);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return group_first_seen_[a] < group_first_seen_[b];
-                   });
-  for (size_t oi = 0; oi < num_groups; ++oi) refs[oi] = {this, order[oi]};
-  DataFrame keys(group_keys_.schema());
-  for (size_t k = 0; k < keys.num_columns(); ++k) {
-    *keys.mutable_column(k) = group_keys_.column(k).Take(order);
-  }
-  return FinalizeRefs(scaling, refs, keys);
-}
-
-AggResult GroupedAggState::FinalizeRefs(const AggScaling& scaling,
-                                        const std::vector<GroupRef>& refs,
-                                        const DataFrame& keys) const {
   AggResult out;
   out.frame = DataFrame(output_schema_);
-  size_t num_groups = refs.size();
+  size_t num_groups = group_rows_.size();
   size_t num_keys = group_by_.size();
 
-  // Group key columns come straight from the (view or stored) key frame.
+  // Groups were created in first-appearance order, so the stored key
+  // frame is already the output order.
   for (size_t k = 0; k < num_keys; ++k) {
-    *out.frame.mutable_column(k) = keys.column(k);
+    *out.frame.mutable_column(k) = group_keys_.column(k);
   }
 
   bool scale = scaling.enabled && scaling.t > 0.0 && scaling.t < 1.0;
@@ -656,13 +308,10 @@ AggResult GroupedAggState::FinalizeRefs(const AggScaling& scaling,
     Column* col = out.frame.mutable_column(num_keys + a);
     col->Reserve(num_groups);
     static const ColdAccum kNoCold;
-    for (size_t oi = 0; oi < num_groups; ++oi) {
-      const GroupedAggState& src = *refs[oi].src;
-      const uint32_t g = refs[oi].g;
-      const HotAccum& acc = src.hot_[a][g];
-      const ColdAccum& cold =
-          src.cold_[a].empty() ? kNoCold : src.cold_[a][g];
-      double x = static_cast<double>(src.group_rows_[g]);
+    for (size_t g = 0; g < num_groups; ++g) {
+      const HotAccum& acc = hot_[a][g];
+      const ColdAccum& cold = cold_[a].empty() ? kNoCold : cold_[a][g];
+      double x = static_cast<double>(group_rows_[g]);
       double xhat = scale ? EstimateCardinality(x, scaling.t, scaling.w) : x;
       double var_xhat = 0.0;
       if (scaling.with_ci && scale) {
@@ -780,7 +429,7 @@ AggResult GroupedAggState::FinalizeRefs(const AggScaling& scaling,
           break;
         }
       }
-      if (scaling.with_ci) (*var_cols[a])[oi] = ci_var;
+      if (scaling.with_ci) (*var_cols[a])[g] = ci_var;
     }
   }
   return out;

@@ -18,21 +18,12 @@
 //   var/stddev       -> (sum, sumsq, count) per key
 //   count_distinct   -> exact value set per key (footnote 3: no sketches)
 //
-// Parallelism: states are single-writer, but the state merge operator is
-// associative, so EnableSharding() lets a state split itself into
-// hash-disjoint sub-states ("shards") once the input is large enough.
-// Each incoming partial is then partitioned by group-key hash and the
-// buckets are consumed into their shards concurrently on a WorkerPool.
-// The shard count adapts to the pool size (more workers, more shards),
-// which is safe because the result never depends on the decomposition:
-// a group's rows all land in one shard in input order, so every
-// accumulator sees exactly the serial addition order, and Finalize emits
-// groups by their global first-appearance rank — identical output at any
-// shard or worker count.
+// A state has one writer, the operator thread that owns it; groups are
+// stored in creation order, which is first-appearance order, and
+// Finalize emits them in that order.
 #ifndef WAKE_CORE_AGG_STATE_H_
 #define WAKE_CORE_AGG_STATE_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -43,8 +34,6 @@
 #include "plan/plan.h"
 
 namespace wake {
-
-class WorkerPool;
 
 /// Per-column variance vectors keyed by column name (CI plumbing).
 using VarianceMap = std::unordered_map<std::string, std::vector<double>>;
@@ -68,50 +57,16 @@ struct AggResult {
 /// Incremental hash aggregation over (group_by, aggs).
 class GroupedAggState {
  public:
-  /// Shard-count bounds: EnableSharding derives the actual count from the
-  /// pool's worker count (rounded up to a power of two, clamped to
-  /// [kMinShards, kMaxShards]). A pool-less state uses kDefaultShards.
-  static constexpr size_t kMinShards = 2;
-  static constexpr size_t kDefaultShards = 8;
-  static constexpr size_t kMaxShards = 64;
-  /// Default partial size that triggers sharding.
-  static constexpr size_t kDefaultShardRows = 32 * 1024;
-  /// Minimum distinct groups before sharding pays for itself.
-  static constexpr size_t kMinShardGroups = 64;
-
   /// `input_schema` is the schema of frames passed to Consume;
   /// `output_schema` must equal AggOutputSchema(input_schema, ...).
   GroupedAggState(std::vector<std::string> group_by, std::vector<AggSpec> aggs,
                   const Schema& input_schema, Schema output_schema);
 
-  /// Merges one partial into the state (the ⊕ of §2.2/§4.3).
+  /// Folds one partial into the state (the ⊕ of §2.2/§4.3).
   /// `input_variances` (optional) carries per-row variances of mutable
   /// input columns; they accumulate into the summed-variance term.
-  /// `order_ids` (optional; used by sharded routing) gives each row its
-  /// global arrival rank, which decides first-appearance output order;
-  /// by default rows rank in arrival order.
   void Consume(const DataFrame& partial,
-               const VarianceMap* input_variances = nullptr,
-               const uint64_t* order_ids = nullptr);
-
-  /// Merges `other` — a state over the same (group_by, aggs, schemas) —
-  /// into this one: groups are matched by key, matched accumulators are
-  /// combined with the per-aggregate merge rules (sums add, counts add,
-  /// extremes compare, distinct sets union, medians concatenate), and
-  /// unmatched groups are adopted keeping their first-appearance rank.
-  void Merge(const GroupedAggState& other);
-
-  /// Opts this state into hash-sharded parallel consumption: once a
-  /// single Consume sees >= min_rows rows and the state holds enough
-  /// groups, it splits into hash-disjoint sub-states — as many as the
-  /// pool's worker count warrants (power of two in [kMinShards,
-  /// kMaxShards]) — and subsequent partials are partitioned and consumed
-  /// shard-parallel on `pool` (serially when pool is null). The shard
-  /// count never affects the result: groups are whole within a shard and
-  /// output order comes from global arrival ranks. Only hot-accumulator
-  /// aggregates (count/sum/avg/var/stddev) without input variances shard;
-  /// others stay serial.
-  void EnableSharding(WorkerPool* pool, size_t min_rows = kDefaultShardRows);
+               const VarianceMap* input_variances = nullptr);
 
   /// Drops all state (used when the input is refresh-mode and each new
   /// snapshot replaces the previous content).
@@ -124,28 +79,13 @@ class GroupedAggState {
   /// pass through). Output rows appear in group first-appearance order.
   AggResult Finalize(const AggScaling& scaling) const;
 
-  size_t num_groups() const;
-
-  /// True once the state has split into hash-disjoint shards.
-  bool sharded() const { return !shards_.empty(); }
-
-  /// Shard count EnableSharding derived from the pool size (meaningful
-  /// whether or not the split has happened yet).
-  size_t num_shards() const { return num_shards_; }
+  size_t num_groups() const { return group_rows_.size(); }
 
   /// Total input rows consumed (Σ x_i).
   size_t total_rows() const { return total_rows_; }
 
   /// Mean group cardinality x̄ (0 if no groups) — the growth-model input.
   double MeanGroupCardinality() const;
-
-  /// Merge-count probe: total per-group fold operations spent building or
-  /// refreshing the snapshot view across all Finalize calls on this
-  /// state. With the incremental view this stays O(total distinct
-  /// groups) no matter how many snapshots are emitted — the old path
-  /// re-merged every shard's every group per snapshot, i.e.
-  /// O(groups × snapshots).
-  size_t snapshot_merge_ops() const { return view_merge_ops_; }
 
  private:
   // Accumulators are split hot/cold: the numeric merge loops touch only
@@ -169,22 +109,9 @@ class GroupedAggState {
     return func == AggFunc::kMin || func == AggFunc::kMax ||
            func == AggFunc::kCountDistinct || func == AggFunc::kMedian;
   }
-  /// Shard owning key hash `h` (top log2(num_shards_) mixed bits).
-  /// Deliberately a different mixer than FlatHashIndex::HomeSlot's
-  /// Fibonacci multiply: reusing that one would make every key within a
-  /// shard share its top mixed bits, cramming the shard's own hash table
-  /// into 1/num_shards_ of its slots and degenerating its linear probing
-  /// into long walks.
-  size_t ShardOf(uint64_t h) const {
-    return static_cast<size_t>((h * 0xC2B2AE3D27D4EB4FULL) >> shard_shift_);
-  }
 
   /// Appends one zeroed accumulator row (a new group) across all aggs.
   void AppendAccums();
-
-  /// Drops all per-group storage (keys, index, ranks, accumulators,
-  /// code cache); totals and shards are the callers' concern.
-  void ClearGroupStorage();
 
   uint32_t FindOrCreateGroup(uint64_t hash, const DataFrame& partial,
                              const std::vector<size_t>& key_cols, size_t row,
@@ -197,64 +124,11 @@ class GroupedAggState {
                           const std::vector<size_t>& key_cols,
                           const Column& key_col, uint32_t* gids, size_t n);
 
-  /// Serial ⊕ of one partial (the pre-sharding Consume body).
-  void ConsumeSerial(const DataFrame& partial,
-                     const VarianceMap* input_variances,
-                     const uint64_t* order_ids);
-
-  /// Combines `other`'s group `g` into this state's group `gid`.
-  void CombineGroup(uint32_t gid, const GroupedAggState& other, uint32_t g);
-
-  /// Merge internals: group adoption/combination without touching row
-  /// totals (Merge adds those once at the top level).
-  void MergeGroups(const GroupedAggState& other);
-  void MergeGroupList(const GroupedAggState& other, const uint32_t* gids,
-                      size_t count);
-
-  /// True if this partial may trigger the split into shards.
-  bool ShardTriggered(size_t partial_rows) const;
-
-  /// Splits the accumulated groups into num_shards_ hash-disjoint
-  /// sub-states and clears the top-level group storage.
-  void SplitIntoShards();
-
-  /// Partitions the partial by group-key hash and consumes each bucket
-  /// into its shard (parallel across shards when a pool is set).
-  void RouteToShards(const DataFrame& partial);
-
-  /// A (state, group) pair the finalize emission loop reads through.
-  /// Accumulators are read in place at Finalize time, so a ref stays
-  /// current across further Consumes into the state it points at.
-  struct GroupRef {
-    const GroupedAggState* src;
-    uint32_t g;
-  };
-
-  /// Brings the incremental snapshot view up to date with the shards:
-  /// groups created since the last refresh are appended in global
-  /// first-appearance order (Consume only ever creates groups with ranks
-  /// above everything already seen); a Merge that adopted earlier-ranked
-  /// groups forces a full rebuild. Mutable state under the class's
-  /// single-writer contract.
-  void RefreshView() const;
-
-  /// Drops the cached view (shard pointers are about to dangle or ranks
-  /// of existing groups may change).
-  void InvalidateView() const;
-
-  /// Shared emission body: extrinsic conversion over `refs` (output
-  /// order), with group-key columns copied from `keys`.
-  AggResult FinalizeRefs(const AggScaling& scaling,
-                         const std::vector<GroupRef>& refs,
-                         const DataFrame& keys) const;
-
   std::vector<std::string> group_by_;
   std::vector<AggSpec> aggs_;
-  Schema input_schema_;
   Schema output_schema_;
   std::vector<size_t> agg_input_cols_;  // index into input schema; npos for *
   std::vector<size_t> stored_key_cols_;  // 0..k-1 into group_keys_
-  bool hot_only_ = true;  // no aggregate needs a ColdAccum
 
   DataFrame group_keys_;  // one row per group (group_by columns)
   // Key-hash -> group-id chains; keys verified on lookup, so hash
@@ -269,37 +143,10 @@ class GroupedAggState {
   std::vector<uint32_t> code_to_gid_;
   uint32_t null_gid_ = FlatHashIndex::kNil;
   std::vector<size_t> group_rows_;            // x_i per group
-  std::vector<uint64_t> group_hashes_;        // key hash per group
-  std::vector<uint64_t> group_first_seen_;    // arrival rank of first row
   std::vector<std::vector<HotAccum>> hot_;    // [agg][group]
   std::vector<std::vector<ColdAccum>> cold_;  // [agg][group]; empty unless
                                               // the agg NeedsCold
   size_t total_rows_ = 0;
-  // Arrival-rank source for the current Consume call: explicit per-row
-  // ids (sharded routing) or order_base_ + row (serial default).
-  const uint64_t* order_ids_ = nullptr;
-  uint64_t order_base_ = 0;
-
-  // Sharding (see class comment). shard_min_rows_ == 0 disables.
-  WorkerPool* pool_ = nullptr;
-  size_t shard_min_rows_ = 0;
-  // Set by EnableSharding from the pool size; power of two, with
-  // shard_shift_ == 64 - log2(num_shards_) so ShardOf takes the top bits.
-  size_t num_shards_ = kDefaultShards;
-  unsigned shard_shift_ = 61;
-  std::vector<std::unique_ptr<GroupedAggState>> shards_;
-
-  // Incremental snapshot view (sharded states only): output-ordered refs
-  // into the shards plus the cached key frame, maintained lazily by
-  // Finalize so emitting snapshot N+1 folds only the groups that appeared
-  // since snapshot N. view_seen_[s] is the shard-s group count already in
-  // the view; view_max_rank_ guards against out-of-order adoption.
-  mutable bool view_valid_ = false;
-  mutable std::vector<GroupRef> view_refs_;
-  mutable DataFrame view_keys_;
-  mutable std::vector<size_t> view_seen_;
-  mutable uint64_t view_max_rank_ = 0;
-  mutable size_t view_merge_ops_ = 0;  // probe; survives InvalidateView
 };
 
 }  // namespace wake

@@ -74,8 +74,8 @@ WakeEngine::Compiled WakeEngine::CompileRec(
     }
     case PlanOp::kFilter: {
       Compiled in = CompileRec(plan->inputs[0], streamed, nodes, memo);
-      nodes->push_back(std::make_unique<FilterNode>(
-          plan->predicate, in.props.schema, node_options));
+      nodes->push_back(
+          std::make_unique<FilterNode>(plan->predicate, node_options));
       nodes->back()->AddInput(in.node);
       break;
     }

@@ -55,7 +55,7 @@ struct WakeOptions {
   /// executing them once per parent — the paper's §7.3 reuse optimization.
   bool share_subplans = true;
   /// Intra-operator parallelism: workers available to each node for
-  /// morsel-parallel probe/aggregate/filter loops. 0 = use the
+  /// morsel-parallel join-probe and projection loops. 0 = use the
   /// process-wide pool (sized from WAKE_WORKERS, default hardware
   /// concurrency); 1 = serial operator bodies (pipeline parallelism
   /// only); N > 1 = engine-owned pool of N workers. Results are

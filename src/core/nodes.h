@@ -53,9 +53,10 @@ struct NodeOptions {
   /// power instead of the fitted one (e.g. 1.0 reproduces naive linear
   /// 1/t scaling — what Wake would do without §5.2's growth model).
   double fixed_growth_w = -1.0;
-  /// Worker pool for intra-operator morsel parallelism: large partials
-  /// are split into row-range morsels run across the pool (the node
-  /// thread participates). Null = serial operator bodies. Results are
+  /// Worker pool for intra-operator morsel parallelism: a hash join's
+  /// probe and a projection split a large partial into row-range morsels
+  /// run across the pool (the node thread participates); every other
+  /// operator body is serial. Null = serial operator bodies. Results are
   /// deterministic at any worker count — morsel decomposition depends
   /// only on the input, and outputs are stitched in morsel order.
   WorkerPool* pool = nullptr;
@@ -112,14 +113,13 @@ class MapNode : public ExecNode {
 /// Selection (filter). Stateless.
 class FilterNode : public ExecNode {
  public:
-  FilterNode(ExprPtr predicate, const Schema& schema, NodeOptions options);
+  FilterNode(ExprPtr predicate, NodeOptions options);
 
  protected:
   void Process(size_t port, const Message& msg) override;
 
  private:
   ExprPtr predicate_;
-  Schema schema_;
   NodeOptions options_;
 };
 
@@ -202,7 +202,6 @@ class LocalAggNode : public ExecNode {
   Schema input_schema_;
   Schema output_schema_;
   std::vector<std::string> cluster_key_;
-  NodeOptions options_;
   DataFrame pending_;  // rows whose clustering key may continue
   double last_progress_ = 0.0;
 };

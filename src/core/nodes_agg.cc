@@ -1,33 +1,22 @@
 // LocalAggNode, ShuffleAggNode, SortLimitNode.
 #include "core/nodes.h"
 
-#include <numeric>
-
 #include "common/error.h"
-#include "common/worker_pool.h"
 
 namespace wake {
-
-namespace {
-// Rows per parallel local-aggregation chunk. Chunk edges snap to group
-// boundaries, so the decomposition depends only on the data — never on
-// the worker count — and chunk-order merges reproduce the serial state.
-constexpr size_t kLocalAggChunkRows = 32 * 1024;
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // LocalAggNode
 // ---------------------------------------------------------------------------
 
 LocalAggNode::LocalAggNode(const PlanNode& plan, const Schema& input_schema,
-                           const Schema& output_schema, NodeOptions options)
+                           const Schema& output_schema, NodeOptions)
     : ExecNode(plan.label.empty() ? "agg(local)" : plan.label),
       group_by_(plan.group_by),
       aggs_(plan.aggs),
       input_schema_(input_schema),
       output_schema_(output_schema),
       cluster_key_(input_schema.clustering_key()),
-      options_(options),
       pending_(input_schema) {
   CheckArg(!cluster_key_.empty(), "local aggregation needs a clustering key");
 }
@@ -82,49 +71,7 @@ void LocalAggNode::EmitComplete(const DataFrame& complete, double progress) {
   // Groups are complete (clustering-key order guarantees they never recur),
   // so finalize exactly; output rows stay in clustering-key order.
   GroupedAggState state(group_by_, aggs_, input_schema_, output_schema_);
-  WorkerPool* pool = options_.pool;
-  const size_t n = complete.num_rows();
-  if (pool != nullptr && pool->workers() > 1 && !options_.with_ci &&
-      n >= 2 * kLocalAggChunkRows) {
-    // Parallel via the GroupedAggState::Merge() contract: chunk edges
-    // snap forward to the next group boundary, so every group lives
-    // whole in exactly one chunk (rows in serial order). Per-chunk
-    // states consume with global arrival ranks and merge in chunk order
-    // — adopted groups keep their accumulators and ranks, so Finalize
-    // emits the identical frame at any worker count.
-    std::vector<size_t> group_cols = complete.ColumnIndices(group_by_);
-    auto same_group = [&](size_t a, size_t b) {
-      for (size_t c : group_cols) {
-        if (complete.column(c).CompareRows(a, complete.column(c), b) != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::vector<size_t> edges{0};
-    for (size_t s = kLocalAggChunkRows; s < n; s += kLocalAggChunkRows) {
-      size_t e = std::max(s, edges.back());
-      while (e < n && same_group(e - 1, e)) ++e;
-      if (e > edges.back() && e < n) edges.push_back(e);
-    }
-    edges.push_back(n);
-    const size_t chunks = edges.size() - 1;
-    std::vector<std::unique_ptr<GroupedAggState>> parts(chunks);
-    pool->ParallelShards(chunks, [&](size_t k) {
-      auto part = std::make_unique<GroupedAggState>(group_by_, aggs_,
-                                                    input_schema_,
-                                                    output_schema_);
-      DataFrame chunk = complete.Slice(edges[k], edges[k + 1]);
-      std::vector<uint64_t> order(chunk.num_rows());
-      std::iota(order.begin(), order.end(),
-                static_cast<uint64_t>(edges[k]));
-      part->Consume(chunk, nullptr, order.data());
-      parts[k] = std::move(part);
-    });
-    for (const auto& part : parts) state.Merge(*part);
-  } else {
-    state.Consume(complete);
-  }
+  state.Consume(complete);
   Message msg;
   msg.frame = std::make_shared<DataFrame>(state.Finalize(AggScaling{}).frame);
   msg.progress = progress;
@@ -142,12 +89,7 @@ ShuffleAggNode::ShuffleAggNode(const PlanNode& plan,
     : ExecNode(plan.label.empty() ? "agg(shuffle)" : plan.label),
       output_schema_(output_schema),
       options_(options),
-      state_(plan.group_by, plan.aggs, input_schema, output_schema) {
-  // Morsel parallelism: large partials shard across the pool. CI mode
-  // stays serial — variance vectors are indexed per input row and are not
-  // routed through the hash partitioning.
-  if (!options_.with_ci) state_.EnableSharding(options_.pool);
-}
+      state_(plan.group_by, plan.aggs, input_schema, output_schema) {}
 
 size_t ShuffleAggNode::BufferedBytes() const {
   // Rough: one accumulator set per group.
@@ -234,11 +176,9 @@ void SortLimitNode::Finish() {
 }
 
 void SortLimitNode::EmitSorted() {
-  // Top-k aware and morsel-parallel: per-morsel partial sorts merge
-  // k-way under a total comparator, reproducing the stable serial sort
-  // at any worker count; with a limit, only the first k rows gather.
-  DataFrame sorted =
-      content_.Take(content_.SortedIndices(sort_keys_, limit_, options_.pool));
+  // Top-k aware: with a limit, only the first k rows are ordered and
+  // gathered, in the order the stable full sort would give them.
+  DataFrame sorted = content_.Take(content_.SortedIndices(sort_keys_, limit_));
   Message result;
   result.frame = std::make_shared<DataFrame>(std::move(sorted));
   result.progress = last_progress_;

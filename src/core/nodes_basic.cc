@@ -12,9 +12,9 @@ namespace wake {
 
 namespace {
 
-// Rows per morsel for parallel projection/selection. Expressions are
-// row-local, so per-morsel evaluation over slices stitched in morsel
-// order reproduces the serial output exactly.
+// Rows per morsel for parallel projection. Expressions are row-local, so
+// per-morsel evaluation over slices stitched in morsel order reproduces
+// the serial output exactly.
 constexpr size_t kEvalMorselRows = 32 * 1024;
 
 // Transient read faults (I/O hiccups; injected via the reader.read_batch
@@ -176,41 +176,11 @@ void MapNode::Process(size_t, const Message& msg) {
 // FilterNode
 // ---------------------------------------------------------------------------
 
-FilterNode::FilterNode(ExprPtr predicate, const Schema& schema,
-                       NodeOptions options)
-    : ExecNode("filter"),
-      predicate_(std::move(predicate)),
-      schema_(schema),
-      options_(options) {}
+FilterNode::FilterNode(ExprPtr predicate, NodeOptions options)
+    : ExecNode("filter"), predicate_(std::move(predicate)), options_(options) {}
 
 void FilterNode::Process(size_t, const Message& msg) {
   const DataFrame& in = *msg.frame;
-  size_t n = in.num_rows();
-  WorkerPool* pool = options_.pool;
-  const bool vars_in = options_.with_ci && msg.variances != nullptr;
-  if (pool != nullptr && !vars_in && pool->workers() > 1 &&
-      n >= 2 * kEvalMorselRows) {
-    // Morsel-parallel selection: evaluate the predicate and filter each
-    // slice independently, stitch surviving rows in morsel order.
-    size_t morsels = (n + kEvalMorselRows - 1) / kEvalMorselRows;
-    std::vector<DataFrame> parts(morsels);
-    pool->ParallelFor(n, kEvalMorselRows, [&](size_t b, size_t e) {
-      DataFrame slice = in.Slice(b, e);
-      // Selection-kernel filter straight off the evaluated mask column —
-      // no per-row byte-mask copy.
-      parts[b / kEvalMorselRows] = slice.FilterBy(predicate_->Eval(slice));
-    });
-    DataFrame stitched(schema_);
-    for (auto& part : parts) stitched.Append(part);
-    Message result;
-    result.frame = std::make_shared<DataFrame>(std::move(stitched));
-    result.progress = msg.progress;
-    result.version = msg.version;
-    result.refresh = msg.refresh;
-    Emit(std::move(result));
-    return;
-  }
-
   // Selection-kernel filter: one popcount-sized selection vector drives
   // both the frame gather and the variance gather.
   std::vector<uint32_t> sel = Column::SelectionFrom(predicate_->Eval(in));

@@ -7,7 +7,6 @@
 #include "common/error.h"
 #include "common/flat_hash.h"
 #include "common/strings.h"
-#include "common/worker_pool.h"
 
 namespace wake {
 
@@ -95,16 +94,8 @@ DataFrame DataFrame::SortBy(const std::vector<SortKey>& keys) const {
   return Take(SortedIndices(keys));
 }
 
-namespace {
-// Rows per sort morsel (parallel SortedIndices). Must only affect wall
-// time, never the result: each morsel's run is fully ordered under the
-// same total comparator, so the k-way merge reproduces the serial sort.
-constexpr size_t kSortMorselRows = 32 * 1024;
-}  // namespace
-
 std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
-                                               size_t limit,
-                                               WorkerPool* pool) const {
+                                               size_t limit) const {
   std::vector<size_t> cols;
   std::vector<bool> desc;
   for (const auto& k : keys) {
@@ -113,7 +104,7 @@ std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
   }
   const size_t n = num_rows();
   // Total order: sort keys, then row index — exactly the stable sort of
-  // the keys alone, but usable with partial_sort and run merges.
+  // the keys alone, but usable with partial_sort.
   auto less = [&](uint32_t a, uint32_t b) {
     for (size_t i = 0; i < cols.size(); ++i) {
       int c = columns_[cols[i]].CompareRows(a, columns_[cols[i]], b);
@@ -121,63 +112,16 @@ std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
     }
     return a < b;
   };
-  const size_t k = (limit == 0 || limit > n) ? n : limit;
-  if (pool == nullptr || pool->workers() <= 1 || n < 2 * kSortMorselRows) {
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    if (k < n) {
-      std::partial_sort(order.begin(), order.begin() + k, order.end(), less);
-      order.resize(k);
-    } else {
-      std::sort(order.begin(), order.end(), less);
-    }
-    return order;
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  if (limit > 0 && limit < n) {
+    std::partial_sort(order.begin(), order.begin() + limit, order.end(),
+                      less);
+    order.resize(limit);
+  } else {
+    std::sort(order.begin(), order.end(), less);
   }
-  // Per-morsel top-k runs, then a k-way heap merge. Each run only ever
-  // needs its first k rows ordered — the rest can never reach the merged
-  // prefix.
-  const size_t nruns = (n + kSortMorselRows - 1) / kSortMorselRows;
-  std::vector<std::vector<uint32_t>> runs(nruns);
-  pool->ParallelFor(n, kSortMorselRows, [&](size_t b, size_t e) {
-    std::vector<uint32_t>& run = runs[b / kSortMorselRows];
-    run.resize(e - b);
-    std::iota(run.begin(), run.end(), static_cast<uint32_t>(b));
-    if (k < run.size()) {
-      std::partial_sort(run.begin(), run.begin() + k, run.end(), less);
-      run.resize(k);
-    } else {
-      std::sort(run.begin(), run.end(), less);
-    }
-  });
-  struct Head {
-    uint32_t row;
-    uint32_t run;
-    uint32_t pos;
-  };
-  // Min-heap on the total order: the pop sequence is unique, so the
-  // merged output is independent of worker count and run layout.
-  auto head_greater = [&](const Head& x, const Head& y) {
-    return less(y.row, x.row);
-  };
-  std::vector<Head> heap;
-  heap.reserve(nruns);
-  for (uint32_t r = 0; r < nruns; ++r) {
-    if (!runs[r].empty()) heap.push_back({runs[r][0], r, 0});
-  }
-  std::make_heap(heap.begin(), heap.end(), head_greater);
-  std::vector<uint32_t> out;
-  out.reserve(k);
-  while (!heap.empty() && out.size() < k) {
-    std::pop_heap(heap.begin(), heap.end(), head_greater);
-    Head h = heap.back();
-    heap.pop_back();
-    out.push_back(h.row);
-    if (h.pos + 1 < runs[h.run].size()) {
-      heap.push_back({runs[h.run][h.pos + 1], h.run, h.pos + 1});
-      std::push_heap(heap.begin(), heap.end(), head_greater);
-    }
-  }
-  return out;
+  return order;
 }
 
 namespace {

@@ -16,8 +16,6 @@
 
 namespace wake {
 
-class WorkerPool;
-
 /// Sort specification for one column.
 struct SortKey {
   std::string column;
@@ -71,12 +69,10 @@ class DataFrame {
 
   /// Row order SortBy would gather, truncated to the first `limit` rows
   /// when limit > 0. The comparator is total (sort keys, then row index
-  /// as tie-break), so the result equals the stable sort exactly — and
-  /// per-morsel top-k sorts merged k-way on `pool` reproduce it at any
-  /// worker count (morsel decomposition is a function of n only).
+  /// as tie-break), so a top-k partial sort yields exactly the stable
+  /// sort's first k rows.
   std::vector<uint32_t> SortedIndices(const std::vector<SortKey>& keys,
-                                      size_t limit = 0,
-                                      WorkerPool* pool = nullptr) const;
+                                      size_t limit = 0) const;
 
   /// Hash of the key columns `key_cols` for row `row`.
   uint64_t HashRowKeys(const std::vector<size_t>& key_cols, size_t row) const;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <vector>
 
@@ -44,19 +45,19 @@ TEST_F(AdmissionTest, FullQueueRejectsRunSynchronously) {
   opts.max_concurrent_queries = 1;
   opts.max_queued = 1;
   Db db(&cat_, opts);
-  PreparedQuery heavy = db.Prepare(tpch::QuerySql(9));
-  QueryHandle running = heavy.Run();   // takes the slot
-  QueryHandle queued = heavy.Run();    // fills the queue
+  PreparedQuery q = db.Prepare(tpch::QuerySql(6));
+  // A bare ticket takes the only slot for as long as the test holds it.
+  AdmissionController::TicketPtr slot = db.admission()->Submit();
+  QueryHandle queued = q.Run();  // fills the queue
   try {
-    QueryHandle rejected = heavy.Run();
+    QueryHandle rejected = q.Run();
     FAIL() << "expected kQueueFull";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kQueueFull);
   }
-  running.Cancel();
   queued.Cancel();
-  running.Wait();
   queued.Wait();
+  db.admission()->Release(slot);
 }
 
 TEST_F(AdmissionTest, AdmissionTimeoutFailsTheQueuedRun) {
@@ -84,15 +85,26 @@ TEST_F(AdmissionTest, CancelWhileQueuedDequeuesImmediately) {
   opts.max_concurrent_queries = 1;
   opts.max_queued = 4;
   Db db(&cat_, opts);
-  QueryHandle running = db.Prepare(tpch::QuerySql(9)).Run();
+  // A run holds the only slot until the test opens the latch: its state
+  // callback blocks the thread that runs the query.
+  std::promise<void> unopened;
+  std::shared_future<void> opened = unopened.get_future().share();
+  RunOptions blocked;
+  blocked.on_state = [opened](const OlaState&) { opened.wait(); };
+  QueryHandle running = db.Prepare(tpch::QuerySql(6)).Run(blocked);
+  // Declared after `running`, so an early exit destroys the promise first,
+  // which opens the latch (broken promise) before ~QueryHandle joins.
+  std::promise<void> latch = std::move(unopened);
   QueryHandle queued = db.Prepare(tpch::QuerySql(6)).Run();
   queued.Cancel();
   queued.Wait();  // returns without waiting for the slot
   EXPECT_TRUE(queued.done());
   EXPECT_THROW(queued.Final(), Error);
-  // The freed queue entry is reusable while the heavy query still runs.
+  // The freed queue entry is reusable while the running query holds the
+  // slot.
   QueryHandle next = db.Prepare(tpch::QuerySql(6)).Run();
   running.Cancel();
+  latch.set_value();
   running.Wait();
   EXPECT_GT(next.Final().num_rows(), 0u);
 }
@@ -102,7 +114,14 @@ TEST_F(AdmissionTest, QueuedRunsAdmitInFifoOrder) {
   opts.max_concurrent_queries = 1;
   opts.max_queued = 8;
   Db db(&cat_, opts);
-  QueryHandle blocker = db.Prepare(tpch::QuerySql(9)).Run();
+  // The blocker holds the only slot until the test opens the latch (see
+  // CancelWhileQueuedDequeuesImmediately).
+  std::promise<void> unopened;
+  std::shared_future<void> opened = unopened.get_future().share();
+  RunOptions blocked;
+  blocked.on_state = [opened](const OlaState&) { opened.wait(); };
+  QueryHandle blocker = db.Prepare(tpch::QuerySql(6)).Run(blocked);
+  std::promise<void> latch = std::move(unopened);
 
   std::mutex order_mu;
   std::vector<int> order;
@@ -119,6 +138,7 @@ TEST_F(AdmissionTest, QueuedRunsAdmitInFifoOrder) {
     waiters.push_back(q.Run(run));
   }
   blocker.Cancel();  // free the slot, start the cascade
+  latch.set_value();
   for (auto& h : waiters) h.Wait();
   blocker.Wait();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));  // Run() order
@@ -129,15 +149,14 @@ TEST_F(AdmissionTest, DestroyingAQueuedHandleReleasesItsEntry) {
   opts.max_concurrent_queries = 1;
   opts.max_queued = 1;
   Db db(&cat_, opts);
-  QueryHandle running = db.Prepare(tpch::QuerySql(9)).Run();
+  AdmissionController::TicketPtr slot = db.admission()->Submit();
   {
     QueryHandle queued = db.Prepare(tpch::QuerySql(6)).Run();
     (void)queued;
   }  // destructor cancels the queued run and joins its driver
   // Queue slot free again: the next run queues instead of kQueueFull.
   QueryHandle next = db.Prepare(tpch::QuerySql(6)).Run();
-  running.Cancel();
-  running.Wait();
+  db.admission()->Release(slot);
   EXPECT_GT(next.Final().num_rows(), 0u);
 }
 

@@ -233,64 +233,6 @@ TEST(EngineWorkersTest, FinalResultIdenticalAcrossWorkerCounts) {
   EXPECT_TRUE(serial.ApproxEquals(wide, 0.0, &diff)) << diff;
 }
 
-// The chunked LocalAggNode (edges snapped to group boundaries, chunk
-// states merged in chunk order) must reproduce the serial state exactly.
-// Grouping by the clustering key selects Case 1 local aggregation; two
-// 75k-row partitions clear the 64k-row parallel threshold per partial.
-TEST(EngineWorkersTest, LocalAggIdenticalAcrossWorkerCounts) {
-  Schema schema({{"key", ValueType::kInt64}, {"val", ValueType::kFloat64}});
-  schema.set_clustering_key({"key"});
-  DataFrame df(schema);
-  Rng rng(9);
-  constexpr size_t kRows = 150 * 1024;
-  for (size_t i = 0; i < kRows; ++i) {
-    df.mutable_column(0)->AppendInt(static_cast<int64_t>(i / 3));
-    df.mutable_column(1)->AppendDouble(rng.UniformDouble(0, 10));
-    if (i % 101 == 5) df.mutable_column(1)->SetNull(i);
-  }
-  Catalog cat;
-  cat.Add(std::make_shared<PartitionedTable>(
-      PartitionedTable::FromDataFrame("fact", df, 2)));
-  Plan plan =
-      Plan::Scan("fact").Aggregate({"key"}, {Sum("val", "s"), Count("n")});
-  auto run = [&](size_t workers) {
-    WakeOptions options;
-    options.workers = workers;
-    WakeEngine engine(&cat, options);
-    return engine.ExecuteFinal(plan.node());
-  };
-  DataFrame serial = run(1);
-  DataFrame wide = run(4);
-  ASSERT_GT(serial.num_rows(), 0u);
-  std::string diff;
-  EXPECT_TRUE(serial.ApproxEquals(wide, 0.0, &diff)) << diff;
-}
-
-// The morsel-parallel top-k sort (per-morsel runs + k-way merge under a
-// total comparator) must match the serial stable sort at every limit —
-// heavy ties and nulls exercise the row-index tie-break.
-TEST(SortedIndicesTest, ParallelMatchesSerialWithTiesAndNulls) {
-  Schema schema({{"v", ValueType::kInt64}, {"w", ValueType::kFloat64}});
-  DataFrame df(schema);
-  Rng rng(3);
-  constexpr size_t kRows = 70 * 1024 + 13;  // > 2 morsels, unaligned tail
-  for (size_t i = 0; i < kRows; ++i) {
-    df.mutable_column(0)->AppendInt(rng.UniformInt(0, 50));  // heavy ties
-    df.mutable_column(1)->AppendDouble(rng.UniformDouble(0, 1));
-    if (i % 97 == 13) df.mutable_column(0)->SetNull(i);
-  }
-  WorkerPool pool(4);
-  for (bool desc : {false, true}) {
-    for (size_t limit : {size_t{0}, size_t{1}, size_t{100}, kRows}) {
-      std::vector<uint32_t> serial =
-          df.SortedIndices({{"v", desc}}, limit, nullptr);
-      std::vector<uint32_t> pooled =
-          df.SortedIndices({{"v", desc}}, limit, &pool);
-      ASSERT_EQ(serial, pooled) << "desc=" << desc << " limit=" << limit;
-    }
-  }
-}
-
 // Engine-level: order-by with and without a limit, serial vs pooled.
 TEST(EngineWorkersTest, SortLimitIdenticalAcrossWorkerCounts) {
   Schema schema({{"key", ValueType::kInt64}, {"val", ValueType::kFloat64}});

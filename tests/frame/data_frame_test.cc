@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace wake {
 namespace {
@@ -101,6 +105,38 @@ TEST(DataFrameTest, SortStringsDescending) {
   DataFrame sorted = df.SortBy({{"s", true}});
   EXPECT_EQ(sorted.column(2).StringAt(0), "c");
   EXPECT_EQ(sorted.column(2).StringAt(3), "a");
+}
+
+// SortedIndices with a limit (SortLimitNode's top-k path) must return
+// exactly the first k rows of the full stable sort that SortBy gathers.
+// Heavy ties and nulls exercise the comparator's row-index tie-break and
+// null placement (first ascending, last descending).
+TEST(DataFrameTest, TopKSortedIndicesArePrefixOfStableSort) {
+  DataFrame df(Schema({{"v", ValueType::kInt64}}));
+  Rng rng(3);
+  constexpr size_t kRows = 1000;
+  for (size_t i = 0; i < kRows; ++i) {
+    df.mutable_column(0)->AppendInt(rng.UniformInt(0, 9));  // heavy ties
+    if (i % 7 == 3) df.mutable_column(0)->SetNull(i);
+  }
+  const Column& v = df.column(0);
+  for (bool desc : {false, true}) {
+    auto ref_less = [&](uint32_t a, uint32_t b) {
+      const bool na = v.IsNull(a), nb = v.IsNull(b);
+      if (na || nb) return desc ? nb && !na : na && !nb;  // nulls sort low
+      return desc ? v.IntAt(a) > v.IntAt(b) : v.IntAt(a) < v.IntAt(b);
+    };
+    std::vector<uint32_t> stable(kRows);
+    std::iota(stable.begin(), stable.end(), 0u);
+    std::stable_sort(stable.begin(), stable.end(), ref_less);
+    std::vector<uint32_t> full = df.SortedIndices({{"v", desc}});
+    ASSERT_EQ(full, stable) << "desc=" << desc;
+    for (size_t k : {size_t{1}, size_t{100}, kRows - 1, kRows}) {
+      std::vector<uint32_t> prefix(full.begin(), full.begin() + k);
+      EXPECT_EQ(df.SortedIndices({{"v", desc}}, k), prefix)
+          << "desc=" << desc << " k=" << k;
+    }
+  }
 }
 
 TEST(DataFrameTest, KeysEqualAndHash) {
