@@ -14,7 +14,7 @@
 // Every source table is packed into `<out>/<table>/` (table.meta +
 // one `<field>.col` per column); --block-rows sets the nominal rows per
 // block. Engines open the result with `--data wakeblock --data-dir DIR`
-// (sql_ola, server_load) or wakeblock::OpenCatalog in code.
+// (sql_ola) or wakeblock::OpenCatalog in code.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>

@@ -15,7 +15,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/failpoint.h"
 
@@ -39,29 +38,6 @@ class Channel {
     queue_.push_back(std::move(item));
     not_empty_.notify_one();
     return true;
-  }
-
-  /// Moves every item of `items` into the queue, acquiring the lock once
-  /// and notifying consumers once — the sending half of the batched
-  /// discipline (ReceiveAll is the receiving half). Returns the number of
-  /// items accepted (all of them, or none if the channel is closed);
-  /// `items` is left empty.
-  size_t SendAll(std::vector<T>&& items) {
-    if (items.empty()) return 0;
-    WAKE_FAILPOINT("channel.send");
-    size_t accepted = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!closed_) {
-        for (T& item : items) queue_.push_back(std::move(item));
-        accepted = items.size();
-        // One wakeup for the whole batch; notify_all because a batch can
-        // satisfy several blocked consumers.
-        not_empty_.notify_all();
-      }
-    }
-    items.clear();
-    return accepted;
   }
 
   /// Receives one item; blocks until an item is available or the channel

@@ -31,7 +31,7 @@
 // Current injection sites (grep WAKE_FAILPOINT for the live list):
 //   reader.read_batch    ReaderNode, once per partition (bounded retry
 //                        absorbs transient errors: 3 attempts, backoff)
-//   channel.send         Channel<T>::Send / SendAll
+//   channel.send         Channel<T>::Send
 //   worker_pool.dispatch WorkerPool loop-runner, once per claimed morsel
 //   join.build           HashJoinNode build-side insert
 //   net.accept           Server accept loop, once per inbound connection

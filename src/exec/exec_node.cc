@@ -54,7 +54,6 @@ void ExecNode::Run(TraceLog* trace) {
     // no caller to unwind into). Hand the error to the graph owner, who
     // stops the rest of the graph and rethrows it from Collect().
     error = std::current_exception();
-    emit_buffer_.clear();
   }
   // Stopped, cancelled or failed: consumers must not Finish() over the
   // truncated input as if it were complete, so they get a cancel, not EOF.
@@ -81,11 +80,10 @@ bool ExecNode::RunBody(TraceLog* trace) {
 
   size_t open_ports = ports_closed_.size();
   while (open_ports > 0 && !stopped()) {
-    // Drain whatever has accumulated, buffer the emits the batch
-    // produces, then flush them as one SendAll per consumer.
+    // Drain whatever has accumulated under one lock; each partial's
+    // output leaves as soon as Process emits it.
     auto batch = inbox_->ReceiveAll();
     if (batch.empty()) break;  // cancelled while inputs are still open
-    emit_buffering_ = true;
     for (auto& tagged : batch) {
       if (stopped()) break;  // drop the rest of the drained batch
       double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
@@ -106,8 +104,6 @@ bool ExecNode::RunBody(TraceLog* trace) {
       }
       if (open_ports == 0) break;
     }
-    emit_buffering_ = false;
-    FlushEmits();
     SyncStateAccounting();
   }
   // A stopped or cancelled node produces no final state: its consumers
@@ -115,10 +111,7 @@ bool ExecNode::RunBody(TraceLog* trace) {
   // shutdown.
   if (open_ports > 0 || stopped()) return false;
   double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
-  emit_buffering_ = true;
   Finish();
-  emit_buffering_ = false;
-  FlushEmits();
   SyncStateAccounting();
   if (trace) {
     trace->Record(label_ + ":finish", t0, trace->epoch().ElapsedSeconds());
@@ -131,26 +124,9 @@ void ExecNode::Emit(Message msg) {
     // One charge per destination inbox; the consumer credits on drain.
     tracker_->Charge(msg.frame->ByteSize() * outlets_.size());
   }
-  emit_buffer_.push_back(std::move(msg));
-  // Cap the buffer so a long drained batch (e.g. a join replaying its
-  // pending probes at build EOF) still streams to downstream nodes: the
-  // lock is amortized kEmitFlushBatch ways either way.
-  if (!emit_buffering_ || emit_buffer_.size() >= kEmitFlushBatch) {
-    FlushEmits();
-  }
-}
-
-void ExecNode::FlushEmits() {
-  if (emit_buffer_.empty()) return;
   for (const Outlet& out : outlets_) {
-    std::vector<Tagged> batch;
-    batch.reserve(emit_buffer_.size());
-    for (const Message& msg : emit_buffer_) {
-      batch.push_back(Tagged{out.port, false, msg});
-    }
-    out.inbox->SendAll(std::move(batch));
+    out.inbox->Send(Tagged{out.port, false, msg});
   }
-  emit_buffer_.clear();
 }
 
 }  // namespace wake

@@ -122,13 +122,10 @@ class ExecNode {
   /// Source nodes (no inputs) override this instead of Process.
   virtual void RunSource() {}
 
-  /// Sends to every consumer's inbox (frames are shared immutable
-  /// pointers, so broadcast is a cheap pointer copy). While the run loop
-  /// is processing a drained inbox batch, emits are buffered and flushed
-  /// as one SendAll per consumer at the end of the batch — one lock and
-  /// one consumer wakeup per burst instead of one per message. Source
-  /// nodes (RunSource) emit immediately so readers keep streaming
-  /// partials.
+  /// Sends to every consumer's inbox at once (frames are shared
+  /// immutable pointers, so broadcast is a cheap pointer copy). Nothing
+  /// waits for the drained burst to end: the state of a burst's first
+  /// partial reaches the consumers while the node processes the rest.
   void Emit(Message msg);
 
   size_t num_inputs() const { return ports_closed_.size(); }
@@ -168,12 +165,6 @@ class ExecNode {
   /// Re-measures operator state and settles the delta with the tracker.
   void SyncStateAccounting();
 
-  /// Max messages buffered before Emit flushes mid-batch.
-  static constexpr size_t kEmitFlushBatch = 64;
-
-  /// Sends the buffered emits, one SendAll per consumer, in emit order.
-  void FlushEmits();
-
   std::string label_;
   // Created with the node, so producers can be wired to it and
   // RequestStop can cancel it while the run loop blocks on it.
@@ -186,8 +177,6 @@ class ExecNode {
   ResourceTracker* tracker_ = nullptr;
   std::function<void(std::exception_ptr)> error_handler_;
   size_t accounted_state_bytes_ = 0;  // node-thread only
-  bool emit_buffering_ = false;
-  std::vector<Message> emit_buffer_;
 };
 
 }  // namespace wake

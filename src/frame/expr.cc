@@ -118,6 +118,16 @@ ExprPtr Expr::IsNull(ExprPtr input) {
   return e;
 }
 
+CompareOp Mirror(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt: return CompareOp::kGt;
+    case CompareOp::kLe: return CompareOp::kGe;
+    case CompareOp::kGt: return CompareOp::kLt;
+    case CompareOp::kGe: return CompareOp::kLe;
+    default: return op;
+  }
+}
+
 namespace {
 
 // Reports a type-rule violation of `e`. The message is built only here:
@@ -256,30 +266,89 @@ Column EvalArith(ArithOp op, const Column& l, const Column& r) {
   return out;
 }
 
-template <typename T, typename U>
-void CompareLoop(CompareOp op, const std::vector<T>& a,
-                 const std::vector<U>& b, std::vector<int64_t>* out) {
-  size_t n = a.size();
+// One side of a comparison kernel: a column's rows, or one scalar that
+// stands for every row. Both compile to the same typed loops.
+template <typename T>
+struct Rows {
+  const T* v;
+  T operator[](size_t i) const { return v[i]; }
+};
+template <typename T>
+struct Scalar {
+  T v;
+  T operator[](size_t) const { return v; }
+};
+
+template <typename A, typename B>
+void CompareLoop(CompareOp op, size_t n, A a, B b, int64_t* out) {
   switch (op) {
     case CompareOp::kEq:
-      for (size_t i = 0; i < n; ++i) (*out)[i] = a[i] == b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] == b[i];
       break;
     case CompareOp::kNe:
-      for (size_t i = 0; i < n; ++i) (*out)[i] = a[i] != b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] != b[i];
       break;
     case CompareOp::kLt:
-      for (size_t i = 0; i < n; ++i) (*out)[i] = a[i] < b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] < b[i];
       break;
     case CompareOp::kLe:
-      for (size_t i = 0; i < n; ++i) (*out)[i] = a[i] <= b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] <= b[i];
       break;
     case CompareOp::kGt:
-      for (size_t i = 0; i < n; ++i) (*out)[i] = a[i] > b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] > b[i];
       break;
     case CompareOp::kGe:
-      for (size_t i = 0; i < n; ++i) (*out)[i] = a[i] >= b[i];
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] >= b[i];
       break;
   }
+}
+
+// Compares every row of the numeric column `l` with `b` (Rows or Scalar).
+// Null slots hold defined 0/0.0 values, so computing them is safe.
+template <typename B>
+void CompareNumeric(CompareOp op, const Column& l, B b, int64_t* out) {
+  if (IsIntPhysical(l.type())) {
+    CompareLoop(op, l.size(), Rows<int64_t>{l.ints().data()}, b, out);
+  } else {
+    CompareLoop(op, l.size(), Rows<double>{l.doubles().data()}, b, out);
+  }
+}
+
+// Zeroes the rows of `out` that either mask marks null (null compare ->
+// false). Either mask may be null; all-valid words skip their 64 rows in
+// one test.
+void ZeroNullRows(const uint64_t* lw, const uint64_t* rw, size_t n,
+                  int64_t* out) {
+  if (lw == nullptr && rw == nullptr) return;
+  const size_t nwords = ValidityBitmap::WordsFor(n);
+  for (size_t w = 0; w < nwords; ++w) {
+    uint64_t word = ~0ULL;
+    if (lw != nullptr) word &= lw[w];
+    if (rw != nullptr) word &= rw[w];
+    if (word == ~0ULL) continue;
+    const size_t base = w << 6;
+    const size_t lim = std::min(n, base + 64);
+    for (size_t i = base; i < lim; ++i) {
+      if (((word >> (i & 63)) & 1) == 0) out[i] = 0;
+    }
+  }
+}
+
+const uint64_t* NullWords(const Column& c) {
+  return c.has_nulls() ? c.validity().words() : nullptr;
+}
+
+// Whether `op` holds for a three-way comparison result `c`.
+bool Holds(CompareOp op, int c) {
+  switch (op) {
+    case CompareOp::kEq: return c == 0;
+    case CompareOp::kNe: return c != 0;
+    case CompareOp::kLt: return c < 0;
+    case CompareOp::kLe: return c <= 0;
+    case CompareOp::kGt: return c > 0;
+    case CompareOp::kGe: return c >= 0;
+  }
+  return false;
 }
 
 Column EvalCompare(CompareOp op, const Column& l, const Column& r) {
@@ -287,52 +356,57 @@ Column EvalCompare(CompareOp op, const Column& l, const Column& r) {
   Column out(ValueType::kBool);
   auto& v = *out.mutable_ints();
   v.resize(n, 0);
-  // Numeric columns compare in tight typed loops over every row — null
-  // slots hold defined 0/0.0 values, so computing them is safe — then
-  // null rows are zeroed word-wise (null compare -> false). All-valid
-  // words skip their 64 rows in one test.
+  // Numeric columns compare in tight typed loops over every row, then
+  // null rows are zeroed word-wise.
   if (l.type() != ValueType::kString && r.type() != ValueType::kString) {
-    bool li = IsIntPhysical(l.type()), ri = IsIntPhysical(r.type());
-    if (li && ri) {
-      CompareLoop(op, l.ints(), r.ints(), &v);
-    } else if (!li && !ri) {
-      CompareLoop(op, l.doubles(), r.doubles(), &v);
-    } else if (li) {
-      CompareLoop(op, l.ints(), r.doubles(), &v);
+    if (IsIntPhysical(r.type())) {
+      CompareNumeric(op, l, Rows<int64_t>{r.ints().data()}, v.data());
     } else {
-      CompareLoop(op, l.doubles(), r.ints(), &v);
+      CompareNumeric(op, l, Rows<double>{r.doubles().data()}, v.data());
     }
-    if (l.has_nulls() || r.has_nulls()) {
-      const uint64_t* lw = l.has_nulls() ? l.validity().words() : nullptr;
-      const uint64_t* rw = r.has_nulls() ? r.validity().words() : nullptr;
-      const size_t nwords = ValidityBitmap::WordsFor(n);
-      for (size_t w = 0; w < nwords; ++w) {
-        uint64_t word = ~0ULL;
-        if (lw != nullptr) word &= lw[w];
-        if (rw != nullptr) word &= rw[w];
-        if (word == ~0ULL) continue;
-        const size_t base = w << 6;
-        const size_t lim = std::min(n, base + 64);
-        for (size_t i = base; i < lim; ++i) {
-          if (((word >> (i & 63)) & 1) == 0) v[i] = 0;
-        }
-      }
-    }
+    ZeroNullRows(NullWords(l), NullWords(r), n, v.data());
     return out;
   }
   for (size_t i = 0; i < n; ++i) {
     if (l.IsNull(i) || r.IsNull(i)) continue;  // null compare -> false
-    int c = l.CompareRows(i, r, i);
-    bool b = false;
-    switch (op) {
-      case CompareOp::kEq: b = c == 0; break;
-      case CompareOp::kNe: b = c != 0; break;
-      case CompareOp::kLt: b = c < 0; break;
-      case CompareOp::kLe: b = c <= 0; break;
-      case CompareOp::kGt: b = c > 0; break;
-      case CompareOp::kGe: b = c >= 0; break;
+    v[i] = Holds(op, l.CompareRows(i, r, i)) ? 1 : 0;
+  }
+  return out;
+}
+
+// `col <op> lit` without broadcasting the literal: every row equals
+// EvalCompare(op, col, BroadcastLiteral(lit, n)).
+Column EvalCompareScalar(CompareOp op, const Column& col, const Value& lit) {
+  size_t n = col.size();
+  Column out(ValueType::kBool);
+  auto& v = *out.mutable_ints();
+  v.resize(n, 0);
+  if (lit.is_null) return out;  // null compare -> false on every row
+  if (col.type() != ValueType::kString) {
+    if (IsIntPhysical(lit.type)) {
+      CompareNumeric(op, col, Scalar<int64_t>{lit.i}, v.data());
+    } else {
+      CompareNumeric(op, col, Scalar<double>{lit.d}, v.data());
     }
-    v[i] = b ? 1 : 0;
+    ZeroNullRows(NullWords(col), nullptr, n, v.data());
+    return out;
+  }
+  if (col.is_dict() && col.dict()->size() < n) {
+    // Compare each distinct entry once, then map codes through the memo
+    // (the LIKE rule: only when the dict is smaller than the partial).
+    const StringDict& dict = *col.dict();
+    std::vector<uint8_t> holds(dict.size());
+    for (size_t k = 0; k < dict.size(); ++k) {
+      holds[k] = Holds(op, dict.At(static_cast<int32_t>(k)).compare(lit.s));
+    }
+    const auto& codes = col.codes();
+    for (size_t i = 0; i < n; ++i) {
+      if (col.IsValid(i)) v[i] = holds[codes[i]];
+    }
+    return out;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (col.IsValid(i)) v[i] = Holds(op, col.StringAt(i).compare(lit.s));
   }
   return out;
 }
@@ -355,8 +429,14 @@ void TruthWords(const Column& c, size_t n, std::vector<uint64_t>* out) {
 // Broadcasts a literal to a column of length n.
 Column BroadcastLiteral(const Value& lit, size_t n) {
   Column out(lit.type);
-  out.Reserve(n);
-  for (size_t i = 0; i < n; ++i) out.AppendValue(lit);
+  if (lit.is_null || lit.type == ValueType::kString) {
+    out.Reserve(n);
+    for (size_t i = 0; i < n; ++i) out.AppendValue(lit);
+  } else if (lit.type == ValueType::kFloat64) {
+    out.mutable_doubles()->assign(n, lit.d);
+  } else {
+    out.mutable_ints()->assign(n, lit.i);
+  }
   return out;
 }
 
@@ -372,9 +452,21 @@ Column Expr::Eval(const DataFrame& df) const {
     case ExprKind::kArith:
       return EvalArith(arith_op_, children_[0]->Eval(df),
                        children_[1]->Eval(df));
-    case ExprKind::kCompare:
-      return EvalCompare(cmp_op_, children_[0]->Eval(df),
-                         children_[1]->Eval(df));
+    case ExprKind::kCompare: {
+      // One literal operand compares as a scalar; a literal on the left
+      // mirrors the operator.
+      const Expr& l = *children_[0];
+      const Expr& r = *children_[1];
+      bool lit_l = l.kind_ == ExprKind::kLiteral;
+      bool lit_r = r.kind_ == ExprKind::kLiteral;
+      if (lit_r && !lit_l) {
+        return EvalCompareScalar(cmp_op_, l.Eval(df), r.literal_);
+      }
+      if (lit_l && !lit_r) {
+        return EvalCompareScalar(Mirror(cmp_op_), r.Eval(df), l.literal_);
+      }
+      return EvalCompare(cmp_op_, l.Eval(df), r.Eval(df));
+    }
     case ExprKind::kLogic: {
       Column l = children_[0]->Eval(df);
       Column r = children_[1]->Eval(df);

@@ -41,6 +41,9 @@ enum class ExprKind : uint8_t {
 
 enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv };
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
+/// The operator that holds with the operands swapped: `a op b` is
+/// `b Mirror(op) a`, so `<` becomes `>` and `=` stays `=`.
+CompareOp Mirror(CompareOp op);
 enum class LogicOp : uint8_t { kAnd, kOr };
 
 class Expr;

@@ -1,10 +1,16 @@
 #include "storage/wakeblock.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "common/error.h"
 #include "common/wire.h"
@@ -28,12 +34,23 @@ constexpr uint8_t kEncodingRle = 1;      // (i64 value, u32 run) pairs
 constexpr uint8_t kEncodingBitpack = 2;  // i64 base, u8 width, packed bits
 constexpr uint8_t kFlagHasMinMax = 1;
 
+// The raw encoding stores host-endian words and the bit-pack decoder
+// loads little-endian ones, so both agree only on a little-endian host.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "wakeblock reads and writes little-endian words");
+
 [[noreturn]] void Fail(const std::string& msg) {
   throw Error("wakeblock: " + msg, ErrorCategory::kProtocol);
 }
 
-void Check(bool ok, const std::string& msg) {
+void Check(bool ok, const char* msg) {
   if (!ok) Fail(msg);
+}
+
+// Fails with "<msg> in <path>". The message is built only on failure:
+// reads check every block of every column.
+void Check(bool ok, const char* msg, const std::string& path) {
+  if (!ok) Fail(std::string(msg) + " in " + path);
 }
 
 uint64_t F64Bits(double v) {
@@ -74,26 +91,6 @@ void PackBits(const uint64_t* deltas, size_t n, unsigned width,
       written += 8;
     }
   }
-}
-
-uint64_t UnpackBitsAt(const uint8_t* buf, size_t len, size_t i,
-                      unsigned width) {
-  size_t bit = i * width;
-  size_t byte = bit / 8;
-  unsigned shift = static_cast<unsigned>(bit % 8);
-  // Discard the leading `shift` bits of the first byte immediately: a
-  // width-63 value at shift 7 spans 70 bits on disk, which cannot be
-  // staged unshifted in a u64 (and `b << 64` would be UB).
-  uint64_t v = (byte < len ? buf[byte] : 0) >> shift;
-  unsigned got = 8 - shift;
-  while (got < width) {
-    ++byte;
-    uint64_t b = byte < len ? buf[byte] : 0;
-    v |= b << got;  // got < width <= 63, so the shift is always defined
-    got += 8;
-  }
-  if (width < 64) v &= (uint64_t{1} << width) - 1;
-  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,28 +156,42 @@ Encoded EncodeValues(const int64_t* v, size_t n) {
   return out;
 }
 
-// Decodes one block payload into `out` (resized to rows). Bounds: the
-// caller validated payload_len against the real file extent, and rows
-// against kMaxBlockRows, before this runs.
+// Zero bytes that follow every block body in memory. The bit-pack
+// decoder loads whole words: up to two 8-byte loads from the byte that
+// holds a value's first bit, so a load may reach 15 bytes past the
+// payload. The zeros keep it in bounds and read as 0, as bits past the
+// payload always have.
+constexpr size_t kReadPadding = 16;
+
+uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// Decodes one block payload straight into out[0, rows): `convert` maps
+// each int64 storage value, passed as its bit pattern, to the column's
+// element type. `payload` must be followed by kReadPadding readable
+// bytes. Bounds: the caller validated payload_len against the real file
+// extent, and rows against kMaxBlockRows, before this runs.
+template <typename T, typename Convert>
 void DecodeValues(uint8_t encoding, const uint8_t* payload, size_t len,
-                  size_t rows, std::vector<int64_t>* out) {
-  out->resize(rows);
+                  size_t rows, Convert convert, T* out) {
   switch (encoding) {
     case kEncodingRaw:
       Check(len == rows * 8, "raw payload length mismatch");
-      // An empty block has no buffer on either side, and memcpy's
-      // pointers must not be null even for a zero length.
-      if (len > 0) std::memcpy(out->data(), payload, len);
+      for (size_t i = 0; i < rows; ++i) {
+        out[i] = convert(Load64(payload + i * 8));
+      }
       break;
     case kEncodingRle: {
       wire::WireReader r(payload, len);
       size_t filled = 0;
       while (filled < rows) {
-        int64_t value = r.I64();
+        uint64_t value = r.U64();
         uint32_t run = r.U32();
         Check(run > 0 && run <= rows - filled, "RLE run overflows block");
-        std::fill(out->begin() + static_cast<ptrdiff_t>(filled),
-                  out->begin() + static_cast<ptrdiff_t>(filled + run), value);
+        std::fill(out + filled, out + filled + run, convert(value));
         filled += run;
       }
       Check(r.AtEnd(), "trailing bytes after RLE runs");
@@ -188,16 +199,33 @@ void DecodeValues(uint8_t encoding, const uint8_t* payload, size_t len,
     }
     case kEncodingBitpack: {
       wire::WireReader r(payload, len);
-      int64_t base = r.I64();
+      // Unsigned, as the encoder subtracted it: base + delta wraps
+      // instead of overflowing on forged input.
+      uint64_t base = r.U64();
       unsigned width = r.U8();
       Check(width < 64, "bad bit-pack width");
       Check(len == 9 + (rows * width + 7) / 8,
             "bit-pack payload length mismatch");
       const uint8_t* bits = payload + 9;
-      size_t bits_len = len - 9;
-      for (size_t i = 0; i < rows; ++i) {
-        (*out)[i] = base + static_cast<int64_t>(
-                               UnpackBitsAt(bits, bits_len, i, width));
+      const uint64_t mask = (uint64_t{1} << width) - 1;
+      if (width <= 56) {
+        // A value starts at bit shift s <= 7 of its first byte, so one
+        // word holds all of its s + width <= 63 bits.
+        for (size_t i = 0; i < rows; ++i) {
+          size_t bit = i * width;
+          uint64_t word = Load64(bits + (bit >> 3));
+          out[i] = convert(base + ((word >> (bit & 7)) & mask));
+        }
+      } else {
+        // Up to 70 bits: splice the low bits of the next word in.
+        for (size_t i = 0; i < rows; ++i) {
+          size_t bit = i * width;
+          const uint8_t* p = bits + (bit >> 3);
+          unsigned s = static_cast<unsigned>(bit & 7);
+          uint64_t lo = Load64(p);
+          uint64_t word = s == 0 ? lo : (lo >> s) | (Load64(p + 8) << (64 - s));
+          out[i] = convert(base + (word & mask));
+        }
       }
       break;
     }
@@ -210,22 +238,51 @@ void DecodeValues(uint8_t encoding, const uint8_t* payload, size_t len,
 // File helpers
 // ---------------------------------------------------------------------------
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  Check(in.good(), "cannot read " + path);
-  auto size = in.tellg();
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.seekg(0);
-  in.read(bytes.data(), size);
-  Check(in.good(), "cannot read " + path);
-  return bytes;
-}
+// A file opened for positioned reads and closed when it goes out of
+// scope. Block reads open one per column block, so no descriptor
+// outlives a read. `path` must outlive the object.
+class ReadFile {
+ public:
+  explicit ReadFile(const std::string& path)
+      : path_(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) Fail("cannot open " + path);
+  }
+  ~ReadFile() { ::close(fd_); }
+  ReadFile(const ReadFile&) = delete;
+  ReadFile& operator=(const ReadFile&) = delete;
 
-void ReadAt(std::ifstream& in, uint64_t offset, size_t n, void* out,
-            const std::string& what) {
-  in.seekg(static_cast<std::streamoff>(offset));
-  in.read(static_cast<char*>(out), static_cast<std::streamsize>(n));
-  Check(in.good(), "truncated read of " + what);
+  uint64_t Size() const {
+    struct stat st;
+    Check(::fstat(fd_, &st) == 0, "cannot stat", path_);
+    return static_cast<uint64_t>(st.st_size);
+  }
+
+  // Reads exactly n bytes at `offset`, retrying on EINTR. A short read
+  // (say, of a file truncated after Open) throws kProtocol.
+  void ReadAt(uint64_t offset, size_t n, void* out, const char* what) const {
+    auto* p = static_cast<char*>(out);
+    while (n > 0) {
+      ssize_t got = ::pread(fd_, p, n, static_cast<off_t>(offset));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        Fail(std::string("truncated read of ") + what + " in " + path_);
+      }
+      p += got;
+      offset += static_cast<uint64_t>(got);
+      n -= static_cast<size_t>(got);
+    }
+  }
+
+ private:
+  const std::string& path_;
+  int fd_;
+};
+
+std::string ReadWholeFile(const std::string& path) {
+  ReadFile in(path);
+  std::string bytes(static_cast<size_t>(in.Size()), '\0');
+  in.ReadAt(0, bytes.size(), bytes.data(), "file");
+  return bytes;
 }
 
 // Field names double as file names; writers enforce the safe subset.
@@ -575,12 +632,13 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
   }
   auto read_key = [&](const char* what) {
     uint32_t n = r.U32();
-    Check(n <= num_fields, std::string("bad ") + what + " arity");
+    if (n > num_fields) Fail(std::string("bad ") + what + " arity");
     std::vector<std::string> key;
     for (uint32_t i = 0; i < n; ++i) {
       key.push_back(r.Str());
-      Check(table->schema_.HasField(key.back()),
-            std::string(what) + " names unknown field");
+      if (!table->schema_.HasField(key.back())) {
+        Fail(std::string(what) + " names unknown field");
+      }
     }
     return key;
   };
@@ -634,27 +692,26 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
   for (uint32_t f = 0; f < num_fields; ++f) {
     ColumnInfo& col = table->cols_[f];
     const Field& field = table->schema_.field(f);
-    std::string path = table->ColumnPath(f);
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    Check(in.good(), "cannot open " + path);
-    uint64_t real_size = static_cast<uint64_t>(in.tellg());
-    Check(real_size == col.file_size, "file size mismatch for " + path);
+    col.path = table->base_ + "/" + field.name + ".col";
+    const std::string& path = col.path;
+    ReadFile in(path);
+    uint64_t real_size = in.Size();
+    Check(real_size == col.file_size, "file size mismatch", path);
 
     uint8_t fh[kColFileHeaderBytes];
-    ReadAt(in, 0, sizeof(fh), fh, "column file header");
+    in.ReadAt(0, sizeof(fh), fh, "column file header");
     wire::WireReader fhr(fh, sizeof(fh));
-    Check(fhr.U32() == kColMagic, "bad column magic in " + path);
+    Check(fhr.U32() == kColMagic, "bad column magic", path);
     Check(fhr.U8() == kFormatVersion, "unsupported column version");
-    Check(TypeFromByte(fhr.U8()) == field.type,
-          "column type mismatch in " + path);
-    Check(fhr.U16() == 0, "bad reserved bytes in " + path);
+    Check(TypeFromByte(fhr.U8()) == field.type, "column type mismatch", path);
+    Check(fhr.U16() == 0, "bad reserved bytes", path);
 
     uint64_t blocks_start = kColFileHeaderBytes;
     if (field.type == ValueType::kString) {
       uint8_t ph[12];
       Check(real_size >= kColFileHeaderBytes + sizeof(ph),
-            "truncated dictionary page in " + path);
-      ReadAt(in, kColFileHeaderBytes, sizeof(ph), ph, "dictionary header");
+            "truncated dictionary page", path);
+      in.ReadAt(kColFileHeaderBytes, sizeof(ph), ph, "dictionary header");
       wire::WireReader phr(ph, sizeof(ph));
       uint32_t count = phr.U32();
       uint32_t page_len = phr.U32();
@@ -662,21 +719,21 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
       // Both bounds checked against the real on-disk size before the
       // allocation below — a forged length cannot balloon memory.
       Check(page_len <= real_size - kColFileHeaderBytes - sizeof(ph),
-            "dictionary page overruns file in " + path);
+            "dictionary page overruns file", path);
       Check(static_cast<uint64_t>(count) * 4 <= page_len,
-            "dictionary count overruns page in " + path);
+            "dictionary count overruns page", path);
       std::string page(page_len, '\0');
-      ReadAt(in, kColFileHeaderBytes + sizeof(ph), page_len, page.data(),
-             "dictionary page");
+      in.ReadAt(kColFileHeaderBytes + sizeof(ph), page_len, page.data(),
+                "dictionary page");
       Check(wire::Crc32(page.data(), page.size()) == page_crc,
-            "dictionary CRC mismatch in " + path);
+            "dictionary CRC mismatch", path);
       col.dict = std::make_shared<StringDict>();
       col.dict->Reserve(count);
       wire::WireReader pr(page);
       for (uint32_t i = 0; i < count; ++i) {
         int32_t code = col.dict->Intern(pr.Str());
-        Check(code == static_cast<int32_t>(i),
-              "duplicate dictionary entry in " + path);
+        Check(code == static_cast<int32_t>(i), "duplicate dictionary entry",
+              path);
       }
       Check(pr.AtEnd(), "trailing bytes in dictionary page");
       blocks_start = kColFileHeaderBytes + sizeof(ph) + page_len;
@@ -686,15 +743,15 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
     for (size_t b = 0; b < col.offsets.size(); ++b) {
       Check(col.offsets[b] >= blocks_start &&
                 col.offsets[b] + kBlockHeaderBytes <= real_size,
-            "block header outside file in " + path);
+            "block header outside file", path);
       uint8_t hb[kBlockHeaderBytes];
-      ReadAt(in, col.offsets[b], sizeof(hb), hb, "block header");
+      in.ReadAt(col.offsets[b], sizeof(hb), hb, "block header");
       wire::WireReader hr(hb, sizeof(hb));
       BlockHeader h;
       h.rows = hr.U32();
       h.encoding = hr.U8();
       h.flags = hr.U8();
-      Check(hr.U16() == 0, "bad reserved block bytes in " + path);
+      Check(hr.U16() == 0, "bad reserved block bytes", path);
       h.null_count = hr.U32();
       h.min_bits = hr.U64();
       h.max_bits = hr.U64();
@@ -702,20 +759,20 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
       h.payload_len = hr.U32();
       h.crc = hr.U32();
       Check(h.rows == table->blocks_[b].rows,
-            "block row count disagrees with meta in " + path);
-      Check(h.encoding <= kEncodingBitpack, "bad encoding in " + path);
-      Check((h.flags & ~kFlagHasMinMax) == 0, "bad flags in " + path);
-      Check(h.null_count <= h.rows, "null count exceeds rows in " + path);
+            "block row count disagrees with meta", path);
+      Check(h.encoding <= kEncodingBitpack, "bad encoding", path);
+      Check((h.flags & ~kFlagHasMinMax) == 0, "bad flags", path);
+      Check(h.null_count <= h.rows, "null count exceeds rows", path);
       uint32_t expect_validity =
           h.null_count > 0 ? static_cast<uint32_t>(ValidityBytes(h.rows)) : 0;
-      Check(h.validity_len == expect_validity,
-            "validity length mismatch in " + path);
+      Check(h.validity_len == expect_validity, "validity length mismatch",
+            path);
       uint64_t end = b + 1 < col.offsets.size() ? col.offsets[b + 1]
                                                 : col.file_size;
       Check(col.offsets[b] + kBlockHeaderBytes + h.validity_len +
                     h.payload_len ==
                 end,
-            "block body does not fill its extent in " + path);
+            "block body does not fill its extent", path);
       col.headers.push_back(h);
     }
   }
@@ -726,84 +783,77 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
 // Block decode
 // ---------------------------------------------------------------------------
 
-std::string BlockTable::ColumnPath(size_t field) const {
-  return base_ + "/" + schema_.field(field).name + ".col";
-}
-
 Column BlockTable::DecodeColumnBlock(size_t field, size_t b) const {
   const ColumnInfo& info = cols_[field];
   const BlockHeader& h = info.headers[b];
-  const Field& spec = schema_.field(field);
-  size_t rows = h.rows;
+  const size_t rows = h.rows;
+  const size_t len = static_cast<size_t>(h.validity_len) + h.payload_len;
 
-  std::string body(static_cast<size_t>(h.validity_len) + h.payload_len, '\0');
-  if (!body.empty()) {
-    std::ifstream in(ColumnPath(field), std::ios::binary);
-    Check(in.good(), "cannot open " + ColumnPath(field));
-    ReadAt(in, info.offsets[b] + kBlockHeaderBytes, body.size(), body.data(),
-           "block body");
+  // One positioned read of the body, then the CRC over exactly its bytes.
+  std::unique_ptr<uint8_t[]> body(new uint8_t[len + kReadPadding]);
+  if (len > 0) {
+    ReadFile(info.path).ReadAt(info.offsets[b] + kBlockHeaderBytes, len,
+                               body.get(), "block body");
   }
-  Check(wire::Crc32(body.data(), body.size()) == h.crc,
-        "block CRC mismatch in " + ColumnPath(field));
+  std::memset(body.get() + len, 0, kReadPadding);
+  Check(wire::Crc32(body.get(), len) == h.crc, "block CRC mismatch",
+        info.path);
 
   ValidityBitmap valid;
   if (h.null_count > 0) {
-    Check(h.validity_len == ValidityBytes(rows),
-          "validity length mismatch in " + ColumnPath(field));
+    Check(h.validity_len == ValidityBytes(rows), "validity length mismatch",
+          info.path);
     // Packed bytes decode straight into bitmap words (same LSB-first
     // layout); forged trailing bits are normalized away, so the popcount
     // cross-check below sees only logical rows.
-    valid = ValidityBitmap::FromPackedBytes(
-        reinterpret_cast<const uint8_t*>(body.data()), rows);
+    valid = ValidityBitmap::FromPackedBytes(body.get(), rows);
     Check(valid.CountNulls() == h.null_count,
           "validity mask disagrees with null count");
   }
+  const uint8_t* payload = body.get() + h.validity_len;
 
-  const auto* payload =
-      reinterpret_cast<const uint8_t*>(body.data()) + h.validity_len;
-
-  Column out(spec.type);
-  if (spec.type == ValueType::kFloat64 && h.encoding == kEncodingRaw) {
-    // Raw double payloads are the stored bit patterns verbatim: decode
-    // straight into the column, skipping the int64 staging pass (doubles
-    // rarely pack, so this is the common case for measure columns).
-    Check(h.payload_len == rows * 8, "raw payload length mismatch");
-    std::vector<double> doubles(rows);
-    if (rows > 0) std::memcpy(doubles.data(), payload, h.payload_len);
-    *out.mutable_doubles() = std::move(doubles);
-    if (h.null_count > 0) out.set_validity(std::move(valid));
-    return out;
-  }
-
-  std::vector<int64_t> values;
-  DecodeValues(h.encoding, payload, h.payload_len, rows, &values);
-  if (spec.type == ValueType::kString) {
-    auto size = static_cast<int64_t>(info.dict->size());
-    std::vector<int32_t> codes(rows);
-    for (size_t r = 0; r < rows; ++r) {
+  Column out(schema_.field(field).type);
+  switch (out.type()) {
+    case ValueType::kString: {
       // A forged code must fail loudly here, never index out of the dict.
-      // Failure messages are built only on the cold path: this loop runs
-      // per row of every string block.
-      if (values[r] < Column::kNullCode || values[r] >= size) {
-        Fail("dictionary code out of range in " + ColumnPath(field));
+      const auto size = static_cast<int64_t>(info.dict->size());
+      std::vector<int32_t> codes(rows);
+      DecodeValues(
+          h.encoding, payload, h.payload_len, rows,
+          [&](uint64_t bits) {
+            auto code = static_cast<int64_t>(bits);
+            if (code < Column::kNullCode || code >= size) {
+              Fail("dictionary code out of range in " + info.path);
+            }
+            return static_cast<int32_t>(code);
+          },
+          codes.data());
+      for (size_t r = 0; r < rows; ++r) {
+        if (codes[r] == Column::kNullCode &&
+            (h.null_count == 0 || valid.Get(r))) {
+          Fail("null code on a valid row in " + info.path);
+        }
       }
-      if (values[r] == Column::kNullCode &&
-          (h.null_count == 0 || valid.Get(r))) {
-        Fail("null code on a valid row in " + ColumnPath(field));
-      }
-      codes[r] = static_cast<int32_t>(values[r]);
+      return Column::DictFromCodes(info.dict, std::move(codes),
+                                   std::move(valid));
     }
-    out = Column::DictFromCodes(info.dict, std::move(codes), std::move(valid));
-    return out;
-  }
-  if (spec.type == ValueType::kFloat64) {
-    std::vector<double> doubles(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      doubles[r] = BitsF64(static_cast<uint64_t>(values[r]));
+    case ValueType::kFloat64: {
+      auto& doubles = *out.mutable_doubles();
+      doubles.resize(rows);
+      DecodeValues(
+          h.encoding, payload, h.payload_len, rows,
+          [](uint64_t bits) { return BitsF64(bits); }, doubles.data());
+      break;
     }
-    *out.mutable_doubles() = std::move(doubles);
-  } else {
-    *out.mutable_ints() = std::move(values);
+    default: {
+      auto& ints = *out.mutable_ints();
+      ints.resize(rows);
+      DecodeValues(
+          h.encoding, payload, h.payload_len, rows,
+          [](uint64_t bits) { return static_cast<int64_t>(bits); },
+          ints.data());
+      break;
+    }
   }
   if (h.null_count > 0) out.set_validity(std::move(valid));
   return out;
@@ -852,13 +902,7 @@ bool SplitCompare(const Expr& cmp, const Expr** col, const Value** lit,
   if (l.kind() == ExprKind::kLiteral && r.kind() == ExprKind::kColumn) {
     *col = &r;
     *lit = &l.literal();
-    switch (cmp.cmp_op()) {
-      case CompareOp::kLt: *op = CompareOp::kGt; break;
-      case CompareOp::kLe: *op = CompareOp::kGe; break;
-      case CompareOp::kGt: *op = CompareOp::kLt; break;
-      case CompareOp::kGe: *op = CompareOp::kLe; break;
-      default: *op = cmp.cmp_op(); break;
-    }
+    *op = Mirror(cmp.cmp_op());
     return true;
   }
   return false;

@@ -73,8 +73,9 @@ void Write(const PartitionedTable& table, const std::string& dir,
 
 /// Lazy handle over one packed table: holds the metadata, every block
 /// header (synopses), and the interned string dictionaries — but no block
-/// payloads. Blocks are decoded on demand by ReadBlock. Thread-safe:
-/// reads open their own file streams and stats are atomic.
+/// payloads and no open files. Blocks are decoded on demand by ReadBlock.
+/// Thread-safe: each column block read opens, reads and closes its own
+/// descriptor, and stats are atomic.
 class BlockTable {
  public:
   /// Opens and fully validates `<dir>/<name>/`: meta CRC, file sizes,
@@ -124,6 +125,7 @@ class BlockTable {
     uint32_t crc = 0;
   };
   struct ColumnInfo {
+    std::string path;               // <dir>/<name>/<field>.col
     std::vector<uint64_t> offsets;  // block header offset per block
     std::vector<BlockHeader> headers;
     uint64_t file_size = 0;
@@ -132,7 +134,6 @@ class BlockTable {
 
   BlockTable() = default;
 
-  std::string ColumnPath(size_t field) const;
   Column DecodeColumnBlock(size_t field, size_t b) const;
   bool Refuted(const Expr& e, size_t b) const;
   bool CompareRefuted(const Expr& cmp, size_t b) const;

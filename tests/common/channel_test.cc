@@ -125,46 +125,6 @@ TEST(ChannelTest, MoveOnlyPayload) {
   EXPECT_EQ(**v, 11);
 }
 
-TEST(ChannelTest, SendAllDeliversInOrderUnderOneLock) {
-  Channel<int> ch;
-  std::vector<int> batch{1, 2, 3, 4, 5};
-  EXPECT_EQ(ch.SendAll(std::move(batch)), 5u);
-  EXPECT_TRUE(batch.empty());
-  auto drained = ch.ReceiveAll();
-  ASSERT_EQ(drained.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(drained[i], i + 1);
-}
-
-TEST(ChannelTest, SendAllToClosedChannelDropsEverything) {
-  Channel<int> ch;
-  ch.Close();
-  EXPECT_EQ(ch.SendAll({7, 8, 9}), 0u);
-  EXPECT_TRUE(ch.ReceiveAll().empty());
-}
-
-TEST(ChannelTest, SendAllEmptyIsNoOp) {
-  Channel<int> ch;
-  EXPECT_EQ(ch.SendAll({}), 0u);
-  EXPECT_EQ(ch.size(), 0u);
-}
-
-TEST(ChannelTest, SendAllWakesBlockedConsumer) {
-  Channel<int> ch;
-  std::atomic<long> total{0};
-  std::thread consumer([&] {
-    for (;;) {
-      auto batch = ch.ReceiveAll();
-      if (batch.empty()) break;
-      for (int v : batch) total += v;
-    }
-  });
-  ch.SendAll({1, 2, 3});
-  ch.SendAll({4, 5});
-  ch.Close();
-  consumer.join();
-  EXPECT_EQ(total.load(), 15);
-}
-
 TEST(ChannelTest, CancelDiscardsQueuedItems) {
   // Close() keeps pending items receivable; Cancel() is the stop-token
   // edge and drops them so receivers unwind immediately.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <filesystem>
 #include <future>
@@ -111,6 +112,31 @@ class RecordingNode : public ExecNode {
   void Finish() override { finished = true; }
 };
 
+/// Forwards every partial. Before it processes the second, it waits, up
+/// to a deadline, until `seen` is ready: the consumer has received the
+/// state of the first.
+class WaitsForFirstState : public ExecNode {
+ public:
+  explicit WaitsForFirstState(std::shared_future<void> seen)
+      : ExecNode("waiter"), seen_(std::move(seen)) {}
+
+  std::atomic<bool> timed_out{false};
+
+ protected:
+  void Process(size_t, const Message& msg) override {
+    if (processed_++ == 1 &&
+        seen_.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      timed_out = true;
+    }
+    Message copy = msg;
+    Emit(std::move(copy));
+  }
+
+ private:
+  std::shared_future<void> seen_;
+  int processed_ = 0;  // node-thread only
+};
+
 /// Fails on its first message.
 class ThrowingNode : public ExecNode {
  public:
@@ -177,6 +203,27 @@ TEST(ExecNodeTest, OneThreadPerNode) {
   a.Join();
   b.Join();
   recorder.Join();
+}
+
+TEST(ExecNodeTest, EachEmitLeavesBeforeTheDrainedBurstEnds) {
+  // Every partial is queued before the waiter starts, so its first
+  // ReceiveAll drains them all as one burst. The first partial's state
+  // must reach the consumer while the waiter still holds the rest: if
+  // emits waited for the burst to end, the waiter would time out.
+  CountingSource source(8);
+  std::promise<void> seen;
+  WaitsForFirstState waiter(seen.get_future().share());
+  waiter.AddInput(&source);
+  InboxPtr sink = Subscribe(&waiter);
+  source.Start(nullptr);
+  source.Join();  // all eight partials and the EOF marker are queued
+  waiter.Start(nullptr);
+  auto first = sink->Receive();
+  ASSERT_TRUE(first.has_value() && !first->eof);
+  seen.set_value();
+  EXPECT_EQ(DrainToEof(sink.get()).size(), 7u);
+  waiter.Join();
+  EXPECT_FALSE(waiter.timed_out.load());
 }
 
 TEST(ExecNodeTest, ChainsPropagateEofThroughStages) {

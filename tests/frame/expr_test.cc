@@ -86,6 +86,81 @@ TEST(ExprTest, DateComparison) {
   EXPECT_EQ(c.IntAt(1), 0);
 }
 
+// Compares `col <op> lit`, with the literal on either side, with the same
+// comparison against a column holding `lit` in every row: the two must
+// agree on every row, for every operator.
+void ExpectLiteralCompareMatchesColumn(const Column& col, const Value& lit) {
+  Column k(lit.type);
+  for (size_t i = 0; i < col.size(); ++i) k.AppendValue(lit);
+  DataFrame df(Schema({{"c", col.type()}, {"k", lit.type}}));
+  *df.mutable_column(0) = col;
+  *df.mutable_column(1) = k;
+  const ExprPtr c = Expr::Col("c");
+  const ExprPtr k_col = Expr::Col("k");
+  const ExprPtr l = Expr::Lit(lit);
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    Column right = Expr::Cmp(op, c, l)->Eval(df);
+    Column left = Expr::Cmp(op, l, c)->Eval(df);
+    Column right_want = Expr::Cmp(op, c, k_col)->Eval(df);
+    Column left_want = Expr::Cmp(op, k_col, c)->Eval(df);
+    const std::string what = Expr::Cmp(op, c, l)->ToString() + " over " +
+                             ValueTypeName(col.type()) +
+                             (col.is_dict() ? " dict" : "");
+    EXPECT_FALSE(right.has_nulls() || left.has_nulls()) << what;
+    EXPECT_EQ(right.ints(), right_want.ints()) << what;
+    EXPECT_EQ(left.ints(), left_want.ints()) << what << ", literal left";
+  }
+}
+
+TEST(ExprTest, LiteralComparisonsMatchTheBroadcastColumn) {
+  const size_t n = 12;
+  std::vector<int64_t> ints, days;
+  std::vector<double> doubles;
+  std::vector<std::string> words;
+  std::vector<int32_t> codes;
+  const char* fruit[] = {"apple", "banana", "cherry"};
+  auto big = std::make_shared<StringDict>();
+  for (int e = 0; e < 40; ++e) big->Intern("e" + std::to_string(10 + e));
+  for (size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<int64_t>(i) - 5;
+    ints.push_back(x);
+    days.push_back(DateToDays(1995, 1, 1) + x);
+    doubles.push_back(0.5 * static_cast<double>(x));
+    words.push_back(fruit[i % 3]);
+    codes.push_back(static_cast<int32_t>((i * 7) % 40));
+  }
+  std::vector<Column> cols = {
+      Column::FromInts(ints), Column::FromInts(days, ValueType::kDate),
+      Column::FromDoubles(doubles), Column::FromStrings(words),
+      Column::DictFromStrings(words),  // 3 entries: fewer than the rows
+      Column::DictFromCodes(big, codes)};  // 40 entries: more than the rows
+  ASSERT_LT(cols[4].dict()->size(), n);
+  ASSERT_GT(cols[5].dict()->size(), n);
+  for (Column& col : cols) {
+    col.SetNull(3);
+    col.SetNull(7);
+  }
+
+  const int64_t day = DateToDays(1995, 1, 1);
+  const std::vector<Value> int_lits = {
+      Value::Int(0),      Value::Int(-5),     Value::Int(100),
+      Value::Float(1.5),  Value::Float(-5.0), Value::Date(day),
+      Value::Date(day + 3), Value::Null(ValueType::kInt64)};
+  const std::vector<Value> double_lits = {
+      Value::Float(1.5), Value::Float(0.25), Value::Int(2), Value::Int(-3),
+      Value::Null(ValueType::kFloat64)};
+  const std::vector<Value> string_lits = {
+      Value::Str("banana"), Value::Str("e17"), Value::Str(""),
+      Value::Str("b"),      Value::Str("zzz"), Value::Null(ValueType::kString)};
+  for (const Column& col : cols) {
+    const auto& lits = col.type() == ValueType::kString   ? string_lits
+                       : col.type() == ValueType::kFloat64 ? double_lits
+                                                           : int_lits;
+    for (const Value& lit : lits) ExpectLiteralCompareMatchesColumn(col, lit);
+  }
+}
+
 TEST(ExprTest, LogicAndOrNot) {
   DataFrame df = TestFrame();
   auto a = Gt(Expr::Col("i"), Expr::Int(1));

@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "common/error.h"
+#include "common/wire.h"
 #include "storage/partitioned_table.h"
 #include "storage/wakeblock.h"
 
@@ -164,9 +166,8 @@ TEST_F(WakeblockFuzzTest, ForgedRowCountRejected) {
 
 TEST_F(WakeblockFuzzTest, OutOfRangeDictCodeRejected) {
   // Corrupt the first string block's payload bytes while keeping lengths
-  // intact, then fix up nothing: the CRC rejects it. To reach the code
-  // range check itself, also recompute nothing — both layers throwing is
-  // the contract (CRC first, range check if an attacker forges both).
+  // intact, then fix up nothing: the CRC rejects it. The two tests below
+  // recompute the CRC, so the code checks behind it must throw.
   std::string col = Load(Path("s.col"));
   // Find the dict page length to locate the first block.
   ASSERT_GT(col.size(), 16u);
@@ -184,6 +185,74 @@ TEST_F(WakeblockFuzzTest, OutOfRangeDictCodeRejected) {
   for (size_t i = block0 + 40; i < bad.size(); ++i) bad[i] ^= 0x7f;
   Store(Path("s.col"), bad);
   ExpectRejected();
+}
+
+// The first string block, forged past its CRC: the bit-pack base (the
+// payload's first 8 bytes) is replaced by `base`, and the header's CRC
+// recomputed over the new body, so only the decoder's own checks stand
+// between the forged codes and the dictionary.
+void ForgeFirstStringBlockBase(std::string* col, int64_t base) {
+  auto u32 = [&](size_t at) {
+    uint32_t v;
+    std::memcpy(&v, col->data() + at, sizeof(v));
+    return v;
+  };
+  const size_t block0 = 8 + 12 + u32(12);  // file header, dict page
+  ASSERT_EQ((*col)[block0 + 4], 2) << "fixture block is not bit-packed";
+  const size_t body = block0 + 40;
+  const size_t body_len = u32(block0 + 28) + u32(block0 + 32);
+  const size_t payload = body + u32(block0 + 28);
+  std::memcpy(col->data() + payload, &base, sizeof(base));
+  uint32_t crc = wire::Crc32(col->data() + body, body_len);
+  std::memcpy(col->data() + block0 + 36, &crc, sizeof(crc));
+}
+
+// Runs `read`, expecting a kProtocol Error whose message names `what`.
+template <typename Read>
+void ExpectProtocolError(Read read, const std::string& what) {
+  try {
+    read();
+    ADD_FAILURE() << "no error; expected " << what;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kProtocol) << e.what();
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(WakeblockFuzzTest, ForgedDictCodeWithValidCrcRejected) {
+  // Seven entries (codes 0-6), so a base of 7 puts every code past the
+  // dictionary.
+  std::string col = Load(Path("s.col"));
+  ForgeFirstStringBlockBase(&col, 7);
+  Store(Path("s.col"), col);
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "t");
+  ExpectProtocolError([&] { bt->ReadBlock(0, {"s"}); },
+                      "dictionary code out of range");
+}
+
+TEST_F(WakeblockFuzzTest, NullCodeOnValidRowWithValidCrcRejected) {
+  // A base of -1 turns code 0 into the null code on a row the (absent)
+  // validity mask calls valid; every other code stays in range.
+  std::string col = Load(Path("s.col"));
+  ForgeFirstStringBlockBase(&col, -1);
+  Store(Path("s.col"), col);
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "t");
+  ExpectProtocolError([&] { bt->ReadBlock(0, {"s"}); },
+                      "null code on a valid row");
+}
+
+TEST_F(WakeblockFuzzTest, ColumnFileTruncatedAfterOpenRejected) {
+  // Open validated the full file; a later read of a block that is gone
+  // must throw, not decode stale or missing bytes.
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "t");
+  std::filesystem::resize_file(Path("k.col"),
+                               std::filesystem::file_size(Path("k.col")) / 2);
+  ExpectProtocolError(
+      [&] {
+        for (size_t b = 0; b < bt->num_blocks(); ++b) bt->ReadBlock(b, {"k"});
+      },
+      "truncated read");
 }
 
 TEST_F(WakeblockFuzzTest, MissingColumnFileRejected) {

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -130,6 +131,125 @@ TEST_F(WakeblockTest, WideBitpackRoundTripIsExact) {
                    dir_.string());
   PartitionedTable back =
       PartitionedTable::OpenWakeblock(dir_.string(), "wide");
+  std::string diff;
+  EXPECT_TRUE(back.Materialize().ApproxEquals(df, 0.0, &diff)) << diff;
+}
+
+// splitmix64: deterministic pseudo-random 64-bit values.
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Bytes a column file takes when every block of `block_rows` rows is
+// FOR-bitpacked at `width` (validity included when `nulls`): the 8-byte
+// file header, then per block a 40-byte header, the validity bytes and a
+// 9-byte base/width prefix before the packed bits.
+uintmax_t BitpackedFileSize(size_t blocks, size_t block_rows,
+                            unsigned width, bool nulls) {
+  size_t body = (nulls ? (block_rows + 7) / 8 : 0) + 9 +
+                (block_rows * width + 7) / 8;
+  return 8 + blocks * (40 + body);
+}
+
+// Every bit-pack width 0-63 decodes exactly, with nulls, at a block size
+// where each block's last value ends on its payload's last byte (80 rows:
+// 80 x width bits is whole bytes) and at one where it mostly does not
+// (101 rows). Column wN holds values in [0, 2^N): each block starts with
+// 0 and 2^N - 1, so its range needs exactly N bits, and null slots store
+// 0, inside that range. Distinct neighbours make RLE dearer than
+// bit-packing, which beats raw at these block sizes even at width 63.
+// The float columns pack like TPC-H's: quantities 1-50 at width 55 and
+// discounts 0.00-0.10 at width 62. The file sizes pin the encoding.
+TEST_F(WakeblockTest, EveryBitpackWidthRoundTripsExactly) {
+  for (size_t block_rows : {size_t{80}, size_t{101}}) {
+    const size_t blocks = 3;
+    const size_t n = blocks * block_rows;
+    std::vector<Field> fields;
+    for (unsigned w = 0; w < 64; ++w) {
+      fields.push_back({"w" + std::to_string(w), ValueType::kInt64});
+    }
+    fields.push_back({"qty", ValueType::kFloat64});
+    fields.push_back({"disc", ValueType::kFloat64});
+    DataFrame df{Schema(fields)};
+    for (size_t r = 0; r < n; ++r) {
+      const size_t j = r % block_rows;
+      const bool null_row = j >= 2 && r % 7 == 3;
+      for (unsigned w = 0; w < 64; ++w) {
+        const uint64_t mask = (uint64_t{1} << w) - 1;
+        uint64_t v = j == 0 ? 0 : j == 1 ? mask : Mix(r * 64 + w) & mask;
+        if (null_row) {
+          df.mutable_column(w)->AppendNull();
+        } else {
+          df.mutable_column(w)->AppendInt(static_cast<int64_t>(v));
+        }
+      }
+      // No nulls in qty: a null slot's 0.0 would widen it to 63 bits.
+      const double qty = static_cast<double>(1 + Mix(r) % 50);
+      df.mutable_column(64)->AppendDouble(j == 0 ? 1.0 : j == 1 ? 50.0 : qty);
+      const double disc = static_cast<double>(Mix(r) % 11) / 100;
+      if (null_row) {
+        df.mutable_column(65)->AppendNull();
+      } else {
+        df.mutable_column(65)->AppendDouble(j == 0   ? 0.0
+                                            : j == 1 ? 0.10
+                                                     : disc);
+      }
+    }
+    wakeblock::WriteOptions opts;
+    opts.block_rows = block_rows;
+    wakeblock::Write(PartitionedTable::FromDataFrame("widths", df, 1),
+                     dir_.string(), opts);
+    auto file_size = [&](const std::string& field) {
+      return std::filesystem::file_size(dir_ / "widths" / (field + ".col"));
+    };
+    for (unsigned w = 0; w < 64; ++w) {
+      EXPECT_EQ(file_size("w" + std::to_string(w)),
+                BitpackedFileSize(blocks, block_rows, w, true))
+          << "width " << w << ", " << block_rows << "-row blocks";
+    }
+    EXPECT_EQ(file_size("qty"),
+              BitpackedFileSize(blocks, block_rows, 55, false));
+    EXPECT_EQ(file_size("disc"),
+              BitpackedFileSize(blocks, block_rows, 62, true));
+
+    PartitionedTable back =
+        PartitionedTable::OpenWakeblock(dir_.string(), "widths");
+    std::string diff;
+    EXPECT_TRUE(back.Materialize().ApproxEquals(df, 0.0, &diff))
+        << block_rows << "-row blocks: " << diff;
+    std::filesystem::remove_all(dir_);
+  }
+}
+
+// Dict codes at bit-pack width 17: over 65,536 distinct strings, and
+// every block also repeats the first one (code 0), so a block of late
+// rows spans codes 0 to over 65,536. Null rows store code -1.
+TEST_F(WakeblockTest, WideDictCodesRoundTripExactly) {
+  Schema schema({{"s", ValueType::kString}});
+  DataFrame df(schema);
+  *df.mutable_column(0) = Column::NewDict();
+  const size_t n = 80000;
+  for (size_t r = 0; r < n; ++r) {
+    if (r % 11 == 5) {
+      df.mutable_column(0)->AppendNull();
+    } else {
+      df.mutable_column(0)->AppendString(
+          "s" + std::to_string(r % 100 == 0 ? 0 : r));
+    }
+  }
+  wakeblock::WriteOptions opts;
+  opts.block_rows = 100;
+  wakeblock::Write(PartitionedTable::FromDataFrame("dict17", df, 1),
+                   dir_.string(), opts);
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "dict17");
+  DataFramePtr last = bt->ReadBlock(bt->num_blocks() - 1, {});
+  const auto& codes = last->column(0).codes();
+  EXPECT_GE(*std::max_element(codes.begin(), codes.end()), 1 << 16);
+  PartitionedTable back =
+      PartitionedTable::OpenWakeblock(dir_.string(), "dict17");
   std::string diff;
   EXPECT_TRUE(back.Materialize().ApproxEquals(df, 0.0, &diff)) << diff;
 }
