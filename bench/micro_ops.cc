@@ -180,11 +180,11 @@ BENCHMARK(BM_ChannelThroughput);
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// One-line JSON mode (`micro_ops --json`): times the three hot kernels —
-// join_build, join_probe, group_by — on a fixed workload, with int keys and
-// string keys (plain vs dict-encoded), and prints a single JSON object (the
-// BENCH_micro_ops.json format) so the perf trajectory of these kernels can
-// be tracked across PRs.
+// One-line JSON mode (`micro_ops --json`): times the hot kernels —
+// join_build, join_probe, group_by, count_distinct — on a fixed workload,
+// with int keys and string keys (plain vs dict-encoded), and prints a
+// single JSON object (the BENCH_micro_ops.json format) so the perf
+// trajectory of these kernels can be tracked across PRs.
 // ---------------------------------------------------------------------------
 
 double BestMrowsPerSec(size_t rows_per_run, const std::function<void()>& fn) {
@@ -230,10 +230,13 @@ struct KernelRates {
   double join_build = 0.0;
   double join_probe = 0.0;
   double group_by = 0.0;
+  double count_distinct = 0.0;
 };
 
-// Times the three kernels over the given key columns (int, plain string,
-// or dict string — the kernels are encoding-agnostic).
+// Times the kernels over the given key columns (int, plain string, or
+// dict string — the kernels are encoding-agnostic). count_distinct is
+// COUNT(DISTINCT v) per group over the group_by input, whose v values are
+// all distinct: every row inserts one (group, value) entry.
 KernelRates MeasureKernels(size_t rows, Column build_keys, Column probe_keys,
                            Column group_keys) {
   KernelRates rates;
@@ -270,6 +273,13 @@ KernelRates MeasureKernels(size_t rows, Column build_keys, Column probe_keys,
   Schema agg_out = AggOutputSchema(probe_schema, {"g"}, aggs);
   rates.group_by = BestMrowsPerSec(rows, [&] {
     GroupedAggState agg({"g"}, aggs, probe_schema, agg_out);
+    agg.Consume(agg_in);
+    if (agg.num_groups() == 0) std::abort();
+  });
+  std::vector<AggSpec> distinct = {CountDistinct("v", "d")};
+  Schema distinct_out = AggOutputSchema(probe_schema, {"g"}, distinct);
+  rates.count_distinct = BestMrowsPerSec(rows, [&] {
+    GroupedAggState agg({"g"}, distinct, probe_schema, distinct_out);
     agg.Consume(agg_in);
     if (agg.num_groups() == 0) std::abort();
   });
@@ -533,13 +543,15 @@ int RunMicroJson() {
   std::printf(
       "{\"bench\":\"micro_ops\",\"rows\":%zu,\"host_cores\":%u,"
       "\"join_build_mrows_per_s\":%.2f,\"join_probe_mrows_per_s\":%.2f,"
-      "\"group_by_mrows_per_s\":%.2f,"
+      "\"group_by_mrows_per_s\":%.2f,\"count_distinct_mrows_per_s\":%.2f,"
       "\"join_build_str_plain_mrows_per_s\":%.2f,"
       "\"join_probe_str_plain_mrows_per_s\":%.2f,"
       "\"group_by_str_plain_mrows_per_s\":%.2f,"
+      "\"count_distinct_str_plain_mrows_per_s\":%.2f,"
       "\"join_build_str_dict_mrows_per_s\":%.2f,"
       "\"join_probe_str_dict_mrows_per_s\":%.2f,"
       "\"group_by_str_dict_mrows_per_s\":%.2f,"
+      "\"count_distinct_str_dict_mrows_per_s\":%.2f,"
       "\"join_probe_w1_mrows_per_s\":%.2f,"
       "\"join_probe_w2_mrows_per_s\":%.2f,"
       "\"join_probe_w4_mrows_per_s\":%.2f,"
@@ -554,8 +566,9 @@ int RunMicroJson() {
       "\"ingest_append_mrows_per_s\":%.2f,"
       "\"ingest_standing_mrows_per_s\":%.2f}\n",
       kRows, std::thread::hardware_concurrency(), ints.join_build,
-      ints.join_probe, ints.group_by, plain.join_build, plain.join_probe,
-      plain.group_by, dict.join_build, dict.join_probe, dict.group_by,
+      ints.join_probe, ints.group_by, ints.count_distinct, plain.join_build,
+      plain.join_probe, plain.group_by, plain.count_distinct,
+      dict.join_build, dict.join_probe, dict.group_by, dict.count_distinct,
       probe_w1, probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
       ef.null_hash_scalar, ef.null_hash, scan.scan_full, scan.scan_pruned,
       scan.scan_columnar, scan.scan_columnar_skip, ingest.ingest_append,

@@ -75,8 +75,9 @@ DataFrame ExactEngine::Apply(const PlanNode& node, DataFrame in) {
       return out;
     }
     case PlanOp::kFilter:
-      // Selection-kernel filter off the evaluated predicate column.
-      return in.FilterBy(node.predicate->Eval(in));
+      // Selection-kernel filter off the predicate's truth words.
+      return in.Take(
+          Column::SelectionFromTruth(node.predicate->EvalTruth(in)));
     case PlanOp::kAggregate: {
       Schema out_schema =
           AggOutputSchema(in.schema(), node.group_by, node.aggs);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/hash.h"
 #include "core/inference.h"
 
 namespace wake {
@@ -12,25 +13,10 @@ namespace {
 
 constexpr size_t kNoInput = static_cast<size_t>(-1);
 
-// Byte-exact serialization of a value for the count-distinct set.
-std::string DistinctKey(const Column& col, size_t row) {
-  if (col.IsNull(row)) return std::string("\0n", 2);
-  switch (col.type()) {
-    case ValueType::kString:
-      return "s" + col.StringAt(row);
-    case ValueType::kFloat64: {
-      double d = col.DoubleAt(row);
-      std::string out(1 + sizeof(double), 'f');
-      std::memcpy(out.data() + 1, &d, sizeof(double));
-      return out;
-    }
-    default: {
-      int64_t v = col.IntAt(row);
-      std::string out(1 + sizeof(int64_t), 'i');
-      std::memcpy(out.data() + 1, &v, sizeof(int64_t));
-      return out;
-    }
-  }
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
 }
 
 }  // namespace
@@ -54,6 +40,13 @@ GroupedAggState::GroupedAggState(std::vector<std::string> group_by,
   for (size_t i = 0; i < group_by_.size(); ++i) stored_key_cols_.push_back(i);
   hot_.resize(aggs_.size());
   cold_.resize(aggs_.size());
+  distinct_.resize(aggs_.size());
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    if (aggs_[a].func == AggFunc::kCountDistinct &&
+        agg_input_cols_[a] != kNoInput) {
+      distinct_[a].values = Column(input_schema.field(agg_input_cols_[a]).type);
+    }
+  }
 }
 
 void GroupedAggState::AppendAccums() {
@@ -69,6 +62,11 @@ void GroupedAggState::Reset() {
   group_rows_.clear();
   for (auto& h : hot_) h.clear();
   for (auto& c : cold_) c.clear();
+  for (DistinctSet& d : distinct_) {
+    d.index.Reset();
+    d.group.clear();
+    d.values = Column(d.values.type());
+  }
   code_cache_dict_ = nullptr;
   code_to_gid_.clear();
   null_gid_ = FlatHashIndex::kNil;
@@ -256,14 +254,9 @@ void GroupedAggState::Consume(const DataFrame& partial,
         }
         break;
       }
-      case AggFunc::kCountDistinct: {
-        ColdAccum* cold = cold_[a].data();
-        for (size_t r = 0; r < n; ++r) {
-          if (nulls && col->IsNull(r)) continue;
-          cold[gids[r]].distinct.insert(DistinctKey(*col, r));
-        }
+      case AggFunc::kCountDistinct:
+        ConsumeDistinct(*col, gids.data(), n, &distinct_[a], hot);
         break;
-      }
       case AggFunc::kMedian: {
         ColdAccum* cold = cold_[a].data();
         for (size_t r = 0; r < n; ++r) {
@@ -274,6 +267,79 @@ void GroupedAggState::Consume(const DataFrame& partial,
       }
     }
   }
+}
+
+void GroupedAggState::ConsumeDistinct(const Column& col, const uint32_t* gids,
+                                      size_t n, DistinctSet* set,
+                                      HotAccum* hot) {
+  // Each row's hash: its value's HashRow seeded with its group id, mixed
+  // column-at-a-time.
+  static thread_local std::vector<uint64_t> hashes;
+  hashes.resize(n);
+  for (size_t r = 0; r < n; ++r) hashes[r] = MixHash(0, gids[r]);
+  col.HashInto(hashes.data(), n);
+
+  Column& values = set->values;
+  values.AdoptDict(col.dict());  // first entry on: compare codes
+  enum class Mode { kInt, kBits, kCode, kString };
+  Mode mode = Mode::kInt;
+  if (col.type() == ValueType::kString) {
+    mode = col.is_dict() && values.dict() == col.dict() ? Mode::kCode
+                                                        : Mode::kString;
+  } else if (col.type() == ValueType::kFloat64) {
+    mode = Mode::kBits;
+  }
+  auto same_value = [&](uint32_t e, size_t r) {
+    switch (mode) {
+      case Mode::kInt: return values.ints()[e] == col.ints()[r];
+      case Mode::kBits:
+        return DoubleBits(values.doubles()[e]) == DoubleBits(col.doubles()[r]);
+      case Mode::kCode: return values.codes()[e] == col.codes()[r];
+      case Mode::kString: return values.StringAt(e) == col.StringAt(r);
+    }
+    return false;
+  };
+
+  constexpr size_t kPrefetchAhead = 8;
+  const bool nulls = col.has_nulls();
+  for (size_t r = 0; r < n; ++r) {
+    if (r + kPrefetchAhead < n) set->index.Prefetch(hashes[r + kPrefetchAhead]);
+    if (nulls && col.IsNull(r)) continue;
+    const uint32_t g = gids[r];
+    bool seen = false;
+    for (uint32_t e = set->index.Find(hashes[r]); e != FlatHashIndex::kNil;
+         e = set->index.Next(e)) {
+      if (set->group[e] == g && same_value(e, r)) {
+        seen = true;
+        break;
+      }
+    }
+    if (seen) continue;
+    const auto e = static_cast<uint32_t>(set->group.size());
+    set->group.push_back(g);
+    values.AppendFrom(col, r);
+    set->index.Insert(hashes[r], e);
+    ++hot[g].count;
+  }
+}
+
+size_t GroupedAggState::ByteSize() const {
+  size_t bytes = group_keys_.ByteSize() + key_index_.ByteSize() +
+                 code_to_gid_.capacity() * sizeof(uint32_t) +
+                 group_rows_.capacity() * sizeof(size_t);
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    bytes += hot_[a].capacity() * sizeof(HotAccum) +
+             cold_[a].capacity() * sizeof(ColdAccum);
+    if (aggs_[a].func == AggFunc::kMedian) {
+      for (const ColdAccum& c : cold_[a]) {
+        bytes += c.samples.capacity() * sizeof(double);
+      }
+    }
+    const DistinctSet& d = distinct_[a];
+    bytes += d.index.ByteSize() + d.group.capacity() * sizeof(uint32_t) +
+             d.values.ByteSize();
+  }
+  return bytes;
 }
 
 double GroupedAggState::MeanGroupCardinality() const {
@@ -382,7 +448,7 @@ AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
           break;
         }
         case AggFunc::kCountDistinct: {
-          double d = static_cast<double>(cold.distinct.size());
+          double d = static_cast<double>(acc.count);
           double est =
               scale && x > 0 ? EstimateCountDistinct(d, x, xhat) : d;
           col->AppendInt(static_cast<int64_t>(std::llround(est)));

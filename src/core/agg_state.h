@@ -16,7 +16,9 @@
 //   avg              -> (sum, count) per key
 //   min/max          -> extreme per key
 //   var/stddev       -> (sum, sumsq, count) per key
-//   count_distinct   -> exact value set per key (footnote 3: no sketches)
+//   count_distinct   -> exact values (footnote 3: no sketches): one flat
+//                       set of (group, value) entries per aggregate,
+//                       with each group's distinct count in its count
 //
 // A state has one writer, the operator thread that owns it; groups are
 // stored in creation order, which is first-appearance order, and
@@ -26,7 +28,6 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -81,6 +82,11 @@ class GroupedAggState {
 
   size_t num_groups() const { return group_rows_.size(); }
 
+  /// Approximate heap footprint in bytes (§8.2 memory accounting): the
+  /// key frame and its indexes, the accumulators, and the distinct
+  /// entries with their indexes.
+  size_t ByteSize() const;
+
   /// Total input rows consumed (Σ x_i).
   size_t total_rows() const { return total_rows_; }
 
@@ -91,24 +97,39 @@ class GroupedAggState {
   // Accumulators are split hot/cold: the numeric merge loops touch only
   // 32-byte HotAccum entries, one dense array per aggregate (the whole
   // group state for a 16k-group aggregate then fits in L2 instead of
-  // striding through ~176-byte structs). Cold payloads exist only for the
-  // aggregates that need them (min/max/count-distinct/median).
+  // striding through wide structs). Cold payloads exist only for the
+  // aggregates that need them (min/max/median).
   struct HotAccum {
     double sum = 0.0;
     double sumsq = 0.0;
-    int64_t count = 0;        // non-null inputs
+    int64_t count = 0;        // non-null inputs; distinct values for
+                              // count_distinct
     double var_in_sum = 0.0;  // accumulated input variance (CI)
   };
   struct ColdAccum {
     Value extreme;  // min/max payload
     bool has_extreme = false;
-    std::unordered_set<std::string> distinct;
     std::vector<double> samples;  // median keeps the group's values (§5.3)
   };
   static bool NeedsCold(AggFunc func) {
     return func == AggFunc::kMin || func == AggFunc::kMax ||
-           func == AggFunc::kCountDistinct || func == AggFunc::kMedian;
+           func == AggFunc::kMedian;
   }
+  // count_distinct state of one aggregate: one entry per distinct (group,
+  // value) pair. Entries chain in `index` under the value's
+  // Column::HashRow seeded with a mix of the group id, and a lookup
+  // verifies the group, then the value: strings by bytes (by code when
+  // entry and row share a dict), doubles by bit pattern, integers by value.
+  struct DistinctSet {
+    FlatHashIndex index;
+    std::vector<uint32_t> group;  // entry -> group id
+    Column values;                // entry -> value
+  };
+
+  /// Adds the distinct non-null (gids[r], col[r]) pairs of one partial to
+  /// `set`, counting each new pair in its group's hot.count.
+  static void ConsumeDistinct(const Column& col, const uint32_t* gids,
+                              size_t n, DistinctSet* set, HotAccum* hot);
 
   /// Appends one zeroed accumulator row (a new group) across all aggs.
   void AppendAccums();
@@ -146,6 +167,7 @@ class GroupedAggState {
   std::vector<std::vector<HotAccum>> hot_;    // [agg][group]
   std::vector<std::vector<ColdAccum>> cold_;  // [agg][group]; empty unless
                                               // the agg NeedsCold
+  std::vector<DistinctSet> distinct_;  // [agg]; used by count_distinct only
   size_t total_rows_ = 0;
 };
 

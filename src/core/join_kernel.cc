@@ -203,16 +203,7 @@ void JoinHashTable::Insert(const DataFrame& right_partial,
   // column-at-a-time instead of re-reading the accumulated build frame.
   static thread_local std::vector<uint64_t> hashes;
   right_partial.HashRowsBatch(key_cols_, &hashes);
-  for (size_t r = 0; r < hashes.size(); ++r) {
-    index_.Insert(hashes[r], static_cast<uint32_t>(base + r));
-  }
-}
-
-void JoinHashTable::Reset() {
-  ++build_version_;
-  build_ = DataFrame(right_schema_);
-  build_vars_.clear();
-  index_.Reset();
+  index_.InsertBatch(hashes.data(), hashes.size(), static_cast<uint32_t>(base));
 }
 
 void JoinHashTable::MatchRange(const DataFrame& left,

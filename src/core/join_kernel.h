@@ -1,9 +1,10 @@
 // Hash-join kernel shared by the exact engine and Wake's join nodes.
 //
 // The build (right) side accumulates incrementally — Wake's hash-join node
-// inserts one partial at a time and the progressive-merge-join node reuses
-// the same table with a key watermark — then any number of probe calls run
-// against the accumulated state. Per the paper (§3.2), the right side is
+// inserts its held build partials at build EOF into a reserved index, and
+// the progressive-merge-join node inserts one partial at a time behind a
+// key watermark — then any number of probe calls run against the
+// accumulated state. Per the paper (§3.2), the right side is
 // always the build table; chained right-deep joins therefore build all hash
 // tables in parallel.
 //
@@ -40,9 +41,6 @@ class JoinHashTable {
   void Insert(const DataFrame& right_partial,
               const VarianceMap* variances = nullptr);
 
-  /// Drops all accumulated build rows (refresh-mode build inputs).
-  void Reset();
-
   size_t num_rows() const { return build_.num_rows(); }
   const DataFrame& build_frame() const { return build_; }
 
@@ -57,7 +55,7 @@ class JoinHashTable {
   ///
   /// Thread safety: Probe is const and the table is read-mostly after
   /// build, so any number of threads may probe one table concurrently (no
-  /// Insert/Reset may run meanwhile). With a non-null `pool`, large
+  /// Insert may run meanwhile). With a non-null `pool`, large
   /// probes additionally split into row-range morsels matched and
   /// gathered across the pool; per-morsel results are stitched in morsel
   /// order, so the output frame is byte-identical to a serial probe at
@@ -88,7 +86,7 @@ class JoinHashTable {
   // Key-hash -> build-row chains; key equality verified on probe, so hash
   // collisions between distinct keys never merge.
   FlatHashIndex index_;
-  // Process-unique instance id plus a version bumped by Insert/Reset;
+  // Process-unique instance id plus a version bumped by Insert;
   // probes keyed on a single dict-encoded string column use the pair to
   // validate their thread-local code→chain-head cache. The id (not the
   // address, which allocators recycle) prevents a later table from

@@ -9,7 +9,8 @@
 //                  inputs (Case 3 for mutable-attribute predicates).
 //  HashJoinNode    right side is the build table; build input is consumed
 //                  to EOF before probing (mutable build attributes must
-//                  block, §3.3); probe partials stream through.
+//                  block, §3.3) and indexed once, at build EOF; probe
+//                  partials stream through.
 //  MergeJoinNode   progressive merge join for inputs clustered on the join
 //                  keys: the right side accumulates behind a key watermark,
 //                  left rows emit as soon as their key range is complete.
@@ -142,8 +143,9 @@ class HashJoinNode : public ExecNode {
   std::vector<std::string> left_keys_;
   Schema output_schema_;
   NodeOptions options_;
-  JoinHashTable table_;
-  std::vector<Message> pending_probe_;  // buffered until build EOF
+  JoinHashTable table_;                  // filled at build EOF
+  std::vector<Message> build_partials_;  // held until build EOF
+  std::vector<Message> pending_probe_;   // buffered until build EOF
   bool build_done_ = false;
 };
 
@@ -197,12 +199,11 @@ class LocalAggNode : public ExecNode {
  private:
   void EmitComplete(const DataFrame& complete, double progress);
 
-  std::vector<std::string> group_by_;
-  std::vector<AggSpec> aggs_;
   Schema input_schema_;
   Schema output_schema_;
   std::vector<std::string> cluster_key_;
   DataFrame pending_;  // rows whose clustering key may continue
+  GroupedAggState state_;  // one emitted batch at a time; Reset after each
   double last_progress_ = 0.0;
 };
 

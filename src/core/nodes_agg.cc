@@ -12,12 +12,11 @@ namespace wake {
 LocalAggNode::LocalAggNode(const PlanNode& plan, const Schema& input_schema,
                            const Schema& output_schema, NodeOptions)
     : ExecNode(plan.label.empty() ? "agg(local)" : plan.label),
-      group_by_(plan.group_by),
-      aggs_(plan.aggs),
       input_schema_(input_schema),
       output_schema_(output_schema),
       cluster_key_(input_schema.clustering_key()),
-      pending_(input_schema) {
+      pending_(input_schema),
+      state_(plan.group_by, plan.aggs, input_schema, output_schema) {
   CheckArg(!cluster_key_.empty(), "local aggregation needs a clustering key");
 }
 
@@ -69,11 +68,12 @@ void LocalAggNode::Finish() {
 
 void LocalAggNode::EmitComplete(const DataFrame& complete, double progress) {
   // Groups are complete (clustering-key order guarantees they never recur),
-  // so finalize exactly; output rows stay in clustering-key order.
-  GroupedAggState state(group_by_, aggs_, input_schema_, output_schema_);
-  state.Consume(complete);
+  // so finalize exactly; output rows stay in clustering-key order. The
+  // state then forgets them, keeping its allocations for the next batch.
+  state_.Consume(complete);
   Message msg;
-  msg.frame = std::make_shared<DataFrame>(state.Finalize(AggScaling{}).frame);
+  msg.frame = std::make_shared<DataFrame>(state_.Finalize(AggScaling{}).frame);
+  state_.Reset();
   msg.progress = progress;
   Emit(std::move(msg));
 }
@@ -91,10 +91,7 @@ ShuffleAggNode::ShuffleAggNode(const PlanNode& plan,
       options_(options),
       state_(plan.group_by, plan.aggs, input_schema, output_schema) {}
 
-size_t ShuffleAggNode::BufferedBytes() const {
-  // Rough: one accumulator set per group.
-  return state_.num_groups() * 128;
-}
+size_t ShuffleAggNode::BufferedBytes() const { return state_.ByteSize(); }
 
 void ShuffleAggNode::Process(size_t, const Message& msg) {
   if (msg.refresh) state_.Reset();

@@ -181,9 +181,11 @@ FilterNode::FilterNode(ExprPtr predicate, NodeOptions options)
 
 void FilterNode::Process(size_t, const Message& msg) {
   const DataFrame& in = *msg.frame;
-  // Selection-kernel filter: one popcount-sized selection vector drives
-  // both the frame gather and the variance gather.
-  std::vector<uint32_t> sel = Column::SelectionFrom(predicate_->Eval(in));
+  // Selection-kernel filter: the predicate's truth words give one
+  // popcount-sized selection vector, which drives both the frame gather
+  // and the variance gather.
+  std::vector<uint32_t> sel =
+      Column::SelectionFromTruth(predicate_->EvalTruth(in));
   Message result;
   result.frame = std::make_shared<DataFrame>(in.Take(sel));
   result.progress = msg.progress;

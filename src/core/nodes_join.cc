@@ -24,6 +24,7 @@ HashJoinNode::HashJoinNode(const PlanNode& plan, const Schema& left_schema,
 
 size_t HashJoinNode::BufferedBytes() const {
   size_t bytes = table_.ByteSize();
+  for (const auto& m : build_partials_) bytes += m.frame->ByteSize();
   for (const auto& m : pending_probe_) bytes += m.frame->ByteSize();
   return bytes;
 }
@@ -33,10 +34,11 @@ void HashJoinNode::Process(size_t port, const Message& msg) {
     // Build side. A refresh snapshot replaces all prior build content; the
     // final snapshot (at build EOF) is the one probes run against, which
     // realizes the paper's rule that joins on mutable attributes block
-    // until the attribute values are final (§3.3).
-    if (msg.refresh) table_.Reset();
+    // until the attribute values are final (§3.3). Probes wait for build
+    // EOF anyway, so the partials are held and indexed once, there.
+    if (msg.refresh) build_partials_.clear();
     WAKE_FAILPOINT("join.build");
-    table_.Insert(*msg.frame, msg.variances.get());
+    build_partials_.push_back(msg);
     return;
   }
   if (!build_done_) {
@@ -48,6 +50,16 @@ void HashJoinNode::Process(size_t port, const Message& msg) {
 
 void HashJoinNode::OnInputClosed(size_t port) {
   if (port != 1) return;
+  // One index sized for every build row: no rehash while it fills. Each
+  // partial is released once its rows are in the table.
+  size_t rows = 0;
+  for (const auto& m : build_partials_) rows += m.frame->num_rows();
+  table_.Reserve(rows);
+  for (auto& m : build_partials_) {
+    table_.Insert(*m.frame, m.variances.get());
+    m = Message{};
+  }
+  build_partials_.clear();
   build_done_ = true;
   for (auto& msg : pending_probe_) {
     if (stopped()) break;  // cancel can land mid-replay of pending probes

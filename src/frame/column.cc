@@ -520,29 +520,30 @@ void Column::HashIntoRange(uint64_t* hashes, size_t begin, size_t end) const {
   }
 }
 
-std::vector<uint32_t> Column::SelectionFrom(const Column& pred) {
-  CheckArg(IsIntPhysical(pred.type_), "selection from non-bool predicate");
+std::vector<uint64_t> Column::TruthWords(const Column& pred) {
+  CheckArg(IsIntPhysical(pred.type_), "truth value of a non-bool column");
   const size_t n = pred.size();
   const int64_t* v = pred.ints_.data();
-  const size_t nwords = ValidityBitmap::WordsFor(n);
-  // Truth words: bit i set when row i is valid AND non-zero. Values are
-  // packed first (autovectorizable compare loop), then the validity
-  // bitmap ANDs in one op per 64 rows.
-  std::vector<uint64_t> truth(nwords, 0);
-  for (size_t i = 0; i < n; ++i) {
-    truth[i >> 6] |= static_cast<uint64_t>(v[i] != 0) << (i & 63);
-  }
+  // Values pack first, then the validity bitmap ANDs in one op per 64
+  // rows (its padding bits are 1, so the zero tail stays zero).
+  std::vector<uint64_t> truth(ValidityBitmap::WordsFor(n));
+  PackBits(n, [v](size_t i) { return v[i] != 0; }, truth.data());
   if (!pred.valid_.empty()) {
     const uint64_t* mw = pred.valid_.words();
-    for (size_t w = 0; w < nwords; ++w) truth[w] &= mw[w];
+    for (size_t w = 0; w < truth.size(); ++w) truth[w] &= mw[w];
   }
+  return truth;
+}
+
+std::vector<uint32_t> Column::SelectionFromTruth(
+    const std::vector<uint64_t>& truth) {
   size_t count = 0;
   for (uint64_t w : truth) count += static_cast<size_t>(PopCount64(w));
   // Popcount-sized output, ctz iteration: one branchless emit per
   // selected row, skipping empty words entirely.
   std::vector<uint32_t> sel(count);
   size_t out = 0;
-  for (size_t w = 0; w < nwords; ++w) {
+  for (size_t w = 0; w < truth.size(); ++w) {
     uint64_t word = truth[w];
     const uint32_t base = static_cast<uint32_t>(w << 6);
     while (word != 0) {

@@ -175,10 +175,21 @@ class Column {
   /// k columns is counted k times (upper bound).
   size_t ByteSize() const;
 
-  /// Selection-vector filter: rows where `pred` is valid and non-zero
-  /// (bool/int64 storage). One truth-word pass + popcount sizes the
-  /// output, then ctz iteration emits indices — no per-row byte mask.
-  static std::vector<uint32_t> SelectionFrom(const Column& pred);
+  /// Truth words of `pred` (bool/int64 storage): bit i is set iff row i is
+  /// valid and non-zero; bits past the last row are zero (see PackBits).
+  static std::vector<uint64_t> TruthWords(const Column& pred);
+
+  /// Selection vector of truth words: the indices of the set bits in
+  /// ascending order. A popcount sizes the output, then ctz iteration
+  /// emits indices, skipping all-zero words.
+  static std::vector<uint32_t> SelectionFromTruth(
+      const std::vector<uint64_t>& truth);
+
+  /// Selection-vector filter: rows where `pred` is valid and non-zero,
+  /// i.e. SelectionFromTruth(TruthWords(pred)).
+  static std::vector<uint32_t> SelectionFrom(const Column& pred) {
+    return SelectionFromTruth(TruthWords(pred));
+  }
 
  private:
   void ExtendValidity() {

@@ -279,63 +279,64 @@ struct Scalar {
   T operator[](size_t) const { return v; }
 };
 
+// Truth words (see PackBits), one bit per row.
+using Truth = std::vector<uint64_t>;
+
+Truth AllFalse(size_t n) { return Truth(ValidityBitmap::WordsFor(n), 0); }
+
+// Packs `a[i] op b[i]` for every row i < n into truth words.
 template <typename A, typename B>
-void CompareLoop(CompareOp op, size_t n, A a, B b, int64_t* out) {
+void CompareBits(CompareOp op, size_t n, A a, B b, uint64_t* out) {
   switch (op) {
     case CompareOp::kEq:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] == b[i];
+      PackBits(n, [&](size_t i) { return a[i] == b[i]; }, out);
       break;
     case CompareOp::kNe:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] != b[i];
+      PackBits(n, [&](size_t i) { return a[i] != b[i]; }, out);
       break;
     case CompareOp::kLt:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] < b[i];
+      PackBits(n, [&](size_t i) { return a[i] < b[i]; }, out);
       break;
     case CompareOp::kLe:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] <= b[i];
+      PackBits(n, [&](size_t i) { return a[i] <= b[i]; }, out);
       break;
     case CompareOp::kGt:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] > b[i];
+      PackBits(n, [&](size_t i) { return a[i] > b[i]; }, out);
       break;
     case CompareOp::kGe:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] >= b[i];
+      PackBits(n, [&](size_t i) { return a[i] >= b[i]; }, out);
       break;
   }
 }
 
 // Compares every row of the numeric column `l` with `b` (Rows or Scalar).
-// Null slots hold defined 0/0.0 values, so computing them is safe.
+// Null slots hold defined 0/0.0 values, so computing them is safe; the
+// caller clears them with ClearNullRows.
 template <typename B>
-void CompareNumeric(CompareOp op, const Column& l, B b, int64_t* out) {
+void CompareNumeric(CompareOp op, const Column& l, B b, uint64_t* out) {
   if (IsIntPhysical(l.type())) {
-    CompareLoop(op, l.size(), Rows<int64_t>{l.ints().data()}, b, out);
+    CompareBits(op, l.size(), Rows<int64_t>{l.ints().data()}, b, out);
   } else {
-    CompareLoop(op, l.size(), Rows<double>{l.doubles().data()}, b, out);
+    CompareBits(op, l.size(), Rows<double>{l.doubles().data()}, b, out);
   }
 }
 
-// Zeroes the rows of `out` that either mask marks null (null compare ->
-// false). Either mask may be null; all-valid words skip their 64 rows in
-// one test.
-void ZeroNullRows(const uint64_t* lw, const uint64_t* rw, size_t n,
-                  int64_t* out) {
-  if (lw == nullptr && rw == nullptr) return;
-  const size_t nwords = ValidityBitmap::WordsFor(n);
-  for (size_t w = 0; w < nwords; ++w) {
-    uint64_t word = ~0ULL;
-    if (lw != nullptr) word &= lw[w];
-    if (rw != nullptr) word &= rw[w];
-    if (word == ~0ULL) continue;
-    const size_t base = w << 6;
-    const size_t lim = std::min(n, base + 64);
-    for (size_t i = base; i < lim; ++i) {
-      if (((word >> (i & 63)) & 1) == 0) out[i] = 0;
-    }
-  }
+// Clears the bits of the rows `c` marks null: one AND per 64 rows (the
+// mask's padding bits are 1, so bits past the last row stay zero).
+void ClearNullRows(const Column& c, Truth* t) {
+  if (!c.has_nulls()) return;
+  const uint64_t* mw = c.validity().words();
+  for (size_t w = 0; w < t->size(); ++w) (*t)[w] &= mw[w];
 }
 
-const uint64_t* NullWords(const Column& c) {
-  return c.has_nulls() ? c.validity().words() : nullptr;
+// Packs memo[code] per row of the dict column `c`. Null rows (code
+// kNullCode) read false; callers clear null rows anyway.
+void MemoBits(const Column& c, const std::vector<uint8_t>& memo,
+              uint64_t* out) {
+  const int32_t* codes = c.codes().data();
+  const uint8_t* m = memo.data();
+  PackBits(c.size(), [&](size_t i) { return codes[i] >= 0 && m[codes[i]]; },
+           out);
 }
 
 // Whether `op` holds for a three-way comparison result `c`.
@@ -351,47 +352,38 @@ bool Holds(CompareOp op, int c) {
   return false;
 }
 
-Column EvalCompare(CompareOp op, const Column& l, const Column& r) {
-  size_t n = l.size();
-  Column out(ValueType::kBool);
-  auto& v = *out.mutable_ints();
-  v.resize(n, 0);
-  // Numeric columns compare in tight typed loops over every row, then
-  // null rows are zeroed word-wise.
+// `l <op> r` row by row; a null operand row is false.
+Truth CompareTruth(CompareOp op, const Column& l, const Column& r) {
+  const size_t n = l.size();
+  Truth t = AllFalse(n);
   if (l.type() != ValueType::kString && r.type() != ValueType::kString) {
     if (IsIntPhysical(r.type())) {
-      CompareNumeric(op, l, Rows<int64_t>{r.ints().data()}, v.data());
+      CompareNumeric(op, l, Rows<int64_t>{r.ints().data()}, t.data());
     } else {
-      CompareNumeric(op, l, Rows<double>{r.doubles().data()}, v.data());
+      CompareNumeric(op, l, Rows<double>{r.doubles().data()}, t.data());
     }
-    ZeroNullRows(NullWords(l), NullWords(r), n, v.data());
-    return out;
+  } else {
+    PackBits(n, [&](size_t i) { return Holds(op, l.CompareRows(i, r, i)); },
+             t.data());
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (l.IsNull(i) || r.IsNull(i)) continue;  // null compare -> false
-    v[i] = Holds(op, l.CompareRows(i, r, i)) ? 1 : 0;
-  }
-  return out;
+  ClearNullRows(l, &t);
+  ClearNullRows(r, &t);
+  return t;
 }
 
-// `col <op> lit` without broadcasting the literal: every row equals
-// EvalCompare(op, col, BroadcastLiteral(lit, n)).
-Column EvalCompareScalar(CompareOp op, const Column& col, const Value& lit) {
-  size_t n = col.size();
-  Column out(ValueType::kBool);
-  auto& v = *out.mutable_ints();
-  v.resize(n, 0);
-  if (lit.is_null) return out;  // null compare -> false on every row
+// `col <op> lit` without broadcasting the literal: equals
+// CompareTruth(op, col, BroadcastLiteral(lit, n)).
+Truth CompareScalarTruth(CompareOp op, const Column& col, const Value& lit) {
+  const size_t n = col.size();
+  Truth t = AllFalse(n);
+  if (lit.is_null) return t;  // null compare -> false on every row
   if (col.type() != ValueType::kString) {
     if (IsIntPhysical(lit.type)) {
-      CompareNumeric(op, col, Scalar<int64_t>{lit.i}, v.data());
+      CompareNumeric(op, col, Scalar<int64_t>{lit.i}, t.data());
     } else {
-      CompareNumeric(op, col, Scalar<double>{lit.d}, v.data());
+      CompareNumeric(op, col, Scalar<double>{lit.d}, t.data());
     }
-    ZeroNullRows(NullWords(col), nullptr, n, v.data());
-    return out;
-  }
-  if (col.is_dict() && col.dict()->size() < n) {
+  } else if (col.is_dict() && col.dict()->size() < n) {
     // Compare each distinct entry once, then map codes through the memo
     // (the LIKE rule: only when the dict is smaller than the partial).
     const StringDict& dict = *col.dict();
@@ -399,31 +391,25 @@ Column EvalCompareScalar(CompareOp op, const Column& col, const Value& lit) {
     for (size_t k = 0; k < dict.size(); ++k) {
       holds[k] = Holds(op, dict.At(static_cast<int32_t>(k)).compare(lit.s));
     }
-    const auto& codes = col.codes();
-    for (size_t i = 0; i < n; ++i) {
-      if (col.IsValid(i)) v[i] = holds[codes[i]];
-    }
-    return out;
+    MemoBits(col, holds, t.data());
+  } else {
+    PackBits(
+        n, [&](size_t i) { return Holds(op, col.StringAt(i).compare(lit.s)); },
+        t.data());
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (col.IsValid(i)) v[i] = Holds(op, col.StringAt(i).compare(lit.s));
-  }
-  return out;
+  ClearNullRows(col, &t);
+  return t;
 }
 
-// Packs "valid && non-zero" per row of a bool column into 64-row truth
-// words: one autovectorizable packing pass, then logic ops combine whole
-// words instead of branching per row.
-void TruthWords(const Column& c, size_t n, std::vector<uint64_t>* out) {
-  out->assign(ValidityBitmap::WordsFor(n), 0);
-  const int64_t* v = c.ints().data();
+// The all-valid 0/1 bool column of truth words: Eval of a predicate.
+Column TruthColumn(const Truth& t, size_t n) {
+  Column out(ValueType::kBool);
+  auto& v = *out.mutable_ints();
+  v.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    (*out)[i >> 6] |= static_cast<uint64_t>(v[i] != 0) << (i & 63);
+    v[i] = static_cast<int64_t>((t[i >> 6] >> (i & 63)) & 1);
   }
-  if (c.has_nulls()) {
-    const uint64_t* mw = c.validity().words();
-    for (size_t w = 0; w < out->size(); ++w) (*out)[w] &= mw[w];
-  }
+  return out;
 }
 
 // Broadcasts a literal to a column of length n.
@@ -440,133 +426,44 @@ Column BroadcastLiteral(const Value& lit, size_t n) {
   return out;
 }
 
+// A child's value for reading: a bare column is borrowed from `df`, not
+// copied; anything else evaluates into `*owned`.
+const Column& Operand(const Expr& e, const DataFrame& df, Column* owned) {
+  if (e.kind() == ExprKind::kColumn) return df.ColumnByName(e.column_name());
+  *owned = e.Eval(df);
+  return *owned;
+}
+
 }  // namespace
 
 Column Expr::Eval(const DataFrame& df) const {
   size_t n = df.num_rows();
+  Column owned, owned_r;
   switch (kind_) {
     case ExprKind::kColumn:
       return df.ColumnByName(name_);
     case ExprKind::kLiteral:
       return BroadcastLiteral(literal_, n);
     case ExprKind::kArith:
-      return EvalArith(arith_op_, children_[0]->Eval(df),
-                       children_[1]->Eval(df));
-    case ExprKind::kCompare: {
-      // One literal operand compares as a scalar; a literal on the left
-      // mirrors the operator.
-      const Expr& l = *children_[0];
-      const Expr& r = *children_[1];
-      bool lit_l = l.kind_ == ExprKind::kLiteral;
-      bool lit_r = r.kind_ == ExprKind::kLiteral;
-      if (lit_r && !lit_l) {
-        return EvalCompareScalar(cmp_op_, l.Eval(df), r.literal_);
-      }
-      if (lit_l && !lit_r) {
-        return EvalCompareScalar(Mirror(cmp_op_), r.Eval(df), l.literal_);
-      }
-      return EvalCompare(cmp_op_, l.Eval(df), r.Eval(df));
-    }
-    case ExprKind::kLogic: {
-      Column l = children_[0]->Eval(df);
-      Column r = children_[1]->Eval(df);
-      Column out(ValueType::kBool);
-      auto& v = *out.mutable_ints();
-      v.resize(n);
-      // Truth-word combine: 64 rows per AND/OR.
-      std::vector<uint64_t> ta, tb;
-      TruthWords(l, n, &ta);
-      TruthWords(r, n, &tb);
-      if (logic_op_ == LogicOp::kAnd) {
-        for (size_t w = 0; w < ta.size(); ++w) ta[w] &= tb[w];
-      } else {
-        for (size_t w = 0; w < ta.size(); ++w) ta[w] |= tb[w];
-      }
-      for (size_t i = 0; i < n; ++i) {
-        v[i] = static_cast<int64_t>((ta[i >> 6] >> (i & 63)) & 1);
-      }
-      return out;
-    }
-    case ExprKind::kNot: {
-      Column c = children_[0]->Eval(df);
-      Column out(ValueType::kBool);
-      auto& v = *out.mutable_ints();
-      v.resize(n);
-      std::vector<uint64_t> t;
-      TruthWords(c, n, &t);
-      for (size_t i = 0; i < n; ++i) {
-        v[i] = static_cast<int64_t>(((t[i >> 6] >> (i & 63)) & 1) ^ 1);
-      }
-      return out;
-    }
-    case ExprKind::kLike: {
-      Column c = children_[0]->Eval(df);
-      CheckArg(c.type() == ValueType::kString, "LIKE over non-string");
-      Column out(ValueType::kBool);
-      auto& v = *out.mutable_ints();
-      v.resize(n, 0);
-      if (c.is_dict() && c.dict()->size() < n) {
-        // Match each distinct entry once, then map codes through the memo.
-        // Only profitable when the dict is smaller than the partial —
-        // small partials over a large shared dict stay row-wise.
-        const StringDict& dict = *c.dict();
-        std::vector<uint8_t> match(dict.size());
-        for (size_t k = 0; k < dict.size(); ++k) {
-          match[k] = LikeMatch(dict.At(static_cast<int32_t>(k)), pattern_);
-        }
-        const auto& codes = c.codes();
-        for (size_t i = 0; i < n; ++i) {
-          if (c.IsValid(i)) v[i] = match[codes[i]];
-        }
-        return out;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (c.IsValid(i)) v[i] = LikeMatch(c.StringAt(i), pattern_) ? 1 : 0;
-      }
-      return out;
-    }
-    case ExprKind::kInList: {
-      Column c = children_[0]->Eval(df);
-      Column out(ValueType::kBool);
-      auto& v = *out.mutable_ints();
-      v.resize(n, 0);
-      if (c.is_dict()) {
-        // Membership per distinct entry once, then map codes.
-        const StringDict& dict = *c.dict();
-        std::vector<uint8_t> member(dict.size(), 0);
-        for (const auto& cand : list_) {
-          if (cand.type != ValueType::kString || cand.is_null) continue;
-          int32_t code = dict.Find(cand.s);
-          if (code != StringDict::kNotFound) member[code] = 1;
-        }
-        const auto& codes = c.codes();
-        for (size_t i = 0; i < n; ++i) {
-          if (c.IsValid(i)) v[i] = member[codes[i]];
-        }
-        return out;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (c.IsNull(i)) continue;
-        Value row = c.GetValue(i);
-        for (const auto& cand : list_) {
-          if (row == cand) {
-            v[i] = 1;
-            break;
-          }
-        }
-      }
-      return out;
-    }
+      return EvalArith(arith_op_, Operand(*children_[0], df, &owned),
+                       Operand(*children_[1], df, &owned_r));
+    case ExprKind::kCompare:
+    case ExprKind::kLogic:
+    case ExprKind::kNot:
+    case ExprKind::kLike:
+    case ExprKind::kInList:
+    case ExprKind::kIsNull:
+      return TruthColumn(EvalTruth(df), n);
     case ExprKind::kCase: {
-      Column cond = children_[0]->Eval(df);
-      Column t = children_[1]->Eval(df);
-      Column f = children_[2]->Eval(df);
+      const Truth cond = children_[0]->EvalTruth(df);
+      const Column& t = Operand(*children_[1], df, &owned);
+      const Column& f = Operand(*children_[2], df, &owned_r);
       bool to_double = t.type() == ValueType::kFloat64 ||
                        f.type() == ValueType::kFloat64;
       Column out(to_double ? ValueType::kFloat64 : t.type());
       out.Reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        bool take_then = cond.IsValid(i) && cond.ints()[i] != 0;
+        const bool take_then = (cond[i >> 6] >> (i & 63)) & 1;
         const Column& src = take_then ? t : f;
         if (src.IsNull(i)) {
           out.AppendNull();
@@ -595,7 +492,7 @@ Column Expr::Eval(const DataFrame& df) const {
       return out;
     }
     case ExprKind::kSubstr: {
-      Column c = children_[0]->Eval(df);
+      const Column& c = Operand(*children_[0], df, &owned);
       CheckArg(c.type() == ValueType::kString, "SUBSTR over non-string");
       Column out(ValueType::kString);
       out.Reserve(n);
@@ -613,36 +510,121 @@ Column Expr::Eval(const DataFrame& df) const {
       return out;
     }
     case ExprKind::kYear: {
-      Column c = children_[0]->Eval(df);
+      const Column& c = Operand(*children_[0], df, &owned);
       Column out(ValueType::kInt64);
       auto& v = *out.mutable_ints();
       v.resize(n);
       for (size_t i = 0; i < n; ++i) v[i] = ExtractYear(c.ints()[i]);
       return out;
     }
-    case ExprKind::kIsNull: {
-      Column c = children_[0]->Eval(df);
-      Column out(ValueType::kBool);
-      auto& v = *out.mutable_ints();
-      v.resize(n, 0);
-      if (c.has_nulls()) {
-        // Complement of the validity bitmap, expanded word-by-word;
-        // all-valid words skip their 64 rows.
-        const uint64_t* mw = c.validity().words();
-        const size_t nwords = ValidityBitmap::WordsFor(n);
-        for (size_t w = 0; w < nwords; ++w) {
-          if (mw[w] == ~0ULL) continue;
-          const size_t base = w << 6;
-          const size_t lim = std::min(n, base + 64);
-          for (size_t i = base; i < lim; ++i) {
-            v[i] = static_cast<int64_t>(((mw[w] >> (i & 63)) & 1) ^ 1);
-          }
-        }
-      }
-      return out;
-    }
   }
   throw Error("unreachable expr kind");
+}
+
+std::vector<uint64_t> Expr::EvalTruth(const DataFrame& df) const {
+  const size_t n = df.num_rows();
+  Column owned, owned_r;
+  switch (kind_) {
+    case ExprKind::kCompare: {
+      // One literal operand compares as a scalar; a literal on the left
+      // mirrors the operator.
+      const Expr& l = *children_[0];
+      const Expr& r = *children_[1];
+      bool lit_l = l.kind_ == ExprKind::kLiteral;
+      bool lit_r = r.kind_ == ExprKind::kLiteral;
+      if (lit_r && !lit_l) {
+        return CompareScalarTruth(cmp_op_, Operand(l, df, &owned),
+                                  r.literal_);
+      }
+      if (lit_l && !lit_r) {
+        return CompareScalarTruth(Mirror(cmp_op_), Operand(r, df, &owned),
+                                  l.literal_);
+      }
+      return CompareTruth(cmp_op_, Operand(l, df, &owned),
+                          Operand(r, df, &owned_r));
+    }
+    case ExprKind::kLogic: {
+      // 64 rows per AND/OR.
+      Truth t = children_[0]->EvalTruth(df);
+      const Truth u = children_[1]->EvalTruth(df);
+      if (logic_op_ == LogicOp::kAnd) {
+        for (size_t w = 0; w < t.size(); ++w) t[w] &= u[w];
+      } else {
+        for (size_t w = 0; w < t.size(); ++w) t[w] |= u[w];
+      }
+      return t;
+    }
+    case ExprKind::kNot: {
+      // A null operand row is false, so its complement is true.
+      Truth t = children_[0]->EvalTruth(df);
+      for (uint64_t& w : t) w = ~w;
+      if ((n & 63) != 0) t.back() &= (1ULL << (n & 63)) - 1;
+      return t;
+    }
+    case ExprKind::kLike: {
+      const Column& c = Operand(*children_[0], df, &owned);
+      CheckArg(c.type() == ValueType::kString, "LIKE over non-string");
+      Truth t = AllFalse(n);
+      if (c.is_dict() && c.dict()->size() < n) {
+        // Match each distinct entry once, then map codes through the memo.
+        // Only profitable when the dict is smaller than the partial —
+        // small partials over a large shared dict stay row-wise.
+        const StringDict& dict = *c.dict();
+        std::vector<uint8_t> match(dict.size());
+        for (size_t k = 0; k < dict.size(); ++k) {
+          match[k] = LikeMatch(dict.At(static_cast<int32_t>(k)), pattern_);
+        }
+        MemoBits(c, match, t.data());
+      } else {
+        PackBits(
+            n, [&](size_t i) { return LikeMatch(c.StringAt(i), pattern_); },
+            t.data());
+      }
+      ClearNullRows(c, &t);
+      return t;
+    }
+    case ExprKind::kInList: {
+      const Column& c = Operand(*children_[0], df, &owned);
+      Truth t = AllFalse(n);
+      if (c.is_dict()) {
+        // Membership per distinct entry once, then map codes.
+        const StringDict& dict = *c.dict();
+        std::vector<uint8_t> member(dict.size(), 0);
+        for (const auto& cand : list_) {
+          if (cand.type != ValueType::kString || cand.is_null) continue;
+          int32_t code = dict.Find(cand.s);
+          if (code != StringDict::kNotFound) member[code] = 1;
+        }
+        MemoBits(c, member, t.data());
+        ClearNullRows(c, &t);
+        return t;
+      }
+      // A row is in the list iff it equals some candidate as a Value: a
+      // string only a string, a number any number (int/double promote).
+      const bool is_string = c.type() == ValueType::kString;
+      for (const auto& cand : list_) {
+        if ((cand.type == ValueType::kString) != is_string) continue;
+        const Truth eq = CompareScalarTruth(CompareOp::kEq, c, cand);
+        for (size_t w = 0; w < t.size(); ++w) t[w] |= eq[w];
+      }
+      return t;
+    }
+    case ExprKind::kIsNull: {
+      // Complement of the validity words; their padding bits are 1, so
+      // bits past the last row come out zero.
+      const Column& c = Operand(*children_[0], df, &owned);
+      Truth t = AllFalse(n);
+      if (c.has_nulls()) {
+        const uint64_t* mw = c.validity().words();
+        for (size_t w = 0; w < t.size(); ++w) t[w] = ~mw[w];
+      }
+      return t;
+    }
+    case ExprKind::kColumn:
+      return Column::TruthWords(df.ColumnByName(name_));
+    default:
+      return Column::TruthWords(Eval(df));
+  }
 }
 
 void Expr::EvalWithVariance(
@@ -694,7 +676,7 @@ void Expr::EvalWithVariance(
     }
     case ExprKind::kCase: {
       // Differentiable in the branches; the condition is a switch.
-      Column cond = children_[0]->Eval(df);
+      const Truth cond = children_[0]->EvalTruth(df);
       Column tv, fv;
       std::vector<double> tvar, fvar;
       children_[1]->EvalWithVariance(df, var_of, &tv, &tvar);
@@ -702,7 +684,7 @@ void Expr::EvalWithVariance(
       *out_value = Eval(df);
       out_var->resize(n);
       for (size_t i = 0; i < n; ++i) {
-        bool take_then = cond.IsValid(i) && cond.ints()[i] != 0;
+        const bool take_then = (cond[i >> 6] >> (i & 63)) & 1;
         (*out_var)[i] = take_then ? tvar[i] : fvar[i];
       }
       return;

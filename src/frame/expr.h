@@ -7,9 +7,10 @@
 // of uncertainty", §6 of the paper), which the CI machinery uses for map
 // expressions over mutable attributes.
 //
-// Null semantics: arithmetic/comparison propagate null; logical AND/OR treat
-// null as false (sufficient for TPC-H, where nulls arise only from left
-// joins and are consumed via Coalesce / count).
+// Null semantics: arithmetic propagates null; a comparison, LIKE or IN over
+// a null row is false; logical AND/OR/NOT treat null as false, so NOT over
+// a null row is true (sufficient for TPC-H, where nulls arise only from
+// left joins and are consumed via Coalesce / count).
 #ifndef WAKE_FRAME_EXPR_H_
 #define WAKE_FRAME_EXPR_H_
 
@@ -105,7 +106,16 @@ class Expr {
   ValueType ResultType(const Schema& schema) const;
 
   /// Vectorized evaluation; returns a column of df.num_rows() values.
+  /// A predicate (comparison, AND/OR/NOT, LIKE, IN, IS NULL) yields the
+  /// all-valid 0/1 bool column of its EvalTruth words.
   Column Eval(const DataFrame& df) const;
+
+  /// Truth words (see PackBits): bit i is set iff row i of Eval(df) is
+  /// valid and non-zero; bits past the last row are zero. Predicates
+  /// evaluate straight into words, and filters select from them, so no
+  /// per-row value column materializes. Any other expression packs its
+  /// Eval column.
+  std::vector<uint64_t> EvalTruth(const DataFrame& df) const;
 
   /// Evaluation with first-order variance propagation. `var_of` maps column
   /// names to per-row variance vectors (columns absent from the map are

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,43 @@ namespace wake {
 #if defined(_MSC_VER)
 #include <intrin.h>
 #endif
+
+// PackBits loads eight 0/1 bytes as one little-endian word.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "truth-word packing assumes a little-endian host");
+
+/// Packs `pred(i)` for rows [0, n) into truth words, bit i of out[i >> 6]
+/// at position (i & 63) like the validity words; bits past n are zero.
+/// `out` holds ValidityBitmap::WordsFor(n) words. Each 64-row block
+/// writes its booleans to a byte array (a loop the compiler vectorizes)
+/// and gathers them into a register word, eight bytes per multiply: with
+/// every byte 0 or 1 the partial products never carry into each other.
+/// Each word is stored once.
+template <typename Pred>
+void PackBits(size_t n, Pred pred, uint64_t* out) {
+  uint8_t b[64];
+  auto pack = [&b] {
+    uint64_t word = 0;
+    for (size_t k = 0; k < 8; ++k) {
+      uint64_t x;
+      std::memcpy(&x, b + 8 * k, sizeof(x));
+      word |= ((x * 0x0102040810204080ULL) >> 56) << (8 * k);
+    }
+    return word;
+  };
+  const size_t full = n >> 6;
+  for (size_t w = 0; w < full; ++w) {
+    const size_t base = w << 6;
+    for (size_t j = 0; j < 64; ++j) b[j] = pred(base + j) ? 1 : 0;
+    out[w] = pack();
+  }
+  const size_t base = full << 6;
+  if (base < n) {
+    std::memset(b, 0, sizeof(b));
+    for (size_t j = 0; base + j < n; ++j) b[j] = pred(base + j) ? 1 : 0;
+    out[full] = pack();
+  }
+}
 
 inline int PopCount64(uint64_t x) {
 #if defined(_MSC_VER)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace wake {
@@ -93,6 +94,35 @@ TEST(FlatHashIndexTest, ReservePresizesCapacity) {
   EXPECT_GE(cap * 7, 10000u * 8 / 2);  // power-of-two ≥ load-factor bound
   for (uint32_t i = 0; i < 10000; ++i) idx.Insert(i, i);
   EXPECT_EQ(idx.capacity(), cap);  // no rehash needed after Reserve
+}
+
+TEST(FlatHashIndexTest, BatchInsertBuildsTheSameChainsAsSingleInserts) {
+  // Repeated hashes (chains of 9 or 10) interleaved with unique ones,
+  // inserted in batches that cross several growth steps, including a
+  // batch of one and a batch starting mid-table.
+  std::vector<uint64_t> hashes;
+  for (uint32_t i = 0; i < 20000; ++i) {
+    hashes.push_back(i % 3 == 0 ? (i % 701) * 0x9e3779b1ULL
+                                : static_cast<uint64_t>(i) << 20);
+  }
+  FlatHashIndex one, batch;
+  for (uint32_t i = 0; i < hashes.size(); ++i) one.Insert(hashes[i], i);
+  const size_t cuts[] = {0, 1, 2, 17, 40, 1000, 1001, 9000, 20000};
+  for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
+    batch.InsertBatch(hashes.data() + cuts[c], cuts[c + 1] - cuts[c],
+                      static_cast<uint32_t>(cuts[c]));
+  }
+  EXPECT_EQ(batch.num_chains(), one.num_chains());
+  EXPECT_EQ(batch.capacity(), one.capacity());
+  for (uint64_t h : hashes) ASSERT_EQ(Chain(batch, h), Chain(one, h));
+
+  // Reserved up front: the same chains, and no growth.
+  FlatHashIndex reserved;
+  reserved.Reserve(hashes.size());
+  const size_t cap = reserved.capacity();
+  reserved.InsertBatch(hashes.data(), hashes.size(), 0);
+  EXPECT_EQ(reserved.capacity(), cap);
+  for (uint64_t h : hashes) ASSERT_EQ(Chain(reserved, h), Chain(one, h));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.h"
 #include "plan/props.h"
 
@@ -396,6 +400,96 @@ TEST(GroupedAggStateTest, NullDictKeysFormTheirOwnGroup) {
   EXPECT_EQ(out.ColumnByName("n").IntAt(0), 2);  // "x"
   EXPECT_TRUE(out.ColumnByName("name").IsNull(1));
   EXPECT_EQ(out.ColumnByName("n").IntAt(1), 1);  // null group
+}
+
+// COUNT(DISTINCT v) per group g over float64 values, in group order.
+std::vector<int64_t> DistinctPerGroup(const std::vector<int64_t>& g,
+                                      const std::vector<double>& v) {
+  Schema schema({{"g", ValueType::kInt64}, {"v", ValueType::kFloat64}});
+  std::vector<AggSpec> aggs = {CountDistinct("v", "d")};
+  GroupedAggState state({"g"}, aggs, schema,
+                        AggOutputSchema(schema, {"g"}, aggs));
+  DataFrame df(schema);
+  *df.mutable_column(0) = Column::FromInts(g);
+  *df.mutable_column(1) = Column::FromDoubles(v);
+  state.Consume(df);
+  DataFrame out = state.Finalize(AggScaling{}).frame;
+  std::vector<int64_t> d;
+  for (size_t r = 0; r < out.num_rows(); ++r) {
+    d.push_back(out.ColumnByName("d").IntAt(r));
+  }
+  return d;
+}
+
+TEST(CountDistinctTest, EqualStringsCountOnceAcrossDictsAndEncodings) {
+  auto state = MakeState({"g"}, {CountDistinct("name", "d")});
+  DataFrame p1 = MakeInput({1, 1, 1}, {0, 0, 0}, {"x", "y", "x"});
+  *p1.mutable_column(2) = p1.column(2).EncodeDict();
+  DataFrame p2 = MakeInput({1, 1}, {0, 0}, {"y", "z"});
+  *p2.mutable_column(2) = p2.column(2).EncodeDict();
+  ASSERT_NE(p1.column(2).dict().get(), p2.column(2).dict().get());
+  DataFrame p3 = MakeInput({1, 1, 1}, {0, 0, 0}, {"z", "w", "x"});  // plain
+  DataFrame p4 = p1;  // shares p1's dict: codes compare
+  state.Consume(p1);
+  state.Consume(p2);
+  state.Consume(p3);
+  state.Consume(p4);
+  EXPECT_EQ(state.Finalize(AggScaling{}).frame.ColumnByName("d").IntAt(0),
+            4);  // x, y, z, w
+
+  // Plain first, then dict: the same count.
+  auto plain_first = MakeState({"g"}, {CountDistinct("name", "d")});
+  plain_first.Consume(p3);
+  plain_first.Consume(p1);
+  plain_first.Consume(p2);
+  EXPECT_EQ(
+      plain_first.Finalize(AggScaling{}).frame.ColumnByName("d").IntAt(0), 4);
+}
+
+TEST(CountDistinctTest, DoublesCompareByBitPattern) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = std::nan("1");
+  uint64_t a, b;
+  std::memcpy(&a, &nan, sizeof(a));
+  std::memcpy(&b, &other_nan, sizeof(b));
+  ASSERT_NE(a, b);
+  // 0.0 and -0.0 are two values; two NaNs with equal bits are one, and a
+  // NaN with another payload is a third.
+  EXPECT_EQ(DistinctPerGroup({1, 1, 1, 1, 1, 1, 1},
+                             {0.0, -0.0, nan, nan, 1.0, 1.0, -0.0}),
+            (std::vector<int64_t>{4}));
+  EXPECT_EQ(DistinctPerGroup({1, 1, 1}, {nan, other_nan, nan}),
+            (std::vector<int64_t>{2}));
+}
+
+TEST(CountDistinctTest, NullsSkippedAndGroupsCountedApart) {
+  Schema schema({{"g", ValueType::kInt64}, {"v", ValueType::kDate}});
+  std::vector<AggSpec> aggs = {CountDistinct("v", "d")};
+  GroupedAggState state({"g"}, aggs, schema,
+                        AggOutputSchema(schema, {"g"}, aggs));
+  DataFrame df(schema);
+  *df.mutable_column(0) = Column::FromInts({1, 1, 2, 1, 3, 2});
+  *df.mutable_column(1) =
+      Column::FromInts({5, 0, 5, 5, 0, 6}, ValueType::kDate);
+  df.mutable_column(1)->SetNull(1);
+  df.mutable_column(1)->SetNull(4);
+  state.Consume(df);
+  DataFrame out = state.Finalize(AggScaling{}).frame;
+  ASSERT_EQ(out.num_rows(), 3u);
+  EXPECT_EQ(out.ColumnByName("d").IntAt(0), 1);  // {5}, a null skipped
+  EXPECT_EQ(out.ColumnByName("d").IntAt(1), 2);  // {5, 6}: 5 again
+  EXPECT_EQ(out.ColumnByName("d").IntAt(2), 0);  // only a null
+}
+
+TEST(CountDistinctTest, ResetForgetsEveryEntry) {
+  auto state = MakeState({"g"}, {CountDistinct("name", "d")});
+  state.Consume(MakeInput({1, 1}, {0, 0}, {"a", "b"}));
+  state.Reset();
+  // Group 7 gets the id group 1 had, and the same values.
+  state.Consume(MakeInput({7, 7}, {0, 0}, {"a", "b"}));
+  DataFrame out = state.Finalize(AggScaling{}).frame;
+  ASSERT_EQ(out.num_rows(), 1u);
+  EXPECT_EQ(out.ColumnByName("d").IntAt(0), 2);
 }
 
 }  // namespace

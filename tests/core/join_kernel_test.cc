@@ -119,20 +119,6 @@ TEST(JoinHashTableTest, CrossJoinMultiRowBuildThrows) {
       table.Probe(Left({1}, {1}), {}, JoinType::kCross, out_schema), Error);
 }
 
-TEST(JoinHashTableTest, ResetDropsBuildRows) {
-  JoinHashTable table(RightSchema(), {"rk"});
-  table.Insert(Right({1}, {"a"}));
-  table.Reset();
-  EXPECT_EQ(table.num_rows(), 0u);
-  table.Insert(Right({2}, {"b"}));
-  Schema out_schema = JoinOutputSchema(LeftSchema(), RightSchema(), {"rk"},
-                                       JoinType::kInner);
-  DataFrame out = table.Probe(Left({1, 2}, {1, 2}), {"lk"},
-                              JoinType::kInner, out_schema);
-  ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.ColumnByName("lk").IntAt(0), 2);  // old build row is gone
-}
-
 TEST(JoinHashTableTest, VarianceGatherThroughJoin) {
   JoinHashTable table(RightSchema(), {"rk"});
   VarianceMap right_vars{{"rv", {0.0}}};  // present but exact

@@ -4,6 +4,7 @@
 
 #include "baseline/exact_engine.h"
 #include "core/engine.h"
+#include "plan/props.h"
 
 namespace wake {
 namespace {
@@ -102,6 +103,49 @@ TEST(LocalAggNodeTest, AppendsCompleteGroupsOnly) {
         final_frame.Slice(0, state.num_rows()), 1e-12, &diff))
         << diff;
   }
+}
+
+TEST(LocalAggNodeTest, CountDistinctStartsEachBatchEmpty) {
+  // Partitions {1, 1}, {2, 2}, {3, 3}: key 1's rows complete when key 2
+  // arrives, so the node finalizes a batch of key 1, then one of keys 2
+  // and 3, all with values {a, b}. Key 2 takes the group id key 1 had and
+  // must count its own values, not find key 1's.
+  Schema schema({{"key", ValueType::kInt64}, {"val", ValueType::kString}});
+  schema.set_clustering_key({"key"});
+  DataFrame df(schema);
+  *df.mutable_column(0) = Column::FromInts({1, 1, 2, 2, 3, 3});
+  *df.mutable_column(1) =
+      Column::DictFromStrings({"a", "b", "a", "b", "b", "a"});
+  Catalog cat;
+  cat.Add(std::make_shared<PartitionedTable>(
+      PartitionedTable::FromDataFrame("t", df, 3)));
+  Plan plan =
+      Plan::Scan("t").Aggregate({"key"}, {CountDistinct("val", "d")});
+  // An append-mode aggregate runs as a LocalAggNode.
+  ASSERT_EQ(InferProps(plan.node(), cat).mode, EvolveMode::kAppend);
+  WakeEngine engine(&cat);
+  DataFrame out = engine.ExecuteFinal(plan.node());
+  ASSERT_EQ(out.num_rows(), 3u);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(out.ColumnByName("key").IntAt(r), static_cast<int64_t>(r + 1));
+    EXPECT_EQ(out.ColumnByName("d").IntAt(r), 2) << "key " << r + 1;
+  }
+}
+
+TEST(ShuffleAggNodeTest, BufferedBytesCountDistinctValues) {
+  // One group fed n distinct values holds at least 8 bytes per value, and
+  // more as n grows.
+  auto buffered = [](size_t n) {
+    Catalog cat = SyntheticCatalog(n, 4);
+    WakeEngine engine(&cat);
+    engine.ExecuteFinal(
+        Plan::Scan("fact").Aggregate({}, {CountDistinct("key", "d")}).node());
+    return engine.buffered_bytes();
+  };
+  const size_t small = buffered(1000), large = buffered(4000);
+  EXPECT_GE(small, 8u * 1000);
+  EXPECT_GE(large, 8u * 4000);
+  EXPECT_GT(large, small);
 }
 
 TEST(ShuffleAggNodeTest, EstimatesConvergeToExact) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/strings.h"
 
 namespace wake {
 namespace {
@@ -158,6 +159,207 @@ TEST(ExprTest, LiteralComparisonsMatchTheBroadcastColumn) {
                        : col.type() == ValueType::kFloat64 ? double_lits
                                                            : int_lits;
     for (const Value& lit : lits) ExpectLiteralCompareMatchesColumn(col, lit);
+  }
+}
+
+// Row-wise reference semantics of a predicate, over Values: a null
+// operand makes a comparison, LIKE or IN false; AND/OR/NOT read null as
+// false; numbers compare promoted to double only when one side is a
+// double.
+Value RefValue(const Expr& e, const DataFrame& df, size_t row) {
+  if (e.kind() == ExprKind::kLiteral) return e.literal();
+  if (e.kind() == ExprKind::kColumn) {
+    return df.ColumnByName(e.column_name()).GetValue(row);
+  }
+  return e.Eval(df).GetValue(row);
+}
+
+bool RefTruth(const Expr& e, const DataFrame& df, size_t row) {
+  const auto& ch = e.children();
+  switch (e.kind()) {
+    case ExprKind::kCompare: {
+      const Value a = RefValue(*ch[0], df, row);
+      const Value b = RefValue(*ch[1], df, row);
+      if (a.is_null || b.is_null) return false;
+      int c;
+      if (a.type == ValueType::kString) {
+        c = a.s.compare(b.s);
+      } else if (a.type == ValueType::kFloat64 ||
+                 b.type == ValueType::kFloat64) {
+        const double x = a.AsDouble(), y = b.AsDouble();
+        switch (e.cmp_op()) {
+          case CompareOp::kEq: return x == y;
+          case CompareOp::kNe: return x != y;
+          default: c = x < y ? -1 : (x > y ? 1 : 0);
+        }
+      } else {
+        c = a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
+      }
+      switch (e.cmp_op()) {
+        case CompareOp::kEq: return c == 0;
+        case CompareOp::kNe: return c != 0;
+        case CompareOp::kLt: return c < 0;
+        case CompareOp::kLe: return c <= 0;
+        case CompareOp::kGt: return c > 0;
+        case CompareOp::kGe: return c >= 0;
+      }
+      return false;
+    }
+    case ExprKind::kLogic:
+      return e.logic_op() == LogicOp::kAnd
+                 ? RefTruth(*ch[0], df, row) && RefTruth(*ch[1], df, row)
+                 : RefTruth(*ch[0], df, row) || RefTruth(*ch[1], df, row);
+    case ExprKind::kNot:
+      return !RefTruth(*ch[0], df, row);
+    case ExprKind::kLike: {
+      const Value v = RefValue(*ch[0], df, row);
+      return !v.is_null && LikeMatch(v.s, e.like_pattern());
+    }
+    case ExprKind::kInList: {
+      const Value v = RefValue(*ch[0], df, row);
+      if (v.is_null) return false;
+      for (const Value& cand : e.in_list()) {
+        if (v == cand) return true;
+      }
+      return false;
+    }
+    case ExprKind::kIsNull:
+      return RefValue(*ch[0], df, row).is_null;
+    default: {
+      const Value v = RefValue(e, df, row);
+      return !v.is_null && v.i != 0;
+    }
+  }
+}
+
+// Frame of n rows for the truth-word tests: numbers, dates, plain and
+// dict strings (a 5-entry dictionary, and one of 5000 entries, larger
+// than every frame here), and a bool, each with nulls.
+DataFrame TruthFrame(size_t n) {
+  static const auto big = [] {
+    auto d = std::make_shared<StringDict>();
+    for (int e = 0; e < 5000; ++e) d->Intern("e" + std::to_string(e));
+    return d;
+  }();
+  const char* fruit[] = {"apple", "banana", "cherry", "b", ""};
+  std::vector<int64_t> i, j, d, b;
+  std::vector<double> f;
+  std::vector<std::string> s;
+  std::vector<int32_t> codes;
+  for (size_t r = 0; r < n; ++r) {
+    const auto x = static_cast<int64_t>((r * 7) % 11) - 5;
+    i.push_back(x);
+    j.push_back(static_cast<int64_t>((r * 3) % 7) - 3);
+    d.push_back(DateToDays(1995, 1, 1) + x);
+    f.push_back(0.5 * static_cast<double>((r * 5) % 9) - 1.0);
+    s.push_back(fruit[(r * 3) % 5]);
+    codes.push_back(static_cast<int32_t>((r * 13) % 5000));
+    b.push_back(static_cast<int64_t>(r % 3));
+  }
+  DataFrame df(Schema({{"i", ValueType::kInt64},
+                       {"j", ValueType::kInt64},
+                       {"d", ValueType::kDate},
+                       {"f", ValueType::kFloat64},
+                       {"s", ValueType::kString},
+                       {"ds", ValueType::kString},
+                       {"big", ValueType::kString},
+                       {"b", ValueType::kBool}}));
+  *df.mutable_column(0) = Column::FromInts(i);
+  *df.mutable_column(1) = Column::FromInts(j);
+  *df.mutable_column(2) = Column::FromInts(d, ValueType::kDate);
+  *df.mutable_column(3) = Column::FromDoubles(f);
+  *df.mutable_column(4) = Column::FromStrings(s);
+  *df.mutable_column(5) = Column::DictFromStrings(s);
+  *df.mutable_column(6) = Column::DictFromCodes(big, codes);
+  *df.mutable_column(7) = Column::FromInts(b, ValueType::kBool);
+  for (size_t c = 0; c < df.num_columns(); ++c) {
+    for (size_t r = c % 4; r < n; r += 4 + c) df.mutable_column(c)->SetNull(r);
+  }
+  return df;
+}
+
+std::vector<ExprPtr> TruthPredicates() {
+  const auto i = Expr::Col("i"), j = Expr::Col("j"), d = Expr::Col("d"),
+             f = Expr::Col("f"), s = Expr::Col("s"), ds = Expr::Col("ds"),
+             big = Expr::Col("big"), b = Expr::Col("b");
+  const int64_t day = DateToDays(1995, 1, 1);
+  std::vector<ExprPtr> atoms;
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    for (const auto& [col, lit] : std::vector<std::pair<ExprPtr, ExprPtr>>{
+             {i, Expr::Int(1)},
+             {i, Expr::Float(0.5)},
+             {i, Expr::Float(-2.0)},
+             {f, Expr::Int(0)},
+             {f, Expr::Float(1.5)},
+             {d, Expr::Lit(Value::Date(day))},
+             {d, Expr::Int(day - 2)},
+             {i, Expr::Lit(Value::Null(ValueType::kInt64))},
+             {f, Expr::Lit(Value::Null(ValueType::kFloat64))},
+             {s, Expr::Str("b")},
+             {ds, Expr::Str("banana")},
+             {big, Expr::Str("e17")},
+             {ds, Expr::Lit(Value::Null(ValueType::kString))}}) {
+      atoms.push_back(Expr::Cmp(op, col, lit));
+      atoms.push_back(Expr::Cmp(op, lit, col));
+    }
+    for (const auto& [l, r] : std::vector<std::pair<ExprPtr, ExprPtr>>{
+             {i, j}, {i, f}, {f, j}, {d, d}, {s, ds}, {ds, big},
+             {i + Expr::Int(1), j}}) {
+      atoms.push_back(Expr::Cmp(op, l, r));
+    }
+  }
+  atoms.push_back(Expr::Like(s, "b%"));
+  atoms.push_back(Expr::Like(ds, "%an%"));
+  atoms.push_back(Expr::Like(big, "e1%"));
+  atoms.push_back(Expr::In(ds, {Value::Str("apple"), Value::Str("zzz"),
+                                Value::Str(""), Value::Int(1)}));
+  atoms.push_back(Expr::In(big, {Value::Str("e13"), Value::Str("e26")}));
+  atoms.push_back(Expr::In(s, {Value::Str("b"), Value::Str("cherry"),
+                               Value::Null(ValueType::kString)}));
+  atoms.push_back(Expr::In(i, {Value::Int(1), Value::Float(-2.0),
+                               Value::Float(0.5), Value::Str("1"),
+                               Value::Null(ValueType::kInt64)}));
+  atoms.push_back(Expr::In(f, {Value::Int(0), Value::Float(1.5)}));
+  atoms.push_back(Expr::In(d, {Value::Date(day), Value::Int(day + 3)}));
+  for (const auto& c : {i, f, d, s, ds, big, b}) {
+    atoms.push_back(Expr::IsNull(c));
+    atoms.push_back(Expr::Not(Expr::IsNull(c)));
+  }
+  atoms.push_back(b);
+  atoms.push_back(Expr::Not(b));
+  atoms.push_back(Expr::Case(Gt(i, j), b, Expr::Int(1)));
+  // AND/OR/NOT nested three deep over the atoms above.
+  std::vector<ExprPtr> preds = atoms;
+  for (size_t k = 0; k + 4 < atoms.size(); k += 3) {
+    preds.push_back(Expr::And(
+        Expr::Or(atoms[k], Expr::Not(atoms[k + 1])),
+        Expr::Not(Expr::And(atoms[k + 2],
+                            Expr::Or(atoms[k + 3], atoms[k + 4])))));
+  }
+  return preds;
+}
+
+TEST(ExprTest, TruthWordsEqualTheBoolColumn) {
+  const std::vector<ExprPtr> preds = TruthPredicates();
+  for (size_t n : {1, 63, 64, 65, 4100}) {
+    const DataFrame df = TruthFrame(n);
+    for (const ExprPtr& p : preds) {
+      const std::string what = p->ToString() + " over " + std::to_string(n);
+      const std::vector<uint64_t> t = p->EvalTruth(df);
+      ASSERT_EQ(t.size(), ValidityBitmap::WordsFor(n)) << what;
+      if (n % 64 != 0) {
+        EXPECT_EQ(t.back() >> (n % 64), 0u) << what << ": bits past the end";
+      }
+      const Column c = p->Eval(df);
+      ASSERT_EQ(c.size(), n) << what;
+      for (size_t r = 0; r < n; ++r) {
+        const bool bit = (t[r >> 6] >> (r & 63)) & 1;
+        ASSERT_EQ(bit, c.IsValid(r) && c.ints()[r] != 0)
+            << what << " row " << r;
+        ASSERT_EQ(bit, RefTruth(*p, df, r)) << what << " row " << r;
+      }
+    }
   }
 }
 
