@@ -182,7 +182,7 @@ BENCHMARK(BM_ChannelThroughput);
 // ---------------------------------------------------------------------------
 // One-line JSON mode (`micro_ops --json`): times the hot kernels —
 // join_build, join_probe, group_by, count_distinct — on a fixed workload,
-// with int keys and string keys (plain vs dict-encoded), and prints a
+// with int keys and string keys (codes into a shared dict), and prints a
 // single JSON object (the BENCH_micro_ops.json format) so the perf
 // trajectory of these kernels can be tracked across PRs.
 // ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ double BestMrowsPerSec(size_t rows_per_run, const std::function<void()>& fn) {
   return static_cast<double>(rows_per_run) / best_sec / 1e6;
 }
 
-// Dict-encoded pool of `keys` distinct "Customer#%09d"-style strings
+// String column of `keys` distinct "Customer#%09d"-style strings
 // (18 chars — heap-allocated under libstdc++ SSO, like real TPC-H
 // name/phone columns).
 Column MakeStringPool(int64_t keys) {
@@ -210,12 +210,11 @@ Column MakeStringPool(int64_t keys) {
     pool[static_cast<size_t>(k)] =
         StrFormat("Customer#%09lld", static_cast<long long>(k));
   }
-  return Column::DictFromStrings(pool);
+  return Column::FromStrings(pool);
 }
 
 // Key column of `rows` random draws from the pool. Every column gathered
-// from one pool shares its dict, mirroring partials of one source table;
-// callers DecodeDict() for the plain-encoding baseline.
+// from one pool shares its dict, mirroring partials of one source table.
 Column MakeStringKeys(const Column& pool, size_t rows, uint64_t seed) {
   Rng rng(seed);
   std::vector<uint32_t> idx(rows);
@@ -233,8 +232,8 @@ struct KernelRates {
   double count_distinct = 0.0;
 };
 
-// Times the kernels over the given key columns (int, plain string, or
-// dict string — the kernels are encoding-agnostic). count_distinct is
+// Times the kernels over the given key columns (int or string keys — the
+// kernels are type-agnostic). count_distinct is
 // COUNT(DISTINCT v) per group over the group_by input, whose v values are
 // all distinct: every row inserts one (group, value) entry.
 KernelRates MeasureKernels(size_t rows, Column build_keys, Column probe_keys,
@@ -506,16 +505,12 @@ int RunMicroJson() {
                                     agg_in.column(0));
 
   // String keys: same draw distributions; build and probe gather from one
-  // pool (shared dict, as partials of one source table), plain baseline
-  // via DecodeDict.
+  // pool (shared dict, as partials of one source table).
   Column join_pool = MakeStringPool(kJoinKeys);
   Column group_pool = MakeStringPool(kGroups);
   Column build_sk = MakeStringKeys(join_pool, kRows, 3);
   Column probe_sk = MakeStringKeys(join_pool, kRows, 5);
   Column group_sk = MakeStringKeys(group_pool, kRows, 7);
-  KernelRates plain =
-      MeasureKernels(kRows, build_sk.DecodeDict(), probe_sk.DecodeDict(),
-                     group_sk.DecodeDict());
   KernelRates dict = MeasureKernels(kRows, build_sk, probe_sk, group_sk);
 
   // Morsel-parallel probe (int keys) at 1/2/4 workers. On hosts with
@@ -544,10 +539,6 @@ int RunMicroJson() {
       "{\"bench\":\"micro_ops\",\"rows\":%zu,\"host_cores\":%u,"
       "\"join_build_mrows_per_s\":%.2f,\"join_probe_mrows_per_s\":%.2f,"
       "\"group_by_mrows_per_s\":%.2f,\"count_distinct_mrows_per_s\":%.2f,"
-      "\"join_build_str_plain_mrows_per_s\":%.2f,"
-      "\"join_probe_str_plain_mrows_per_s\":%.2f,"
-      "\"group_by_str_plain_mrows_per_s\":%.2f,"
-      "\"count_distinct_str_plain_mrows_per_s\":%.2f,"
       "\"join_build_str_dict_mrows_per_s\":%.2f,"
       "\"join_probe_str_dict_mrows_per_s\":%.2f,"
       "\"group_by_str_dict_mrows_per_s\":%.2f,"
@@ -566,10 +557,9 @@ int RunMicroJson() {
       "\"ingest_append_mrows_per_s\":%.2f,"
       "\"ingest_standing_mrows_per_s\":%.2f}\n",
       kRows, std::thread::hardware_concurrency(), ints.join_build,
-      ints.join_probe, ints.group_by, ints.count_distinct, plain.join_build,
-      plain.join_probe, plain.group_by, plain.count_distinct,
-      dict.join_build, dict.join_probe, dict.group_by, dict.count_distinct,
-      probe_w1, probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
+      ints.join_probe, ints.group_by, ints.count_distinct, dict.join_build,
+      dict.join_probe, dict.group_by, dict.count_distinct, probe_w1,
+      probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
       ef.null_hash_scalar, ef.null_hash, scan.scan_full, scan.scan_pruned,
       scan.scan_columnar, scan.scan_columnar_skip, ingest.ingest_append,
       ingest.ingest_standing);

@@ -93,20 +93,29 @@ struct Subscription::Impl {
       return last;
     }
 
-    // Assemble the delta [watermark, end_row) in global row order. Whole
-    // tablets go through the filtered materialize (block skipping); a
-    // tablet straddling the watermark is materialized unfiltered so row
-    // offsets stay addressable, then sliced. The residual Filter in
-    // pre_ops removes non-matching rows either way.
+    // Assemble the delta [watermark, end_row) in global row order, chunk
+    // by chunk. Chunks wholly below the watermark are skipped; chunks at or
+    // past it are read through the scan filter (block skipping); the one
+    // chunk the watermark falls in is read unfiltered so row offsets stay
+    // addressable, then sliced. The residual Filter in pre_ops removes
+    // non-matching rows either way.
     DataFrame delta = EmptyScanFrame();
     for (const auto& t : snap.tablets) {
       if (t.start_row + t.rows <= watermark) continue;
-      if (t.start_row >= watermark) {
-        delta.Append(t.table->Materialize(scan->columns, scan->scan_filter));
-      } else {
-        DataFrame full = t.table->Materialize(scan->columns, nullptr);
-        delta.Append(full.Slice(static_cast<size_t>(watermark - t.start_row),
-                                full.num_rows()));
+      uint64_t chunk_start = t.start_row;
+      for (size_t i = 0; i < t.table->num_chunks(); ++i) {
+        const uint64_t begin = chunk_start;
+        chunk_start += t.table->chunk_rows(i);
+        if (chunk_start <= watermark) continue;
+        if (begin >= watermark) {
+          DataFramePtr chunk =
+              t.table->ReadChunk(i, scan->columns, scan->scan_filter);
+          if (chunk != nullptr) delta.Append(*chunk);
+        } else {
+          DataFramePtr chunk = t.table->ReadChunk(i, scan->columns);
+          delta.Append(chunk->Slice(static_cast<size_t>(watermark - begin),
+                                    chunk->num_rows()));
+        }
       }
     }
     watermark = snap.end_row;

@@ -1,9 +1,9 @@
 // Shared scalar hash primitives.
 //
-// Every row-key hash in the engine is built from these two functions, so
-// any two physical encodings of the same logical value (e.g. a plain
-// string column and a dictionary-encoded one) produce identical hashes
-// and can probe each other's hash indexes.
+// Every row-key hash in the engine is built from these two functions. A
+// string's hash depends only on its bytes, never on the dictionary that
+// holds it, so equal strings hash equally across dicts and columns over
+// different dicts can probe each other's hash indexes.
 #ifndef WAKE_COMMON_HASH_H_
 #define WAKE_COMMON_HASH_H_
 
@@ -31,12 +31,6 @@ inline uint64_t FnvHash64(const void* data, size_t len) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-/// FNV-1a over bytes mixed with `seed` — the canonical string-value row
-/// hash (== MixHash(seed, FnvHash64(data, len))).
-inline uint64_t HashBytes(const void* data, size_t len, uint64_t seed) {
-  return MixHash(seed, FnvHash64(data, len));
 }
 
 }  // namespace wake

@@ -1,11 +1,11 @@
-// StringDict: an append-only interned string pool backing dictionary-
-// encoded string columns.
+// StringDict: an append-only interned string pool backing every string
+// column (a string column stores one code per row into a dict).
 //
 // Each distinct string is stored once and addressed by a dense int32 code
 // (its insertion index). Alongside every entry the pool keeps the entry's
-// seed-free FNV-1a hash, so hashing a dict-encoded row is one array load +
-// one MixHash instead of a byte loop — and produces exactly the same row
-// hash as the plain-string path (see common/hash.h).
+// seed-free FNV-1a hash, so hashing a row is one array load + one MixHash
+// instead of a byte loop. The hash depends only on the bytes, so equal
+// strings hash equally across dicts (see common/hash.h).
 //
 // Sharing contract: dicts are shared between columns via shared_ptr
 // (slices, gathers, and appends of same-dict columns just alias the

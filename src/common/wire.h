@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -134,10 +135,12 @@ class WireReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
-  std::string Str() {
+  std::string Str() { return std::string(StrView()); }
+  /// Str() as a view into the borrowed buffer (valid while it lives).
+  std::string_view StrView() {
     uint32_t n = U32();
     Require(n, "string body");
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
   }

@@ -82,7 +82,8 @@ uint32_t GroupedAggState::FindOrCreateGroup(
   }
   uint32_t gid = static_cast<uint32_t>(group_rows_.size());
   for (size_t i = 0; i < key_cols.size(); ++i) {
-    // AppendFrom keeps dict-encoded keys as codes (no string materializes).
+    // AppendFrom keeps same-dict string keys as codes (no string
+    // materializes).
     group_keys_.mutable_column(i)->AppendFrom(partial.column(key_cols[i]),
                                               row);
   }
@@ -172,16 +173,16 @@ void GroupedAggState::Consume(const DataFrame& partial,
       AppendAccums();
     }
   } else {
-    // Adopt dict encodings before constructing the comparator, so even the
-    // first partial verifies candidates by code compare.
+    // Adopt string keys' dicts before constructing the comparator, so even
+    // the first partial verifies candidates by code compare.
     for (size_t k = 0; k < key_cols.size(); ++k) {
-      const Column& src = partial.column(key_cols[k]);
-      if (src.is_dict()) group_keys_.mutable_column(k)->AdoptDict(src.dict());
+      group_keys_.mutable_column(k)->AdoptDict(
+          partial.column(key_cols[k]).dict());
     }
     const Column& kc = partial.column(key_cols[0]);
-    if (key_cols.size() == 1 && kc.is_dict() &&
+    if (key_cols.size() == 1 && kc.type() == ValueType::kString &&
         group_keys_.column(0).dict().get() == kc.dict().get()) {
-      // Dict group key sharing the stored keys' dict: group ids resolve
+      // A string group key sharing the stored keys' dict: group ids resolve
       // through the dense code table — no hashing at all.
       AssignGroupsByCode(partial, key_cols, kc, gids.data(), n);
     } else {
@@ -284,8 +285,7 @@ void GroupedAggState::ConsumeDistinct(const Column& col, const uint32_t* gids,
   enum class Mode { kInt, kBits, kCode, kString };
   Mode mode = Mode::kInt;
   if (col.type() == ValueType::kString) {
-    mode = col.is_dict() && values.dict() == col.dict() ? Mode::kCode
-                                                        : Mode::kString;
+    mode = values.dict() == col.dict() ? Mode::kCode : Mode::kString;
   } else if (col.type() == ValueType::kFloat64) {
     mode = Mode::kBits;
   }

@@ -138,7 +138,7 @@ class GroupedAggState {
                              const std::vector<size_t>& key_cols, size_t row,
                              const KeyEq& eq);
 
-  /// Single dict-encoded group key sharing the stored keys' dict: assigns
+  /// Single string group key sharing the stored keys' dict: assigns
   /// group ids through the dense code→gid table (one array load per row,
   /// no hashing). Misses fall back to FindOrCreateGroup and are memoized.
   void AssignGroupsByCode(const DataFrame& partial,

@@ -101,9 +101,9 @@ Column TranslateProbeCodes(const Column& probe, const StringDict* build_dict,
                                std::move(valid));
 }
 
-// Shapes `dst` to hold `n` rows gathered from `src` (same type and
-// encoding), with a writable all-valid mask when the gather can produce
-// nulls. Parallel gather tasks then write disjoint row ranges.
+// Shapes `dst` to hold `n` rows gathered from `src` (same type; strings
+// share `src`'s dict), with a writable all-valid mask when the gather can
+// produce nulls. Parallel gather tasks then write disjoint row ranges.
 void ShapeGatherDst(const Column& src, size_t n, bool may_null, Column* dst) {
   *dst = Column(src.type());
   switch (src.type()) {
@@ -111,12 +111,8 @@ void ShapeGatherDst(const Column& src, size_t n, bool may_null, Column* dst) {
       dst->mutable_doubles()->resize(n);
       break;
     case ValueType::kString:
-      if (src.is_dict()) {
-        dst->AdoptDict(src.dict());
-        dst->mutable_codes()->resize(n);
-      } else {
-        dst->mutable_strings()->resize(n);
-      }
+      dst->AdoptDict(src.dict());
+      dst->mutable_codes()->resize(n);
       break;
     default:
       dst->mutable_ints()->resize(n);
@@ -138,17 +134,12 @@ void GatherRows(const Column& src, const uint32_t* idx,
       for (size_t i = begin; i < end; ++i) d[i] = s[idx[i]];
       break;
     }
-    case ValueType::kString:
-      if (src.is_dict()) {
-        const int32_t* s = src.codes().data();
-        int32_t* d = dst->mutable_codes()->data();
-        for (size_t i = begin; i < end; ++i) d[i] = s[idx[i]];
-      } else {
-        const std::vector<std::string>& s = src.strings();
-        std::vector<std::string>& d = *dst->mutable_strings();
-        for (size_t i = begin; i < end; ++i) d[i] = s[idx[i]];
-      }
+    case ValueType::kString: {
+      const int32_t* s = src.codes().data();
+      int32_t* d = dst->mutable_codes()->data();
+      for (size_t i = begin; i < end; ++i) d[i] = s[idx[i]];
       break;
+    }
     default: {
       const int64_t* s = src.ints().data();
       int64_t* d = dst->mutable_ints()->data();

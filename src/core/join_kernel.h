@@ -87,7 +87,7 @@ class JoinHashTable {
   // collisions between distinct keys never merge.
   FlatHashIndex index_;
   // Process-unique instance id plus a version bumped by Insert;
-  // probes keyed on a single dict-encoded string column use the pair to
+  // probes keyed on a single string column use the pair to
   // validate their thread-local code→chain-head cache. The id (not the
   // address, which allocators recycle) prevents a later table from
   // replaying a destroyed table's cached chain heads.

@@ -26,22 +26,10 @@ Column Column::FromDoubles(std::vector<double> data) {
   return c;
 }
 
-Column Column::FromStrings(std::vector<std::string> data) {
+Column Column::FromStrings(const std::vector<std::string>& data) {
   Column c(ValueType::kString);
-  c.strings_ = std::move(data);
-  return c;
-}
-
-Column Column::NewDict() {
-  Column c(ValueType::kString);
-  c.dict_ = std::make_shared<StringDict>();
-  return c;
-}
-
-Column Column::DictFromStrings(const std::vector<std::string>& data) {
-  Column c = NewDict();
-  c.codes_.reserve(data.size());
-  for (const auto& s : data) c.codes_.push_back(c.dict_->Intern(s));
+  c.Reserve(data.size());
+  for (const auto& s : data) c.AppendString(s);
   return c;
 }
 
@@ -55,32 +43,12 @@ Column Column::DictFromCodes(StringDictPtr dict, std::vector<int32_t> codes,
   return c;
 }
 
-Column Column::DecodeDict() const {
-  if (dict_ == nullptr) return *this;
-  Column out(ValueType::kString);
-  out.strings_.reserve(codes_.size());
-  for (size_t i = 0; i < codes_.size(); ++i) {
-    out.strings_.push_back(codes_[i] < 0 ? std::string()
-                                         : dict_->At(codes_[i]));
-  }
-  out.valid_ = valid_;
-  return out;
-}
-
-Column Column::EncodeDict() const {
-  CheckArg(type_ == ValueType::kString, "EncodeDict over non-string");
-  if (dict_ != nullptr) return *this;
-  Column out = NewDict();
-  out.codes_.reserve(strings_.size());
-  for (size_t i = 0; i < strings_.size(); ++i) {
-    out.codes_.push_back(IsNull(i) ? kNullCode : out.dict_->Intern(strings_[i]));
-  }
-  out.valid_ = valid_;
-  return out;
-}
-
 StringDict* Column::MutableDict() {
-  if (dict_.use_count() > 1) dict_ = std::make_shared<StringDict>(*dict_);
+  if (dict_ == nullptr) {
+    dict_ = std::make_shared<StringDict>();
+  } else if (dict_.use_count() > 1) {
+    dict_ = std::make_shared<StringDict>(*dict_);
+  }
   return dict_.get();
 }
 
@@ -89,7 +57,7 @@ size_t Column::size() const {
     case ValueType::kFloat64:
       return doubles_.size();
     case ValueType::kString:
-      return dict_ != nullptr ? codes_.size() : strings_.size();
+      return codes_.size();
     default:
       return ints_.size();
   }
@@ -98,7 +66,7 @@ size_t Column::size() const {
 void Column::SetNull(size_t i) {
   if (valid_.empty()) valid_.AssignAllValid(size());
   valid_.SetNull(i);
-  if (dict_ != nullptr) codes_[i] = kNullCode;
+  if (type_ == ValueType::kString) codes_[i] = kNullCode;
 }
 
 void Column::CompactValidity() {
@@ -144,30 +112,24 @@ void Column::AppendValue(const Value& v) {
   }
 }
 
-void Column::AppendString(std::string x) {
-  if (dict_ != nullptr) {
-    codes_.push_back(MutableDict()->Intern(x));
-  } else {
-    strings_.push_back(std::move(x));
-  }
+void Column::AppendString(std::string_view x) {
+  codes_.push_back(MutableDict()->Intern(x));
   ExtendValidity();
 }
 
 void Column::AppendFrom(const Column& src, size_t i) {
+  AdoptDict(src.dict_);
   if (src.IsNull(i)) {
     AppendNull();
     return;
   }
   if (type_ == ValueType::kString) {
-    if (src.dict_ != nullptr) {
-      if (dict_ == nullptr && size() == 0) dict_ = src.dict_;
-      if (dict_ == src.dict_) {
-        codes_.push_back(src.codes_[i]);
-        ExtendValidity();
-        return;
-      }
+    if (dict_ == src.dict_) {
+      codes_.push_back(src.codes_[i]);
+      ExtendValidity();
+    } else {
+      AppendString(src.StringAt(i));
     }
-    AppendString(src.StringAt(i));
     return;
   }
   AppendValue(src.GetValue(i));
@@ -180,11 +142,9 @@ void Column::AppendNull() {
       doubles_.push_back(0.0);
       break;
     case ValueType::kString:
-      if (dict_ != nullptr) {
-        codes_.push_back(kNullCode);
-      } else {
-        strings_.emplace_back();
-      }
+      // A null never interns, so a shared dict stays shared.
+      if (dict_ == nullptr) dict_ = std::make_shared<StringDict>();
+      codes_.push_back(kNullCode);
       break;
     default:
       ints_.push_back(0);
@@ -199,11 +159,7 @@ void Column::Reserve(size_t n) {
       doubles_.reserve(n);
       break;
     case ValueType::kString:
-      if (dict_ != nullptr) {
-        codes_.reserve(n);
-      } else {
-        strings_.reserve(n);
-      }
+      codes_.reserve(n);
       break;
     default:
       ints_.reserve(n);
@@ -214,7 +170,6 @@ void Column::Reserve(size_t n) {
 void Column::Clear() {
   ints_.clear();
   doubles_.clear();
-  strings_.clear();
   codes_.clear();
   valid_.Clear();
 }
@@ -229,15 +184,10 @@ Column Column::Take(const std::vector<uint32_t>& indices) const {
       for (size_t i = 0; i < n; ++i) out.doubles_[i] = doubles_[indices[i]];
       break;
     case ValueType::kString:
-      if (dict_ != nullptr) {
-        // Codes gather; the dict is shared, so no string is copied.
-        out.dict_ = dict_;
-        out.codes_.resize(n);
-        for (size_t i = 0; i < n; ++i) out.codes_[i] = codes_[indices[i]];
-      } else {
-        out.strings_.resize(n);
-        for (size_t i = 0; i < n; ++i) out.strings_[i] = strings_[indices[i]];
-      }
+      // Codes gather; the dict is shared, so no string is copied.
+      out.dict_ = dict_;
+      out.codes_.resize(n);
+      for (size_t i = 0; i < n; ++i) out.codes_[i] = codes_[indices[i]];
       break;
     default:
       out.ints_.resize(n);
@@ -268,15 +218,9 @@ Column Column::FilterBy(const std::vector<uint8_t>& mask) const {
       }
       break;
     case ValueType::kString:
-      if (dict_ != nullptr) {
-        out.dict_ = dict_;
-        for (size_t i = 0; i < mask.size(); ++i) {
-          if (mask[i]) out.codes_.push_back(codes_[i]);
-        }
-      } else {
-        for (size_t i = 0; i < mask.size(); ++i) {
-          if (mask[i]) out.strings_.push_back(strings_[i]);
-        }
+      out.dict_ = dict_;
+      for (size_t i = 0; i < mask.size(); ++i) {
+        if (mask[i]) out.codes_.push_back(codes_[i]);
       }
       break;
     default:
@@ -297,11 +241,9 @@ Column Column::FilterBy(const std::vector<uint8_t>& mask) const {
 void Column::AppendColumn(const Column& other) {
   CheckArg(type_ == other.type_, "append type mismatch");
   size_t old_size = size();
-  if (old_size == 0 && dict_ == nullptr && other.dict_ != nullptr) {
-    dict_ = other.dict_;  // empty destination adopts the encoding
-  }
+  AdoptDict(other.dict_);  // an empty destination adopts other's dict
   // Nothing to append: in particular, a shared dictionary must not be
-  // copied for a mismatched encoding that brings no rows.
+  // copied for a different dict that brings no rows.
   if (other.size() == 0) return;
   // Decide before appending: an empty mask on an empty column must still
   // pick up the appended column's nulls.
@@ -312,38 +254,19 @@ void Column::AppendColumn(const Column& other) {
                       other.doubles_.end());
       break;
     case ValueType::kString: {
-      if (dict_ == nullptr && other.dict_ == nullptr) {
-        strings_.insert(strings_.end(), other.strings_.begin(),
-                        other.strings_.end());
-      } else if (dict_ != nullptr && dict_ == other.dict_) {
+      if (dict_ == other.dict_) {
         codes_.insert(codes_.end(), other.codes_.begin(), other.codes_.end());
-      } else if (dict_ != nullptr && other.dict_ != nullptr) {
-        // Cross-dict append: remap each distinct entry once, then gather.
-        StringDict* d = MutableDict();
-        std::vector<int32_t> remap(other.dict_->size());
-        for (size_t c = 0; c < remap.size(); ++c) {
-          remap[c] = d->Intern(other.dict_->At(static_cast<int32_t>(c)));
-        }
-        codes_.reserve(codes_.size() + other.codes_.size());
-        for (int32_t code : other.codes_) {
-          codes_.push_back(code < 0 ? kNullCode : remap[code]);
-        }
-      } else if (dict_ != nullptr) {
-        // Plain rows into a dict column: intern row by row.
-        StringDict* d = MutableDict();
-        codes_.reserve(codes_.size() + other.strings_.size());
-        for (size_t i = 0; i < other.strings_.size(); ++i) {
-          codes_.push_back(other.IsNull(i) ? kNullCode
-                                           : d->Intern(other.strings_[i]));
-        }
-      } else {
-        // Dict rows into a non-empty plain column: decode.
-        strings_.reserve(strings_.size() + other.codes_.size());
-        for (size_t i = 0; i < other.codes_.size(); ++i) {
-          strings_.push_back(other.codes_[i] < 0
-                                 ? std::string()
-                                 : other.dict_->At(other.codes_[i]));
-        }
+        break;
+      }
+      // Cross-dict append: remap each distinct entry once, then gather.
+      StringDict* d = MutableDict();
+      std::vector<int32_t> remap(other.dict_->size());
+      for (size_t c = 0; c < remap.size(); ++c) {
+        remap[c] = d->Intern(other.dict_->At(static_cast<int32_t>(c)));
+      }
+      codes_.reserve(codes_.size() + other.codes_.size());
+      for (int32_t code : other.codes_) {
+        codes_.push_back(code < 0 ? kNullCode : remap[code]);
       }
       break;
     }
@@ -368,12 +291,8 @@ Column Column::Slice(size_t begin, size_t end) const {
       out.doubles_.assign(doubles_.begin() + begin, doubles_.begin() + end);
       break;
     case ValueType::kString:
-      if (dict_ != nullptr) {
-        out.dict_ = dict_;
-        out.codes_.assign(codes_.begin() + begin, codes_.begin() + end);
-      } else {
-        out.strings_.assign(strings_.begin() + begin, strings_.begin() + end);
-      }
+      out.dict_ = dict_;
+      out.codes_.assign(codes_.begin() + begin, codes_.begin() + end);
       break;
     default:
       out.ints_.assign(ints_.begin() + begin, ints_.begin() + end);
@@ -392,8 +311,7 @@ int Column::CompareRows(size_t i, const Column& other, size_t j) const {
   if (type_ == ValueType::kString) {
     // Shared-dict equality is a code compare; codes are unordered (the
     // dict is insertion-ordered), so inequality still compares bytes.
-    if (dict_ != nullptr && dict_ == other.dict_ &&
-        codes_[i] == other.codes_[j]) {
+    if (dict_ == other.dict_ && codes_[i] == other.codes_[j]) {
       return 0;
     }
     int c = StringAt(i).compare(other.StringAt(j));
@@ -413,8 +331,7 @@ uint64_t Column::HashRow(size_t i, uint64_t seed) const {
   if (IsNull(i)) return MixHash(seed, kNullHashPayload);
   switch (type_) {
     case ValueType::kString:
-      if (dict_ != nullptr) return MixHash(seed, dict_->HashAt(codes_[i]));
-      return HashBytes(strings_[i].data(), strings_[i].size(), seed);
+      return MixHash(seed, dict_->HashAt(codes_[i]));
     case ValueType::kFloat64: {
       double d = doubles_[i];
       if (d == 0.0) d = 0.0;  // normalize -0.0
@@ -460,34 +377,24 @@ inline void HashWordWise(const ValidityBitmap& valid, uint64_t* hashes,
 }  // namespace
 
 void Column::HashIntoRange(uint64_t* hashes, size_t begin, size_t end) const {
+  // An empty string column may have no dict yet.
+  if (begin == end) return;
   switch (type_) {
-    case ValueType::kString:
-      if (dict_ != nullptr) {
-        // One pre-hash load + mix per row; no byte loop.
-        const int32_t* cp = codes_.data();
-        const uint64_t* ph = dict_->hash_data();
-        if (valid_.empty()) {
-          for (size_t i = begin; i < end; ++i) {
-            hashes[i - begin] = MixHash(hashes[i - begin], ph[cp[i]]);
-          }
-        } else {
-          HashWordWise(valid_, hashes, begin, end, [&](size_t i, uint64_t h) {
-            return MixHash(h, ph[cp[i]]);
-          });
-        }
-        break;
-      }
+    case ValueType::kString: {
+      // One pre-hash load + mix per row; no byte loop.
+      const int32_t* cp = codes_.data();
+      const uint64_t* ph = dict_->hash_data();
       if (valid_.empty()) {
         for (size_t i = begin; i < end; ++i) {
-          hashes[i - begin] = HashBytes(strings_[i].data(), strings_[i].size(),
-                                        hashes[i - begin]);
+          hashes[i - begin] = MixHash(hashes[i - begin], ph[cp[i]]);
         }
       } else {
         HashWordWise(valid_, hashes, begin, end, [&](size_t i, uint64_t h) {
-          return HashBytes(strings_[i].data(), strings_[i].size(), h);
+          return MixHash(h, ph[cp[i]]);
         });
       }
       break;
+    }
     case ValueType::kFloat64: {
       const auto hash_double = [&](size_t i, uint64_t h) {
         double d = doubles_[i];
@@ -559,15 +466,6 @@ size_t Column::ByteSize() const {
                  doubles_.capacity() * sizeof(double) +
                  codes_.capacity() * sizeof(int32_t) + valid_.CapacityBytes();
   if (dict_ != nullptr) bytes += dict_->ByteSize();
-  // Short strings live in the SSO buffer inside sizeof(std::string);
-  // only capacities beyond it allocate separately on the heap. Dict
-  // columns hold no per-row strings — payload bytes live in the pool,
-  // counted once via dict_->ByteSize() above.
-  static const size_t kInlineCapacity = std::string().capacity();
-  bytes += strings_.capacity() * sizeof(std::string);
-  for (const auto& s : strings_) {
-    if (s.capacity() > kInlineCapacity) bytes += s.capacity();
-  }
   return bytes;
 }
 

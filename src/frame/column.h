@@ -1,17 +1,15 @@
 // Column: typed, nullable, contiguous vector of values.
 //
 // Physical storage is selected by the logical type; kDate and kBool share
-// int64 storage. String columns have two physical encodings behind one
-// API:
-//   - plain: one std::string per row (strings_), and
-//   - dict:  one int32 code per row (codes_) into a shared, append-only
-//     StringDict (common/string_dict.h) holding each distinct string once
-//     alongside its pre-computed hash.
-// Sources (the tbl and wakeblock readers, dbgen) build dict columns, so
+// int64 storage. String columns have one encoding: one int32 code per row
+// (codes_) into a shared, append-only StringDict (common/string_dict.h)
+// holding each distinct string once alongside its pre-computed hash. So
 // the join and aggregation hot paths hash, compare, and gather dense codes
-// instead of whole strings; plain columns remain for small derived results
-// (SUBSTR output, literal broadcasts) and the two encodings hash
-// identically, so they can always probe each other.
+// instead of whole strings. A string column has a dict from its first row
+// on: the first append adopts the source's dict or starts a fresh one, and
+// producers of new strings (wire decode, SUBSTR, literals) intern. Equal
+// strings hash equally across dicts, so columns over different dicts can
+// always probe each other.
 //
 // The null mask is a bit-packed ValidityBitmap (frame/validity.h), one
 // bit per row, allocated lazily — an empty bitmap means all rows are
@@ -23,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,7 +34,7 @@ namespace wake {
 /// A single column of a DataFrame.
 class Column {
  public:
-  /// Code stored for rows appended as null into dict columns (never
+  /// Code stored for rows appended as null into string columns (never
   /// dereferenced; the validity mask is checked first).
   static constexpr int32_t kNullCode = -1;
 
@@ -46,13 +45,8 @@ class Column {
   static Column FromInts(std::vector<int64_t> data,
                          ValueType type = ValueType::kInt64);
   static Column FromDoubles(std::vector<double> data);
-  static Column FromStrings(std::vector<std::string> data);
-
-  /// Empty dict-encoded string column with a fresh private dict; appends
-  /// intern into it. This is how sources start their string columns.
-  static Column NewDict();
-  /// Dict-encoded column holding `data` (convenience for tests/benches).
-  static Column DictFromStrings(const std::vector<std::string>& data);
+  /// String column holding `data`, interned into a fresh dict.
+  static Column FromStrings(const std::vector<std::string>& data);
 
   ValueType type() const { return type_; }
   void set_type(ValueType t) { type_ = t; }
@@ -61,30 +55,25 @@ class Column {
   /// --- typed access (caller must respect the type) ---
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
-  /// Plain-encoded rows only; empty for dict columns (use StringAt).
-  const std::vector<std::string>& strings() const { return strings_; }
   std::vector<int64_t>* mutable_ints() { return &ints_; }
   std::vector<double>* mutable_doubles() { return &doubles_; }
-  std::vector<std::string>* mutable_strings() { return &strings_; }
 
-  /// --- dict encoding ---
+  /// --- string rows: codes into dict() ---
+  /// False only for non-string columns and for empty string columns that
+  /// have not been given a dict yet.
   bool is_dict() const { return dict_ != nullptr; }
   const std::vector<int32_t>& codes() const { return codes_; }
   std::vector<int32_t>* mutable_codes() { return &codes_; }
   const StringDictPtr& dict() const { return dict_; }
-  /// Dict-encoded column over an existing (shared) dict: row i holds
+  /// String column over an existing (shared) dict: row i holds
   /// `codes[i]` (kNullCode rows must be masked via `valid`). Used by the
   /// probe-side dict unification of cross-dict string joins and by
   /// parallel gathers that assemble codes off-column.
   static Column DictFromCodes(StringDictPtr dict, std::vector<int32_t> codes,
                               ValidityBitmap valid = {});
-  /// Plain-encoded copy (identity copy for non-dict columns).
-  Column DecodeDict() const;
-  /// Dict-encoded copy with a fresh dict (identity copy for dict columns).
-  Column EncodeDict() const;
-  /// If this is an empty plain string column, switches it to dict encoding
-  /// sharing `dict` (no-op otherwise). Accumulating consumers call this
-  /// before their first append so comparators see codes from row one.
+  /// If this is an empty string column without a dict, shares `dict`
+  /// (no-op otherwise). Accumulating consumers call this before their
+  /// first append so comparators see codes from row one.
   void AdoptDict(const StringDictPtr& dict) {
     if (type_ == ValueType::kString && dict_ == nullptr && size() == 0) {
       dict_ = dict;
@@ -96,10 +85,8 @@ class Column {
     return IsIntPhysical(type_) ? static_cast<double>(ints_[i]) : doubles_[i];
   }
   int64_t IntAt(size_t i) const { return ints_[i]; }
-  /// String value of row i under either encoding (empty for null rows of
-  /// dict columns).
+  /// String value of row i (empty for rows holding kNullCode).
   const std::string& StringAt(size_t i) const {
-    if (dict_ == nullptr) return strings_[i];
     int32_t code = codes_[i];
     return code < 0 ? kEmptyString : dict_->At(code);
   }
@@ -127,10 +114,10 @@ class Column {
   void AppendNull();
   void AppendInt(int64_t x) { ints_.push_back(x); ExtendValidity(); }
   void AppendDouble(double x) { doubles_.push_back(x); ExtendValidity(); }
-  void AppendString(std::string x);
-  /// Appends row `i` of `src` (same logical type), preserving dict
-  /// encoding when possible: an empty plain string column adopts `src`'s
-  /// dict, same-dict appends copy the code, and cross-dict appends intern.
+  void AppendString(std::string_view x);
+  /// Appends row `i` of `src` (same logical type). For strings, an empty
+  /// column without a dict adopts `src`'s dict, same-dict appends copy the
+  /// code, and cross-dict appends intern.
   void AppendFrom(const Column& src, size_t i);
 
   void Reserve(size_t n);
@@ -143,9 +130,9 @@ class Column {
   Column FilterBy(const std::vector<uint8_t>& mask) const;
 
   /// Appends all rows of `other` (must have same type). Dict handling: an
-  /// empty plain destination adopts `other`'s dict; same-dict appends
-  /// concatenate codes; cross-dict/cross-encoding appends remap through
-  /// this column's dict (copy-on-write if the dict is shared).
+  /// empty destination without a dict adopts `other`'s dict; same-dict
+  /// appends concatenate codes; cross-dict appends remap through this
+  /// column's dict (copy-on-write if the dict is shared).
   void AppendColumn(const Column& other);
 
   /// New column of rows [begin, end).
@@ -155,8 +142,8 @@ class Column {
   int CompareRows(size_t i, const Column& other, size_t j) const;
 
   /// 64-bit hash of row i mixed into `seed` (used for join/group keys).
-  /// Identical across string encodings: dict rows mix the entry's
-  /// pre-computed FNV hash, plain rows hash the bytes.
+  /// String rows mix their dict entry's pre-computed FNV hash, so equal
+  /// strings hash equally across dicts.
   uint64_t HashRow(size_t i, uint64_t seed) const;
 
   /// Column-at-a-time hashing: mixes row i's hash into hashes[i] for the
@@ -171,8 +158,8 @@ class Column {
   void HashIntoRange(uint64_t* hashes, size_t begin, size_t end) const;
 
   /// Approximate heap footprint in bytes (peak-memory accounting, §8.2).
-  /// Dict columns count their codes plus the dict pool; a dict shared by
-  /// k columns is counted k times (upper bound).
+  /// String columns count their codes plus the dict pool; a dict shared
+  /// by k columns is counted k times (upper bound).
   size_t ByteSize() const;
 
   /// Truth words of `pred` (bool/int64 storage): bit i is set iff row i is
@@ -196,8 +183,9 @@ class Column {
     if (!valid_.empty()) valid_.Append(true);
   }
 
-  /// Dict pointer safe to intern into: clones the pool first if any other
-  /// column shares it (published dicts stay immutable).
+  /// Dict pointer safe to intern into: starts a fresh dict for the first
+  /// row, and clones the pool first if any other column shares it
+  /// (published dicts stay immutable).
   StringDict* MutableDict();
 
   static const std::string kEmptyString;
@@ -205,9 +193,8 @@ class Column {
   ValueType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
-  std::vector<std::string> strings_;  // plain string rows
-  std::vector<int32_t> codes_;        // dict string rows (when dict_ set)
-  StringDictPtr dict_;
+  std::vector<int32_t> codes_;  // string rows: codes into dict_
+  StringDictPtr dict_;          // null only while the column is empty
   ValidityBitmap valid_;  // empty == all valid
 };
 

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "common/flat_hash.h"
 #include "common/strings.h"
 
 namespace wake {
@@ -157,19 +156,6 @@ void DataFrame::HashRowsBatchRange(const std::vector<size_t>& key_cols,
   }
 }
 
-bool DataFrame::KeysEqual(const std::vector<size_t>& cols, size_t i,
-                          const DataFrame& other,
-                          const std::vector<size_t>& other_cols,
-                          size_t j) const {
-  for (size_t k = 0; k < cols.size(); ++k) {
-    if (columns_[cols[k]].CompareRows(i, other.columns_[other_cols[k]], j) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool DataFrame::ApproxEquals(const DataFrame& other, double rel_tol,
                              std::string* diff) const {
   auto fail = [&](const std::string& msg) {
@@ -239,44 +225,6 @@ size_t DataFrame::ByteSize() const {
   size_t bytes = 0;
   for (const auto& c : columns_) bytes += c.ByteSize();
   return bytes;
-}
-
-GroupIndex BuildGroups(const DataFrame& df,
-                       const std::vector<std::string>& key_names) {
-  GroupIndex out;
-  size_t n = df.num_rows();
-  out.group_of_row.resize(n);
-  if (key_names.empty()) {
-    // Global aggregate: a single group covering every row.
-    std::fill(out.group_of_row.begin(), out.group_of_row.end(), 0);
-    out.num_groups = n == 0 ? 0 : 1;
-    if (n > 0) out.first_row.push_back(0);
-    return out;
-  }
-  std::vector<size_t> cols = df.ColumnIndices(key_names);
-  std::vector<uint64_t> hashes = df.HashRowsBatch(cols);
-  // hash -> candidate group-id chains (collisions resolved by key verify).
-  FlatHashIndex table;
-  table.Reserve(n);
-  KeyEq eq(df, cols, df, cols);
-  for (size_t r = 0; r < n; ++r) {
-    uint32_t gid = FlatHashIndex::kNil;
-    for (uint32_t cand = table.Find(hashes[r]); cand != FlatHashIndex::kNil;
-         cand = table.Next(cand)) {
-      if (eq.Equal(r, out.first_row[cand])) {
-        gid = cand;
-        break;
-      }
-    }
-    if (gid == FlatHashIndex::kNil) {
-      gid = static_cast<uint32_t>(out.first_row.size());
-      out.first_row.push_back(static_cast<uint32_t>(r));
-      table.Insert(hashes[r], gid);
-    }
-    out.group_of_row[r] = gid;
-  }
-  out.num_groups = out.first_row.size();
-  return out;
 }
 
 }  // namespace wake

@@ -92,12 +92,6 @@ class DataFrame {
   void HashRowsBatchRange(const std::vector<size_t>& key_cols, size_t begin,
                           size_t end, std::vector<uint64_t>* out) const;
 
-  /// True if row `i` of this frame equals row `j` of `other` on the given
-  /// (parallel) key column index lists.
-  bool KeysEqual(const std::vector<size_t>& cols, size_t i,
-                 const DataFrame& other, const std::vector<size_t>& other_cols,
-                 size_t j) const;
-
   /// Whole-frame equality with tolerance for floats (testing aid).
   bool ApproxEquals(const DataFrame& other, double rel_tol = 1e-9,
                     std::string* diff = nullptr) const;
@@ -115,12 +109,13 @@ class DataFrame {
 
 using DataFramePtr = std::shared_ptr<const DataFrame>;
 
-/// Typed row-equality over parallel key-column lists — the inlined hot-loop
-/// form of DataFrame::KeysEqual used when verifying hash-index candidates.
-/// Matches KeysEqual semantics exactly: nulls equal nulls, int/float keys
-/// compare promoted, NaNs compare equal. The per-pair comparison mode is
-/// resolved once at construction; string pairs sharing one dict compare
-/// int32 codes instead of bytes.
+/// Typed row-equality over parallel key-column lists, used when verifying
+/// hash-index candidates (join probes, group and distinct lookups). Key
+/// equality: a null equals a null and nothing else, int/float keys compare
+/// promoted to double, and NaNs equal each other (NaN keys group together).
+/// The per-pair comparison mode is resolved once at construction: string
+/// pairs sharing one dict compare int32 codes, pairs over different dicts
+/// compare bytes.
 class KeyEq {
  public:
   KeyEq(const DataFrame& left, const std::vector<size_t>& left_cols,
@@ -141,11 +136,7 @@ class KeyEq {
     for (const auto& p : cols_) {
       const Column& b = *p.b;
       if (b.type() == ValueType::kString) {
-        if (b.is_dict()) {
-          __builtin_prefetch(b.codes().data() + j);
-        } else {
-          __builtin_prefetch(b.strings().data() + j);
-        }
+        __builtin_prefetch(b.codes().data() + j);
       } else if (IsIntPhysical(b.type())) {
         __builtin_prefetch(b.ints().data() + j);
       } else {
@@ -194,8 +185,7 @@ class KeyEq {
   static ColPair MakePair(const Column& a, const Column& b) {
     Mode mode;
     if (a.type() == ValueType::kString) {
-      mode = (a.is_dict() && a.dict() == b.dict()) ? Mode::kCode
-                                                   : Mode::kString;
+      mode = a.dict() == b.dict() ? Mode::kCode : Mode::kString;
     } else if (IsIntPhysical(a.type()) && IsIntPhysical(b.type())) {
       mode = Mode::kInt;
     } else {
@@ -206,20 +196,6 @@ class KeyEq {
 
   std::vector<ColPair> cols_;
 };
-
-/// Hash-based group index over key columns: assigns each row a dense group
-/// id; used by aggregation in every engine.
-struct GroupIndex {
-  std::vector<uint32_t> group_of_row;   // size == num_rows
-  std::vector<uint32_t> first_row;      // one representative row per group
-  size_t num_groups = 0;
-};
-
-/// Builds a GroupIndex for `df` grouped on `key_names` (empty = one global
-/// group containing every row; zero rows => zero groups unless
-/// `global_group_if_empty`).
-GroupIndex BuildGroups(const DataFrame& df,
-                       const std::vector<std::string>& key_names);
 
 }  // namespace wake
 

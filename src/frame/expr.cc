@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -496,16 +497,18 @@ Column Expr::Eval(const DataFrame& df) const {
       CheckArg(c.type() == ValueType::kString, "SUBSTR over non-string");
       Column out(ValueType::kString);
       out.Reserve(n);
+      const size_t start = static_cast<size_t>(
+          std::max<int64_t>(substr_start_ - 1, 0));  // SQL is 1-based
       for (size_t i = 0; i < n; ++i) {
-        const std::string& s = c.StringAt(i);
-        size_t start = static_cast<size_t>(std::max<int64_t>(
-            substr_start_ - 1, 0));  // SQL is 1-based
-        if (start >= s.size()) {
-          out.AppendString("");
-        } else {
-          out.AppendString(
-              s.substr(start, static_cast<size_t>(substr_len_)));
+        if (c.IsNull(i)) {
+          out.AppendNull();
+          continue;
         }
+        const std::string_view s = c.StringAt(i);
+        out.AppendString(start >= s.size()
+                             ? std::string_view()
+                             : s.substr(start,
+                                        static_cast<size_t>(substr_len_)));
       }
       return out;
     }
@@ -515,6 +518,7 @@ Column Expr::Eval(const DataFrame& df) const {
       auto& v = *out.mutable_ints();
       v.resize(n);
       for (size_t i = 0; i < n; ++i) v[i] = ExtractYear(c.ints()[i]);
+      out.set_validity(c.validity());  // a null date has no year
       return out;
     }
   }

@@ -137,7 +137,16 @@ uint64_t LiveTable::Append(const DataFrame& rows) {
     // a tablet each. Give such a column a dictionary of its own rows.
     const Column& col = chunk->column(c);
     if (col.is_dict() && col.dict()->size() > col.size()) {
-      *chunk->mutable_column(c) = col.DecodeDict().EncodeDict();
+      Column own(ValueType::kString);  // its first append starts a dict
+      own.Reserve(col.size());
+      for (size_t r = 0; r < col.size(); ++r) {
+        if (col.IsNull(r)) {
+          own.AppendNull();
+        } else {
+          own.AppendString(col.StringAt(r));
+        }
+      }
+      *chunk->mutable_column(c) = std::move(own);
     }
   }
   hot_rows_ += chunk->num_rows();

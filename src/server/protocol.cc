@@ -160,11 +160,18 @@ DataFrame DecodeDataFrame(wire::WireReader* r) {
     if (col->type() == ValueType::kString) {
       // Each string costs at least its u32 length prefix; without this
       // bound a forged row count would amplify a small frame into a
-      // sizeof(std::string)-per-row reserve before the first Str() throws.
+      // code-per-row reserve before the first StrView() throws. Rows intern
+      // into a fresh dict per column; null rows hold kNullCode.
       r->Require(rows * 4, "string column");
-      auto* strings = col->mutable_strings();
-      strings->reserve(rows);
-      for (uint64_t i = 0; i < rows; ++i) strings->push_back(r->Str());
+      col->Reserve(rows);
+      for (uint64_t i = 0; i < rows; ++i) {
+        std::string_view s = r->StrView();
+        if (has_validity && validity[i] == 0) {
+          col->AppendNull();
+        } else {
+          col->AppendString(s);
+        }
+      }
     } else if (IsIntPhysical(col->type())) {
       r->Require(rows * 8, "int column");
       auto* ints = col->mutable_ints();

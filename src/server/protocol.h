@@ -203,10 +203,10 @@ IngestAck DecodeIngestAck(const std::string& payload);
 Error ToError(const QueryError& msg);
 
 /// DataFrame <-> bytes. Values survive bit-for-bit (doubles are raw IEEE
-/// bit patterns); dict-encoded string columns arrive as plain columns —
-/// an encoding change, never a value change. Decode is bounds-checked
-/// against the payload, so forged row counts fail with kProtocol before
-/// any allocation.
+/// bit patterns); strings travel as bytes and decode interned into a
+/// fresh dict per column, so the sender's codes never matter. Decode is
+/// bounds-checked against the payload, so forged row counts fail with
+/// kProtocol before any allocation.
 void EncodeDataFrame(const DataFrame& df, wire::WireWriter* writer);
 DataFrame DecodeDataFrame(wire::WireReader* reader);
 

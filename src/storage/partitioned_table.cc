@@ -163,8 +163,8 @@ DataFrame PartitionedTable::Materialize(const std::vector<std::string>& columns,
     if (chunk == nullptr) continue;
     out.Append(*chunk);
     if (!reserved) {
-      // The first append fixed the columns' encodings; reserving the
-      // whole table up front spares the per-chunk growth reallocations.
+      // Reserving the whole table once a chunk arrived spares the
+      // per-chunk growth reallocations.
       for (size_t c = 0; c < out.num_columns(); ++c) {
         out.mutable_column(c)->Reserve(total_rows_);
       }
@@ -295,12 +295,6 @@ PartitionedTable PartitionedTable::ReadTblDir(
     std::ifstream in(path);
     CheckArg(in.good(), "cannot read " + path);
     auto df = std::make_shared<DataFrame>(schema);
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      // Sources build dict-encoded string columns (see frame/column.h).
-      if (schema.field(c).type == ValueType::kString) {
-        *df->mutable_column(c) = Column::NewDict();
-      }
-    }
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;

@@ -109,7 +109,7 @@ class PartitionedTable {
   /// Writes one `<name>.<i>.tbl` per partition plus `<name>.meta` into
   /// `dir`; `ReadTblDir` is the inverse. A non-empty `columns` list makes
   /// the read projected: unselected fields are never parsed, allocated,
-  /// or dict-encoded.
+  /// or interned.
   void WriteTblDir(const std::string& dir) const;
   static PartitionedTable ReadTblDir(const std::string& dir,
                                      const std::string& name,

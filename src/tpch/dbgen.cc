@@ -145,19 +145,6 @@ Schema MakeSchema(std::vector<Field> fields, std::vector<std::string> pk,
   return schema;
 }
 
-// Frame whose string columns are dict-encoded: dbgen is a source, so the
-// engine never sees per-row strings from generated tables (AppendString
-// interns into each column's private dict).
-DataFrame NewFrame(const Schema& schema) {
-  DataFrame df(schema);
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    if (schema.field(c).type == ValueType::kString) {
-      *df.mutable_column(c) = Column::NewDict();
-    }
-  }
-  return df;
-}
-
 // Projected generation: maps full-schema field indices to output columns.
 // `columns == nullptr` keeps everything; a pointer to an empty list keeps
 // nothing (used for the discarded half of the orders/lineitem pair). The
@@ -167,7 +154,7 @@ class Projection {
  public:
   Projection(const Schema& full, const std::vector<std::string>* columns)
       : schema_(columns == nullptr ? full : full.Select(*columns)),
-        frame_(NewFrame(schema_)),
+        frame_(schema_),
         slot_(full.ProjectionSlots(schema_)) {}
 
   bool want(size_t field) const { return slot_[field] != Schema::npos; }

@@ -45,7 +45,7 @@ Catalog Generate(const DbgenConfig& config);
 /// catalog. A non-empty `columns` list makes generation projected: the
 /// same random draws are consumed (so kept columns are bit-identical to a
 /// full generation) but unselected columns are never built, stored, or
-/// dict-encoded, and the result carries the narrowed schema.
+/// interned, and the result carries the narrowed schema.
 PartitionedTable GenerateTable(const DbgenConfig& config,
                                const std::string& name,
                                const std::vector<std::string>& columns = {});

@@ -202,6 +202,30 @@ TEST_F(DbTest, AllThreeEnginesAgreeOnASingleTableQuery) {
   EXPECT_TRUE(prog.ApproxEquals(exact, 1e-9, &diff)) << diff;
 }
 
+TEST_F(DbTest, FunctionsOfNullPaddedRowsStayNull) {
+  // A LEFT JOIN pads customers without orders with nulls; YEAR and SUBSTR
+  // of those nulls are null, so COUNT skips them as it skips the column.
+  const char* kFunctions =
+      "SELECT COUNT(y) AS years, COUNT(c) AS comments, COUNT(*) AS joined "
+      "FROM (SELECT YEAR(o_orderdate) AS y, SUBSTR(o_comment, 1, 2) AS c "
+      "FROM customer LEFT JOIN orders ON c_custkey = o_custkey) AS t";
+  const char* kColumn =
+      "SELECT COUNT(o_orderdate) AS dates "
+      "FROM customer LEFT JOIN orders ON c_custkey = o_custkey";
+  Db db(&cat_);
+  for (QueryEngine engine : {QueryEngine::kExact, QueryEngine::kOla}) {
+    RunOptions run;
+    run.engine = engine;
+    DataFrame f = db.Prepare(kFunctions).Execute(run);
+    DataFrame c = db.Prepare(kColumn).Execute(run);
+    const int64_t dates = c.ColumnByName("dates").IntAt(0);
+    const auto name = static_cast<int>(engine);
+    EXPECT_EQ(f.ColumnByName("years").IntAt(0), dates) << name;
+    EXPECT_EQ(f.ColumnByName("comments").IntAt(0), dates) << name;
+    EXPECT_LT(dates, f.ColumnByName("joined").IntAt(0)) << name;
+  }
+}
+
 TEST_F(DbTest, ProgressiveEngineRejectsJoinsAsExecutionError) {
   Db db(&cat_);
   RunOptions run;

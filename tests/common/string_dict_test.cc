@@ -34,9 +34,8 @@ TEST(StringDictTest, EmptyStringIsAValue) {
 }
 
 TEST(StringDictTest, PreHashMatchesPlainFnv) {
-  // The whole encoding-compatibility story rests on this: dict-encoded
-  // rows mix HashAt(code), plain rows mix FnvHash64(bytes); they must be
-  // the same value.
+  // Cross-dict hashing rests on this: a row mixes HashAt(code), which must
+  // be FnvHash64 of the bytes, whatever dict holds them.
   StringDict dict;
   std::string s = "carefully final deposits";
   int32_t code = dict.Intern(s);

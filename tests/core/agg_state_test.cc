@@ -346,29 +346,42 @@ TEST(AggCiTest, InputVariancesAccumulateIntoSums) {
   EXPECT_DOUBLE_EQ(res.variances["s"][0], 0.75);  // sum of input variances
 }
 
-// --- dictionary-encoded group keys ---
+// --- string group keys (codes into a dict per source) ---
 
-TEST(GroupedAggStateTest, DictStringKeysMatchPlainResults) {
-  std::vector<int64_t> g = {1, 1, 2};
-  std::vector<double> v = {1.0, 2.0, 4.0};
-  std::vector<std::string> names = {"x", "y", "x"};
+TEST(GroupedAggStateTest, StringKeysMatchAcrossDicts) {
+  // The same rows in one partial (one dict), and split into two partials
+  // over different dicts with a null key in each: equal strings and the
+  // nulls must group as one either way.
+  std::vector<int64_t> g = {1, 1, 2, 2, 3, 3};
+  std::vector<double> v = {1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
+  std::vector<std::string> names = {"x", "y", "", "x", "y", ""};
   auto aggs = std::vector<AggSpec>{Sum("v", "s"), Count("n")};
 
-  auto plain = MakeState({"name"}, aggs);
-  plain.Consume(MakeInput(g, v, names));
-
-  auto dict = MakeState({"name"}, aggs);
+  auto one = MakeState({"name"}, aggs);
   DataFrame in = MakeInput(g, v, names);
-  *in.mutable_column(2) = in.column(2).EncodeDict();
-  dict.Consume(in);
+  in.mutable_column(2)->SetNull(2);
+  in.mutable_column(2)->SetNull(5);
+  one.Consume(in);
 
+  auto two = MakeState({"name"}, aggs);
+  DataFrame p1 = in.Slice(0, 3);
+  // Re-interned in another order: a dict of its own, other codes.
+  DataFrame p2 = MakeInput({2, 3, 3}, {8.0, 16.0, 32.0}, {"", "y", "x"});
+  *p2.mutable_column(2) = p2.column(2).Take({2, 1, 0});
+  p2.mutable_column(2)->SetNull(2);
+  ASSERT_NE(p1.column(2).dict().get(), p2.column(2).dict().get());
+  two.Consume(p1);
+  two.Consume(p2);
+
+  DataFrame expected = one.Finalize(AggScaling{}).frame;
+  DataFrame got = two.Finalize(AggScaling{}).frame;
+  EXPECT_EQ(got.num_rows(), 3u);  // x, y, null
   std::string diff;
-  EXPECT_TRUE(dict.Finalize(AggScaling{}).frame.ApproxEquals(
-      plain.Finalize(AggScaling{}).frame, 1e-12, &diff))
-      << diff;
-  // The stored group keys adopted the source dict: no strings copied.
-  EXPECT_TRUE(
-      dict.Finalize(AggScaling{}).frame.ColumnByName("name").is_dict());
+  EXPECT_TRUE(got.ApproxEquals(expected, 1e-12, &diff)) << diff;
+  // The stored group keys adopted the first source's dict: no strings
+  // copied.
+  EXPECT_EQ(expected.ColumnByName("name").dict().get(),
+            in.column(2).dict().get());
 }
 
 TEST(GroupedAggStateTest, DictKeysAcrossCrossDictPartials) {
@@ -377,9 +390,7 @@ TEST(GroupedAggStateTest, DictKeysAcrossCrossDictPartials) {
   auto aggs = std::vector<AggSpec>{Count("n")};
   auto state = MakeState({"name"}, aggs);
   DataFrame p1 = MakeInput({1, 1}, {1.0, 1.0}, {"x", "y"});
-  *p1.mutable_column(2) = p1.column(2).EncodeDict();
   DataFrame p2 = MakeInput({1, 1}, {1.0, 1.0}, {"y", "z"});
-  *p2.mutable_column(2) = p2.column(2).EncodeDict();
   ASSERT_NE(p1.column(2).dict().get(), p2.column(2).dict().get());
   state.Consume(p1);
   state.Consume(p2);
@@ -392,7 +403,6 @@ TEST(GroupedAggStateTest, NullDictKeysFormTheirOwnGroup) {
   auto aggs = std::vector<AggSpec>{Count("n")};
   auto state = MakeState({"name"}, aggs);
   DataFrame in = MakeInput({1, 1, 1}, {1.0, 1.0, 1.0}, {"x", "", "x"});
-  *in.mutable_column(2) = in.column(2).EncodeDict();
   in.mutable_column(2)->SetNull(1);
   state.Consume(in);
   EXPECT_EQ(state.num_groups(), 2u);
@@ -421,29 +431,30 @@ std::vector<int64_t> DistinctPerGroup(const std::vector<int64_t>& g,
   return d;
 }
 
-TEST(CountDistinctTest, EqualStringsCountOnceAcrossDictsAndEncodings) {
+TEST(CountDistinctTest, EqualStringsCountOnceAcrossDicts) {
   auto state = MakeState({"g"}, {CountDistinct("name", "d")});
   DataFrame p1 = MakeInput({1, 1, 1}, {0, 0, 0}, {"x", "y", "x"});
-  *p1.mutable_column(2) = p1.column(2).EncodeDict();
-  DataFrame p2 = MakeInput({1, 1}, {0, 0}, {"y", "z"});
-  *p2.mutable_column(2) = p2.column(2).EncodeDict();
+  DataFrame p2 = MakeInput({1, 1, 1}, {0, 0, 0}, {"y", "z", ""});
+  p2.mutable_column(2)->SetNull(2);
+  DataFrame p3 = MakeInput({1, 1, 1, 1}, {0, 0, 0, 0}, {"z", "w", "", "x"});
+  p3.mutable_column(2)->SetNull(2);
   ASSERT_NE(p1.column(2).dict().get(), p2.column(2).dict().get());
-  DataFrame p3 = MakeInput({1, 1, 1}, {0, 0, 0}, {"z", "w", "x"});  // plain
+  ASSERT_NE(p2.column(2).dict().get(), p3.column(2).dict().get());
   DataFrame p4 = p1;  // shares p1's dict: codes compare
   state.Consume(p1);
   state.Consume(p2);
   state.Consume(p3);
   state.Consume(p4);
   EXPECT_EQ(state.Finalize(AggScaling{}).frame.ColumnByName("d").IntAt(0),
-            4);  // x, y, z, w
+            4);  // x, y, z, w; nulls never count
 
-  // Plain first, then dict: the same count.
-  auto plain_first = MakeState({"g"}, {CountDistinct("name", "d")});
-  plain_first.Consume(p3);
-  plain_first.Consume(p1);
-  plain_first.Consume(p2);
+  // Another dict first: the same count.
+  auto other_first = MakeState({"g"}, {CountDistinct("name", "d")});
+  other_first.Consume(p3);
+  other_first.Consume(p1);
+  other_first.Consume(p2);
   EXPECT_EQ(
-      plain_first.Finalize(AggScaling{}).frame.ColumnByName("d").IntAt(0), 4);
+      other_first.Finalize(AggScaling{}).frame.ColumnByName("d").IntAt(0), 4);
 }
 
 TEST(CountDistinctTest, DoublesCompareByBitPattern) {

@@ -71,11 +71,11 @@ Schema DictProbeSchema() {
   return Schema({{"pk", ValueType::kString}, {"pv", ValueType::kFloat64}});
 }
 
-// Key column of `rows` draws over "key<i>" strings; interned into `dict`
-// (shared gathers) when given, else into a private dict per column.
+// Key column of `rows` draws over "key<i>" strings, interned into a
+// private dict of its own.
 Column MakeStringKeys(size_t rows, int64_t keys, uint64_t seed,
                       int64_t absent_every = 0) {
-  Column col = Column::NewDict();
+  Column col(ValueType::kString);
   Rng rng(seed);
   for (size_t i = 0; i < rows; ++i) {
     int64_t k = rng.UniformInt(0, keys - 1);
@@ -90,7 +90,8 @@ Column MakeStringKeys(size_t rows, int64_t keys, uint64_t seed,
 
 // Cross-dict string join: the probe keys live in a different dict than
 // the build keys. Unification remaps probe codes into the build dict once
-// per partial; the result must match the plain-encoded baseline.
+// per partial; the result must match a baseline whose keys share one dict,
+// so its probe translates nothing.
 TEST(CrossDictProbeTest, UnifiedProbeMatchesPlainBaseline) {
   constexpr size_t kRows = 4096;
   DataFrame build(DictBuildSchema());
@@ -113,17 +114,27 @@ TEST(CrossDictProbeTest, UnifiedProbeMatchesPlainBaseline) {
     dict_table.Insert(build);
     DataFrame unified = dict_table.Probe(probe, {"pk"}, type, out_schema);
 
-    // Baseline: plain-encoded keys (byte comparisons everywhere).
-    DataFrame plain_build(DictBuildSchema());
-    *plain_build.mutable_column(0) = build.column(0).DecodeDict();
-    *plain_build.mutable_column(1) = build.column(1);
-    DataFrame plain_probe(DictProbeSchema());
-    *plain_probe.mutable_column(0) = probe.column(0).DecodeDict();
-    *plain_probe.mutable_column(1) = probe.column(1);
-    JoinHashTable plain_table(DictBuildSchema(), {"bk"});
-    plain_table.Insert(plain_build);
+    // Baseline: the same keys coded into one shared dict (code compares
+    // everywhere, no translation).
+    Column shared(ValueType::kString);
+    shared.AppendString("seed");  // a dict of the baseline's own
+    shared.AppendColumn(build.column(0));
+    shared.AppendColumn(probe.column(0));
+    const size_t nb = build.num_rows();
+    DataFrame shared_build(DictBuildSchema());
+    *shared_build.mutable_column(0) = shared.Slice(1, 1 + nb);
+    *shared_build.mutable_column(1) = build.column(1);
+    DataFrame shared_probe(DictProbeSchema());
+    *shared_probe.mutable_column(0) = shared.Slice(1 + nb, shared.size());
+    *shared_probe.mutable_column(1) = probe.column(1);
+    ASSERT_EQ(shared_build.column(0).dict().get(),
+              shared_probe.column(0).dict().get());
+    ASSERT_NE(shared_build.column(0).dict().get(),
+              build.column(0).dict().get());
+    JoinHashTable shared_table(DictBuildSchema(), {"bk"});
+    shared_table.Insert(shared_build);
     DataFrame baseline =
-        plain_table.Probe(plain_probe, {"pk"}, type, out_schema);
+        shared_table.Probe(shared_probe, {"pk"}, type, out_schema);
 
     std::string diff;
     EXPECT_TRUE(unified.ApproxEquals(baseline, 0.0, &diff))
@@ -136,14 +147,14 @@ TEST(CrossDictProbeTest, UnifiedProbeMatchesPlainBaseline) {
 TEST(CrossDictProbeTest, BuildDictGrowthRefreshesAbsentEntries) {
   Schema bs = DictBuildSchema();
   DataFrame build1(bs);
-  *build1.mutable_column(0) = Column::DictFromStrings({"a", "b"});
+  *build1.mutable_column(0) = Column::FromStrings({"a", "b"});
   build1.mutable_column(1)->AppendDouble(1.0);
   build1.mutable_column(1)->AppendDouble(2.0);
   JoinHashTable table(bs, {"bk"});
   table.Insert(build1);
 
   DataFrame probe(DictProbeSchema());
-  *probe.mutable_column(0) = Column::DictFromStrings({"c", "a"});
+  *probe.mutable_column(0) = Column::FromStrings({"c", "a"});
   probe.mutable_column(1)->AppendDouble(0.0);
   probe.mutable_column(1)->AppendDouble(0.0);
   Schema out_schema =
@@ -154,7 +165,7 @@ TEST(CrossDictProbeTest, BuildDictGrowthRefreshesAbsentEntries) {
 
   // Second build partial interns "c" — the same probe must now match it.
   DataFrame build2(bs);
-  Column more = Column::NewDict();
+  Column more(ValueType::kString);
   more.AppendString("c");
   *build2.mutable_column(0) = std::move(more);
   build2.mutable_column(1)->AppendDouble(3.0);

@@ -115,7 +115,7 @@ TEST(LocalAggNodeTest, CountDistinctStartsEachBatchEmpty) {
   DataFrame df(schema);
   *df.mutable_column(0) = Column::FromInts({1, 1, 2, 2, 3, 3});
   *df.mutable_column(1) =
-      Column::DictFromStrings({"a", "b", "a", "b", "b", "a"});
+      Column::FromStrings({"a", "b", "a", "b", "b", "a"});
   Catalog cat;
   cat.Add(std::make_shared<PartitionedTable>(
       PartitionedTable::FromDataFrame("t", df, 3)));

@@ -1,33 +1,17 @@
-// Dictionary-encoded string columns: round trips, gathers that share the
-// dict (no string copies), cross-dict appends, nulls, and hash/compare
-// equivalence with the plain encoding.
+// String columns (codes into a shared StringDict): gathers that share the
+// dict (no string copies), cross-dict appends, nulls, when a column gets
+// its dict, and hash/compare/equality of equal strings across dicts.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "frame/column.h"
+#include "frame/data_frame.h"
 
 namespace wake {
 namespace {
 
-TEST(ColumnDictTest, EncodeDecodeRoundTrip) {
-  Column plain = Column::FromStrings({"a", "b", "a", "c", ""});
-  plain.SetNull(3);
-  Column dict = plain.EncodeDict();
-  ASSERT_TRUE(dict.is_dict());
-  EXPECT_EQ(dict.size(), 5u);
-  EXPECT_EQ(dict.dict()->size(), 3u);  // "a", "b", "" — null never interned
-  EXPECT_EQ(dict.codes()[0], dict.codes()[2]);
-  EXPECT_TRUE(dict.IsNull(3));
-  Column back = dict.DecodeDict();
-  EXPECT_FALSE(back.is_dict());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(back.IsNull(i), plain.IsNull(i));
-    if (!plain.IsNull(i)) EXPECT_EQ(back.StringAt(i), plain.StringAt(i));
-  }
-}
-
-TEST(ColumnDictTest, StringAtWorksUnderBothEncodings) {
-  Column dict = Column::DictFromStrings({"x", "y", "x"});
+TEST(ColumnDictTest, StringAtReadsNullRowsAsEmpty) {
+  Column dict = Column::FromStrings({"x", "y", "x"});
   EXPECT_EQ(dict.StringAt(0), "x");
   EXPECT_EQ(dict.StringAt(1), "y");
   dict.AppendNull();
@@ -35,7 +19,7 @@ TEST(ColumnDictTest, StringAtWorksUnderBothEncodings) {
 }
 
 TEST(ColumnDictTest, TakeGathersCodesAndSharesDict) {
-  Column c = Column::DictFromStrings({"a", "b", "c", "d"});
+  Column c = Column::FromStrings({"a", "b", "c", "d"});
   c.SetNull(2);
   Column t = c.Take({3, 2, 0});
   ASSERT_TRUE(t.is_dict());
@@ -48,7 +32,7 @@ TEST(ColumnDictTest, TakeGathersCodesAndSharesDict) {
 }
 
 TEST(ColumnDictTest, FilterByAndSliceShareDict) {
-  Column c = Column::DictFromStrings({"a", "b", "c", "d"});
+  Column c = Column::FromStrings({"a", "b", "c", "d"});
   Column f = c.FilterBy({1, 0, 1, 0});
   ASSERT_EQ(f.size(), 2u);
   EXPECT_EQ(f.dict().get(), c.dict().get());
@@ -60,7 +44,7 @@ TEST(ColumnDictTest, FilterByAndSliceShareDict) {
 }
 
 TEST(ColumnDictTest, AppendColumnSameDictConcatenatesCodes) {
-  Column c = Column::DictFromStrings({"a", "b"});
+  Column c = Column::FromStrings({"a", "b"});
   Column d = c.Slice(0, 1);  // shares c's dict
   d.AppendColumn(c);
   ASSERT_EQ(d.size(), 3u);
@@ -69,8 +53,8 @@ TEST(ColumnDictTest, AppendColumnSameDictConcatenatesCodes) {
 }
 
 TEST(ColumnDictTest, AppendColumnCrossDictRemaps) {
-  Column a = Column::DictFromStrings({"a", "b"});
-  Column b = Column::DictFromStrings({"b", "c"});
+  Column a = Column::FromStrings({"a", "b"});
+  Column b = Column::FromStrings({"b", "c"});
   b.AppendNull();
   a.AppendColumn(b);
   ASSERT_EQ(a.size(), 5u);
@@ -83,18 +67,18 @@ TEST(ColumnDictTest, AppendColumnCrossDictRemaps) {
 }
 
 TEST(ColumnDictTest, AppendColumnCrossDictCopiesSharedDictFirst) {
-  Column a = Column::DictFromStrings({"a"});
+  Column a = Column::FromStrings({"a"});
   Column alias = a;  // shares a's dict
-  Column b = Column::DictFromStrings({"z"});
+  Column b = Column::FromStrings({"z"});
   a.AppendColumn(b);  // must not intern "z" into the shared pool
   EXPECT_EQ(alias.dict()->size(), 1u);
   EXPECT_NE(a.dict().get(), alias.dict().get());
   EXPECT_EQ(a.StringAt(1), "z");
 }
 
-TEST(ColumnDictTest, EmptyPlainDestinationAdoptsDict) {
-  Column src = Column::DictFromStrings({"a", "b"});
-  Column dst(ValueType::kString);  // plain, empty — e.g. DataFrame(schema)
+TEST(ColumnDictTest, EmptyDestinationWithoutDictAdoptsDict) {
+  Column src = Column::FromStrings({"a", "b"});
+  Column dst(ValueType::kString);  // empty, no dict — e.g. DataFrame(schema)
   dst.AppendColumn(src);
   ASSERT_TRUE(dst.is_dict());
   EXPECT_EQ(dst.dict().get(), src.dict().get());
@@ -102,12 +86,12 @@ TEST(ColumnDictTest, EmptyPlainDestinationAdoptsDict) {
 }
 
 TEST(ColumnDictTest, EmptyAppendLeavesSharedDictUncopied) {
-  Column dst = Column::DictFromStrings({"a", "b"});
+  Column dst = Column::FromStrings({"a", "b"});
   Column alias = dst;  // shares dst's dict
   const StringDict* shared = dst.dict().get();
-  dst.AppendColumn(Column(ValueType::kString));  // empty plain column
+  dst.AppendColumn(Column(ValueType::kString));  // empty, no dict
   EXPECT_EQ(dst.dict().get(), shared);
-  Column other_dict = Column::DictFromStrings({"z"}).Slice(0, 0);
+  Column other_dict = Column::FromStrings({"z"}).Slice(0, 0);
   ASSERT_TRUE(other_dict.is_dict());
   dst.AppendColumn(other_dict);  // empty, with a different dict
   EXPECT_EQ(dst.dict().get(), shared);
@@ -116,64 +100,111 @@ TEST(ColumnDictTest, EmptyAppendLeavesSharedDictUncopied) {
 }
 
 TEST(ColumnDictTest, EmptyDestinationAdoptsDictOfEmptyAppend) {
-  Column src = Column::DictFromStrings({"a"}).Slice(0, 0);
+  Column src = Column::FromStrings({"a"}).Slice(0, 0);
   Column dst(ValueType::kString);
   dst.AppendColumn(src);
   EXPECT_TRUE(dst.is_dict());
   EXPECT_EQ(dst.dict().get(), src.dict().get());
 }
 
-TEST(ColumnDictTest, AppendPlainIntoDictInterns) {
-  Column dict = Column::DictFromStrings({"a"});
-  Column plain = Column::FromStrings({"b", "a"});
-  plain.SetNull(0);
-  dict.AppendColumn(plain);
-  ASSERT_EQ(dict.size(), 3u);
-  EXPECT_TRUE(dict.IsNull(1));
-  EXPECT_EQ(dict.codes()[0], dict.codes()[2]);  // "a" re-used
-}
-
-TEST(ColumnDictTest, AppendDictIntoNonEmptyPlainDecodes) {
-  Column plain = Column::FromStrings({"p"});
-  Column dict = Column::DictFromStrings({"q"});
-  plain.AppendColumn(dict);
-  EXPECT_FALSE(plain.is_dict());
-  EXPECT_EQ(plain.StringAt(1), "q");
-}
-
-TEST(ColumnDictTest, HashEqualsPlainEncoding) {
+TEST(ColumnDictTest, HashEqualsAcrossDicts) {
   std::vector<std::string> values = {"", "a", "carefully final deposits",
                                      "Customer#000000042"};
-  Column plain = Column::FromStrings(values);
-  Column dict = plain.EncodeDict();
+  Column a = Column::FromStrings(values);
+  // The same strings interned into another dict in another order.
+  Column b = Column::FromStrings(
+      {"zzz", "Customer#000000042", "a", "", "carefully final deposits"});
+  b = b.Take({3, 2, 4, 1});
+  ASSERT_NE(a.dict().get(), b.dict().get());
+  ASSERT_NE(a.codes(), b.codes());
   for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(plain.HashRow(i, 7), dict.HashRow(i, 7)) << i;
+    ASSERT_EQ(b.StringAt(i), values[i]);
+    EXPECT_EQ(a.HashRow(i, 7), b.HashRow(i, 7)) << i;
   }
-  std::vector<uint64_t> hp(values.size(), 42), hd(values.size(), 42);
-  plain.HashInto(hp.data(), hp.size());
-  dict.HashInto(hd.data(), hd.size());
-  EXPECT_EQ(hp, hd);
+  std::vector<uint64_t> ha(values.size(), 42), hb(values.size(), 42);
+  a.HashInto(ha.data(), ha.size());
+  b.HashInto(hb.data(), hb.size());
+  EXPECT_EQ(ha, hb);
 }
 
-TEST(ColumnDictTest, NullHashesMatchAcrossEncodings) {
-  Column plain = Column::FromStrings({"a", "b"});
-  plain.SetNull(1);
-  Column dict = plain.EncodeDict();
-  EXPECT_EQ(plain.HashRow(1, 3), dict.HashRow(1, 3));
+TEST(ColumnDictTest, NullHashesMatchAcrossDicts) {
+  Column a = Column::FromStrings({"a", "b"});
+  a.SetNull(1);
+  Column b = Column::FromStrings({"q"});
+  b.AppendNull();
+  ASSERT_NE(a.dict().get(), b.dict().get());
+  EXPECT_EQ(a.HashRow(1, 3), b.HashRow(1, 3));
+  uint64_t ha = 9, hb = 9;
+  a.HashIntoRange(&ha, 1, 2);
+  b.HashIntoRange(&hb, 1, 2);
+  EXPECT_EQ(ha, hb);
 }
 
-TEST(ColumnDictTest, CompareRowsAcrossEncodings) {
-  Column plain = Column::FromStrings({"apple", "banana"});
-  Column dict = plain.EncodeDict();
-  EXPECT_EQ(dict.CompareRows(0, plain, 0), 0);
-  EXPECT_LT(dict.CompareRows(0, plain, 1), 0);
-  EXPECT_GT(plain.CompareRows(1, dict, 0), 0);
+TEST(ColumnDictTest, CompareRowsAcrossDicts) {
+  Column a = Column::FromStrings({"apple", "banana"});
+  Column b = Column::FromStrings({"banana", "apple"});
+  b.AppendNull();
+  ASSERT_NE(a.dict().get(), b.dict().get());
+  EXPECT_EQ(a.CompareRows(0, b, 1), 0);
+  EXPECT_EQ(a.CompareRows(1, b, 0), 0);
+  EXPECT_LT(a.CompareRows(0, b, 0), 0);
+  EXPECT_GT(b.CompareRows(0, a, 0), 0);
+  EXPECT_GT(a.CompareRows(0, b, 2), 0);  // nulls sort first
   // Same dict, equal codes short-circuits.
-  EXPECT_EQ(dict.CompareRows(1, dict, 1), 0);
+  EXPECT_EQ(a.CompareRows(1, a, 1), 0);
+  // KeyEq verifies hash candidates by bytes across dicts, and treats
+  // nulls as equal to each other only.
+  Column c = Column::FromStrings({"x"});
+  c.AppendNull();
+  KeyEq eq(a, b);
+  EXPECT_TRUE(eq.Equal(0, 1));
+  EXPECT_FALSE(eq.Equal(0, 0));
+  EXPECT_FALSE(eq.Equal(0, 2));
+  KeyEq nulls(b, c);
+  EXPECT_TRUE(nulls.Equal(2, 1));
+  EXPECT_FALSE(nulls.Equal(2, 0));
+}
+
+TEST(ColumnDictTest, FirstAppendStartsAPrivateDict) {
+  Column s(ValueType::kString);
+  EXPECT_FALSE(s.is_dict());
+  s.AppendString("a");
+  ASSERT_TRUE(s.is_dict());
+  EXPECT_EQ(s.dict()->size(), 1u);
+
+  Column n(ValueType::kString);
+  n.AppendNull();  // a null row still needs a code, and so a dict
+  ASSERT_TRUE(n.is_dict());
+  EXPECT_EQ(n.dict()->size(), 0u);
+  EXPECT_EQ(n.codes()[0], Column::kNullCode);
+
+  Column v(ValueType::kString);
+  v.AppendValue(Value::Str("b"));
+  ASSERT_TRUE(v.is_dict());
+  EXPECT_NE(v.dict().get(), s.dict().get());
+}
+
+TEST(ColumnDictTest, AppendNullKeepsASharedDictShared) {
+  Column c = Column::FromStrings({"a"});
+  Column alias = c;  // shares c's dict
+  c.AppendNull();
+  EXPECT_EQ(c.dict().get(), alias.dict().get());
+  EXPECT_TRUE(c.IsNull(1));
+}
+
+TEST(ColumnDictTest, EmptyColumnsAllocateNoDict) {
+  Schema schema({{"s", ValueType::kString}});
+  DataFrame df(schema);
+  EXPECT_FALSE(df.column(0).is_dict());
+  EXPECT_FALSE(df.Take({}).column(0).is_dict());
+  EXPECT_FALSE(df.Slice(0, 0).column(0).is_dict());
+  EXPECT_FALSE(df.FilterBy(std::vector<uint8_t>{}).column(0).is_dict());
+  // Hashing zero rows reads no dict.
+  EXPECT_TRUE(df.HashRowsBatch({0}).empty());
 }
 
 TEST(ColumnDictTest, AppendFromAdoptsAndCopiesCodes) {
-  Column src = Column::DictFromStrings({"a", "b"});
+  Column src = Column::FromStrings({"a", "b"});
   src.AppendNull();
   Column dst(ValueType::kString);
   dst.AppendFrom(src, 1);
@@ -183,10 +214,16 @@ TEST(ColumnDictTest, AppendFromAdoptsAndCopiesCodes) {
   ASSERT_EQ(dst.size(), 2u);
   EXPECT_EQ(dst.StringAt(0), "b");
   EXPECT_TRUE(dst.IsNull(1));
+  // A null first row adopts the dict too, so later rows still copy codes.
+  Column null_first(ValueType::kString);
+  null_first.AppendFrom(src, 2);
+  null_first.AppendFrom(src, 0);
+  EXPECT_EQ(null_first.dict().get(), src.dict().get());
+  EXPECT_EQ(null_first.codes()[1], src.codes()[0]);
 }
 
 TEST(ColumnDictTest, SetNullClearsCode) {
-  Column c = Column::DictFromStrings({"a", "b"});
+  Column c = Column::FromStrings({"a", "b"});
   c.SetNull(0);
   EXPECT_EQ(c.codes()[0], Column::kNullCode);
   EXPECT_TRUE(c.IsNull(0));
@@ -194,7 +231,7 @@ TEST(ColumnDictTest, SetNullClearsCode) {
 }
 
 TEST(ColumnDictTest, GetValueAndAppendValueRoundTrip) {
-  Column c = Column::NewDict();
+  Column c(ValueType::kString);
   c.AppendValue(Value::Str("hello"));
   c.AppendValue(Value::Null(ValueType::kString));
   EXPECT_EQ(c.GetValue(0).s, "hello");
@@ -202,7 +239,7 @@ TEST(ColumnDictTest, GetValueAndAppendValueRoundTrip) {
 }
 
 TEST(ColumnDictTest, ByteSizeCountsCodesAndDict) {
-  Column c = Column::NewDict();
+  Column c(ValueType::kString);
   std::string long_str(300, 'x');
   for (int i = 0; i < 1000; ++i) c.AppendString(long_str + std::to_string(i));
   // 1000 int32 codes + 1000 distinct ~300-byte pool entries.

@@ -158,15 +158,5 @@ TEST(ColumnTest, AppendColumnIntoEmptyKeepsNulls) {
   EXPECT_TRUE(dst.IsNull(1));
 }
 
-TEST(ColumnTest, ByteSizeDoesNotDoubleCountSsoStrings) {
-  // Strings short enough for the SSO buffer occupy exactly
-  // sizeof(std::string); only longer strings add heap capacity.
-  Column sso = Column::FromStrings({"ab", "cd"});
-  EXPECT_EQ(sso.ByteSize(), sso.strings().capacity() * sizeof(std::string));
-  std::string long_str(200, 'x');
-  Column heap = Column::FromStrings({long_str});
-  EXPECT_GE(heap.ByteSize(), sizeof(std::string) + 200);
-}
-
 }  // namespace
 }  // namespace wake

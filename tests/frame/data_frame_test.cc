@@ -139,12 +139,10 @@ TEST(DataFrameTest, TopKSortedIndicesArePrefixOfStableSort) {
   }
 }
 
-TEST(DataFrameTest, KeysEqualAndHash) {
+TEST(DataFrameTest, EqualKeysHashEqually) {
   DataFrame df = MakeFrame();
   std::vector<size_t> cols = {0, 2};
-  EXPECT_TRUE(df.KeysEqual(cols, 1, df, cols, 3));   // (1,"a") == (1,"a")
-  EXPECT_FALSE(df.KeysEqual(cols, 0, df, cols, 1));
-  EXPECT_EQ(df.HashRowKeys(cols, 1), df.HashRowKeys(cols, 3));
+  EXPECT_EQ(df.HashRowKeys(cols, 1), df.HashRowKeys(cols, 3));  // (1,"a")
 }
 
 TEST(DataFrameTest, ApproxEqualsToleratesFloatNoise) {
@@ -171,34 +169,6 @@ TEST(DataFrameTest, ToStringShowsHeaderAndRows) {
   std::string s = MakeFrame().ToString(2);
   EXPECT_NE(s.find("k | v | s"), std::string::npos);
   EXPECT_NE(s.find("4 rows total"), std::string::npos);
-}
-
-TEST(BuildGroupsTest, GroupsByKey) {
-  DataFrame df = MakeFrame();
-  GroupIndex gi = BuildGroups(df, {"k"});
-  EXPECT_EQ(gi.num_groups, 3u);
-  EXPECT_EQ(gi.group_of_row[1], gi.group_of_row[3]);  // both k=1
-  EXPECT_NE(gi.group_of_row[0], gi.group_of_row[1]);
-}
-
-TEST(BuildGroupsTest, MultiColumnKeys) {
-  DataFrame df = MakeFrame();
-  GroupIndex gi = BuildGroups(df, {"k", "s"});
-  EXPECT_EQ(gi.num_groups, 3u);  // (3,c), (1,a), (2,b); (1,a) repeats
-}
-
-TEST(BuildGroupsTest, EmptyKeysMeansGlobalGroup) {
-  DataFrame df = MakeFrame();
-  GroupIndex gi = BuildGroups(df, {});
-  EXPECT_EQ(gi.num_groups, 1u);
-  for (uint32_t g : gi.group_of_row) EXPECT_EQ(g, 0u);
-}
-
-TEST(BuildGroupsTest, EmptyFrameHasNoGroups) {
-  Schema schema({{"k", ValueType::kInt64}});
-  DataFrame df(schema);
-  EXPECT_EQ(BuildGroups(df, {}).num_groups, 0u);
-  EXPECT_EQ(BuildGroups(df, {"k"}).num_groups, 0u);
 }
 
 }  // namespace

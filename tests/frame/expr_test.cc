@@ -107,7 +107,9 @@ void ExpectLiteralCompareMatchesColumn(const Column& col, const Value& lit) {
     Column left_want = Expr::Cmp(op, k_col, c)->Eval(df);
     const std::string what = Expr::Cmp(op, c, l)->ToString() + " over " +
                              ValueTypeName(col.type()) +
-                             (col.is_dict() ? " dict" : "");
+                             (col.is_dict() ? " dict of " +
+                                  std::to_string(col.dict()->size())
+                                            : "");
     EXPECT_FALSE(right.has_nulls() || left.has_nulls()) << what;
     EXPECT_EQ(right.ints(), right_want.ints()) << what;
     EXPECT_EQ(left.ints(), left_want.ints()) << what << ", literal left";
@@ -133,11 +135,11 @@ TEST(ExprTest, LiteralComparisonsMatchTheBroadcastColumn) {
   }
   std::vector<Column> cols = {
       Column::FromInts(ints), Column::FromInts(days, ValueType::kDate),
-      Column::FromDoubles(doubles), Column::FromStrings(words),
-      Column::DictFromStrings(words),  // 3 entries: fewer than the rows
+      Column::FromDoubles(doubles),
+      Column::FromStrings(words),  // 3 entries: fewer than the rows
       Column::DictFromCodes(big, codes)};  // 40 entries: more than the rows
-  ASSERT_LT(cols[4].dict()->size(), n);
-  ASSERT_GT(cols[5].dict()->size(), n);
+  ASSERT_LT(cols[3].dict()->size(), n);
+  ASSERT_GT(cols[4].dict()->size(), n);
   for (Column& col : cols) {
     col.SetNull(3);
     col.SetNull(7);
@@ -232,9 +234,9 @@ bool RefTruth(const Expr& e, const DataFrame& df, size_t row) {
   }
 }
 
-// Frame of n rows for the truth-word tests: numbers, dates, plain and
-// dict strings (a 5-entry dictionary, and one of 5000 entries, larger
-// than every frame here), and a bool, each with nulls.
+// Frame of n rows for the truth-word tests: numbers, dates, strings (two
+// columns over 5-entry dictionaries of their own, and one over 5000
+// entries, larger than every frame here), and a bool, each with nulls.
 DataFrame TruthFrame(size_t n) {
   static const auto big = [] {
     auto d = std::make_shared<StringDict>();
@@ -269,7 +271,7 @@ DataFrame TruthFrame(size_t n) {
   *df.mutable_column(2) = Column::FromInts(d, ValueType::kDate);
   *df.mutable_column(3) = Column::FromDoubles(f);
   *df.mutable_column(4) = Column::FromStrings(s);
-  *df.mutable_column(5) = Column::DictFromStrings(s);
+  *df.mutable_column(5) = Column::FromStrings(s);
   *df.mutable_column(6) = Column::DictFromCodes(big, codes);
   *df.mutable_column(7) = Column::FromInts(b, ValueType::kBool);
   for (size_t c = 0; c < df.num_columns(); ++c) {
@@ -440,6 +442,24 @@ TEST(ExprTest, Year) {
   Column c = Expr::Year(Expr::Col("d"))->Eval(df);
   EXPECT_EQ(c.IntAt(0), 1994);
   EXPECT_EQ(c.IntAt(2), 1996);
+}
+
+TEST(ExprTest, SubstrAndYearOfNullAreNull) {
+  // SQL: a function of NULL is NULL, not '' or 1970.
+  Schema schema({{"s", ValueType::kString}, {"d", ValueType::kDate}});
+  DataFrame df(schema);
+  df.mutable_column(0)->AppendString("PROMO TIN");
+  df.mutable_column(0)->AppendNull();
+  df.mutable_column(1)->AppendInt(DateToDays(1994, 3, 1));
+  df.mutable_column(1)->AppendNull();
+  Column sub = Expr::Substr(Expr::Col("s"), 1, 2)->Eval(df);
+  ASSERT_EQ(sub.size(), 2u);
+  EXPECT_EQ(sub.StringAt(0), "PR");
+  EXPECT_TRUE(sub.IsNull(1));
+  Column year = Expr::Year(Expr::Col("d"))->Eval(df);
+  ASSERT_EQ(year.size(), 2u);
+  EXPECT_EQ(year.IntAt(0), 1994);
+  EXPECT_TRUE(year.IsNull(1));
 }
 
 TEST(ExprTest, NullPropagationThroughArithmetic) {

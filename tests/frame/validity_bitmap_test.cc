@@ -273,12 +273,12 @@ TEST(ValidityBitmapColumnTest, PropertyPackedMatchesByteModel) {
   }
 }
 
-// The same property for dict-encoded string columns, whose hash kernel
-// takes the pre-hashed-dictionary path.
+// The same property for string columns, whose hash kernel takes the
+// pre-hashed-dictionary path.
 TEST(ValidityBitmapColumnTest, DictHashBatchMatchesPerRow) {
   std::vector<std::string> vals;
   for (int i = 0; i < 300; ++i) vals.push_back("k" + std::to_string(i % 17));
-  Column dict = Column::DictFromStrings(vals);
+  Column dict = Column::FromStrings(vals);
   for (size_t i = 0; i < vals.size(); i += 7) dict.SetNull(i);
   std::vector<uint64_t> hashes(vals.size(), 5);
   std::vector<uint64_t> expect(vals.size(), 5);

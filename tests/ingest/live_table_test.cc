@@ -37,7 +37,6 @@ Schema EventSchema() {
 /// Rows [start, start + n) of a deterministic event stream.
 DataFrame MakeRows(int64_t start, int64_t n) {
   DataFrame df(EventSchema());
-  *df.mutable_column(0) = Column::NewDict();
   for (int64_t i = start; i < start + n; ++i) {
     df.mutable_column(0)->AppendString("g" + std::to_string(i % 7));
     df.mutable_column(1)->AppendDouble(static_cast<double>(i) * 0.25);
@@ -129,7 +128,6 @@ TEST_F(LiveTableTest, SlicedAppendsCountOnlyTheirOwnStrings) {
   // dictionary to every append would seal a one-chunk tablet per append.
   Schema schema({{"note", ValueType::kString}, {"id", ValueType::kInt64}});
   DataFrame big(schema);
-  *big.mutable_column(0) = Column::NewDict();
   const std::string pad(200, 'x');
   for (int64_t i = 0; i < 100000; ++i) {
     big.mutable_column(0)->AppendString(pad + std::to_string(i));
@@ -208,6 +206,62 @@ TEST_F(LiveTableTest, EpochSnapshotIdentityMatrix) {
   live->Append(MakeRows(450, 300));
   live->Append(MakeRows(750, 40));
   expect_identity("mixed-second-round");
+}
+
+// A refresh reads only the chunks past its watermark: after each of
+// several appends into one hot segment, and with the watermark inside the
+// second block of a flushed tablet. Every state must stay byte-identical
+// to a from-scratch exact query.
+TEST_F(LiveTableTest, RefreshesFoldOnlyTheirDelta) {
+  spill_ = FreshDir("wake_live_delta");
+  LiveTableOptions opts;
+  opts.seal_rows = 6000;  // a flushed tablet spans two 4096-row blocks
+  opts.spill_dir = spill_.string();
+  auto live = std::make_shared<LiveTable>("events", EventSchema(), opts);
+  Catalog catalog;
+  catalog.AddDynamic(live);
+  Db db(&catalog);
+  auto sub = db.Subscribe(StandingPlan());
+
+  int64_t rows = 0;
+  auto append_and_check = [&](int64_t n) {
+    live->Append(MakeRows(rows, n));
+    rows += n;
+    sub->Refresh();
+    SubscriptionState cur = sub->Current();
+    ASSERT_NE(cur.frame, nullptr) << rows;
+    EXPECT_EQ(cur.rows_covered, static_cast<uint64_t>(rows));
+    RunOptions run;
+    run.engine = QueryEngine::kExact;
+    EXPECT_EQ(WireBytes(*cur.frame),
+              WireBytes(db.Prepare(StandingPlan()).Execute(run)))
+        << "after " << rows << " rows";
+  };
+
+  // One hot segment of many chunks; each refresh skips the folded ones.
+  for (int64_t n : {100, 37, 1, 900, 3962}) append_and_check(n);
+  ASSERT_EQ(live->stats().cold_tablets, 0u);
+  ASSERT_EQ(rows, 5000);
+
+  // This append seals all 6500 hot rows into a flushed tablet whose
+  // second block, rows [4096, 6500), holds the watermark at 5000.
+  append_and_check(1500);
+  ASSERT_EQ(live->stats().cold_tablets, 1u);
+  ASSERT_EQ(live->stats().hot_rows, 0u);
+
+  // More hot chunks, then a seal that leaves the watermark inside the
+  // first block of a second flushed tablet.
+  append_and_check(300);
+  append_and_check(20);
+  append_and_check(6000);
+  ASSERT_EQ(live->stats().cold_tablets, 2u);
+
+  // A refresh that finds a whole flushed tablet past the watermark,
+  // followed by a fresh hot segment.
+  live->Append(MakeRows(rows, 6000));
+  rows += 6000;
+  append_and_check(10);
+  ASSERT_EQ(live->stats().cold_tablets, 3u);
 }
 
 // A subscription folds each row exactly once even when appends race the

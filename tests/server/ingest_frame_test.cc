@@ -34,7 +34,6 @@ Schema EventSchema() {
 
 DataFrame MakeRows(int64_t start, int64_t n) {
   DataFrame df(EventSchema());
-  *df.mutable_column(0) = Column::NewDict();
   for (int64_t i = start; i < start + n; ++i) {
     df.mutable_column(0)->AppendString("g" + std::to_string(i % 5));
     df.mutable_column(1)->AppendDouble(static_cast<double>(i) * 0.5);

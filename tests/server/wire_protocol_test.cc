@@ -170,12 +170,15 @@ TEST(ProtocolTest, SnapshotRoundTripBitIdentical) {
   snap.is_final = true;
   snap.progress = 0.625;
   snap.elapsed_seconds = 1.5;
-  snap.frame = std::make_shared<const DataFrame>(MakeFrame());
+  DataFrame frame = MakeFrame();
+  frame.Append(MakeFrame().Slice(0, 1));  // repeats "c"
+  snap.frame = std::make_shared<const DataFrame>(std::move(frame));
   auto variances = std::make_shared<VarianceMap>();
   (*variances)["v"] = {0.5, 0.25, 1.0 / 7.0, 0.0};
   snap.variances = variances;
 
-  protocol::Snapshot back = protocol::DecodeSnapshot(protocol::Encode(snap));
+  const std::string bytes = protocol::Encode(snap);
+  protocol::Snapshot back = protocol::DecodeSnapshot(bytes);
   EXPECT_EQ(back.query_id, 8u);
   EXPECT_TRUE(back.is_final);
   EXPECT_EQ(back.progress, 0.625);
@@ -188,6 +191,15 @@ TEST(ProtocolTest, SnapshotRoundTripBitIdentical) {
   ASSERT_TRUE(back.variances != nullptr);
   ASSERT_EQ(back.variances->count("v"), 1u);
   EXPECT_EQ(back.variances->at("v"), variances->at("v"));
+  // Strings decode interned: one dict entry per distinct non-null value,
+  // and the null row holds the null code.
+  const Column& s = back.frame->column(2);
+  ASSERT_TRUE(s.is_dict());
+  EXPECT_EQ(s.dict()->size(), 3u);  // "c", "b", "a"
+  EXPECT_EQ(s.codes()[0], s.codes()[4]);
+  EXPECT_EQ(s.codes()[1], Column::kNullCode);
+  // Re-encoding the decoded snapshot gives the same bytes.
+  EXPECT_EQ(protocol::Encode(back), bytes);
 }
 
 TEST(ProtocolTest, TerminalMessagesRoundTrip) {

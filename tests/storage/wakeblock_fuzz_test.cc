@@ -30,7 +30,6 @@ class WakeblockFuzzTest : public ::testing::Test {
                    {"f", ValueType::kFloat64},
                    {"s", ValueType::kString}});
     DataFrame df(schema);
-    *df.mutable_column(2) = Column::NewDict();
     for (int i = 0; i < 500; ++i) {
       df.mutable_column(0)->AppendInt(i);
       if (i % 9 == 0) {

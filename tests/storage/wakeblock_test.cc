@@ -41,7 +41,6 @@ DataFrame MixedFrame(size_t n, bool with_nulls) {
   schema.set_primary_key({"key"});
   schema.set_clustering_key({"key"});
   DataFrame df(schema);
-  *df.mutable_column(4) = Column::NewDict();
   for (size_t i = 0; i < n; ++i) {
     df.mutable_column(0)->AppendInt(static_cast<int64_t>(i / 3));
     df.mutable_column(1)->AppendInt(static_cast<int64_t>(i / 100));
@@ -230,7 +229,6 @@ TEST_F(WakeblockTest, EveryBitpackWidthRoundTripsExactly) {
 TEST_F(WakeblockTest, WideDictCodesRoundTripExactly) {
   Schema schema({{"s", ValueType::kString}});
   DataFrame df(schema);
-  *df.mutable_column(0) = Column::NewDict();
   const size_t n = 80000;
   for (size_t r = 0; r < n; ++r) {
     if (r % 11 == 5) {
