@@ -306,11 +306,6 @@ double MeasureProbeWorkers(size_t rows, size_t workers,
 }
 
 // Storage read paths over TPC-H lineitem (16 columns):
-//   scan_full       parse the .tbl text format, all columns
-//   scan_pruned     .tbl with the Q6-style four-column projection the
-//                   optimizer's scan-projection pass emits (the win is
-//                   the parsing, allocation, and dict-interning of the
-//                   12 untouched columns)
 //   scan_columnar   full scan of the wakeblock native columnar format:
 //                   every block of every column decoded through the same
 //                   lazy-table chunk path the engines use. The table is
@@ -323,8 +318,6 @@ double MeasureProbeWorkers(size_t rows, size_t workers,
 //                   the rate counts the rows the scan covered, so the
 //                   speedup over scan_columnar is the skipping win
 struct ScanRates {
-  double scan_full = 0.0;
-  double scan_pruned = 0.0;
   double scan_columnar = 0.0;
   double scan_columnar_skip = 0.0;
 };
@@ -336,28 +329,13 @@ ScanRates MeasureScan() {
   PartitionedTable lineitem = tpch::GenerateTable(cfg, "lineitem");
   auto dir = std::filesystem::temp_directory_path() /
              ("wake_micro_scan_" + std::to_string(::getpid()));
-  lineitem.WriteTblDir(dir.string());
   const std::vector<std::string> pruned = {"l_orderkey", "l_extendedprice",
                                            "l_discount", "l_shipdate"};
   size_t rows = lineitem.total_rows();
   ScanRates rates;
-  rates.scan_full = BestMrowsPerSec(rows, [&] {
-    if (PartitionedTable::ReadTblDir(dir.string(), "lineitem")
-            .total_rows() != rows) {
-      std::abort();
-    }
-  });
-  rates.scan_pruned = BestMrowsPerSec(rows, [&] {
-    if (PartitionedTable::ReadTblDir(dir.string(), "lineitem", pruned)
-            .total_rows() != rows) {
-      std::abort();
-    }
-  });
-
-  auto wb_dir = dir / "wakeblock";
-  wakeblock::Write(lineitem, wb_dir.string());
+  wakeblock::Write(lineitem, dir.string());
   PartitionedTable lazy =
-      PartitionedTable::OpenWakeblock(wb_dir.string(), "lineitem");
+      PartitionedTable::OpenWakeblock(dir.string(), "lineitem");
   rates.scan_columnar = BestMrowsPerSec(rows, [&] {
     if (lazy.Materialize({}, nullptr).num_rows() != rows) std::abort();
   });
@@ -550,8 +528,6 @@ int RunMicroJson() {
       "\"expr_filter_mrows_per_s\":%.2f,"
       "\"null_hash_scalar_mrows_per_s\":%.2f,"
       "\"null_hash_mrows_per_s\":%.2f,"
-      "\"scan_full_mrows_per_s\":%.2f,"
-      "\"scan_pruned_mrows_per_s\":%.2f,"
       "\"scan_columnar_mrows_per_s\":%.2f,"
       "\"scan_columnar_skip_mrows_per_s\":%.2f,"
       "\"ingest_append_mrows_per_s\":%.2f,"
@@ -560,9 +536,8 @@ int RunMicroJson() {
       ints.join_probe, ints.group_by, ints.count_distinct, dict.join_build,
       dict.join_probe, dict.group_by, dict.count_distinct, probe_w1,
       probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
-      ef.null_hash_scalar, ef.null_hash, scan.scan_full, scan.scan_pruned,
-      scan.scan_columnar, scan.scan_columnar_skip, ingest.ingest_append,
-      ingest.ingest_standing);
+      ef.null_hash_scalar, ef.null_hash, scan.scan_columnar,
+      scan.scan_columnar_skip, ingest.ingest_append, ingest.ingest_standing);
   return 0;
 }
 

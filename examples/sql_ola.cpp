@@ -5,7 +5,7 @@
 //   build/examples/sql_ola [--explain] [--no-optimize]
 //                          [--mode ola|exact|progressive] [--workers N]
 //                          [--timeout-ms N] [--memory-limit-kb N]
-//                          [--data gen|tbl|wakeblock] [--data-dir DIR]
+//                          [--data gen|wakeblock] [--data-dir DIR]
 //                          [--connect HOST:PORT]
 //                          ["SELECT ... FROM ..." | --tpch N]
 //
@@ -21,9 +21,9 @@
 // processed.
 //
 // --data selects the local table source: gen (default) generates TPC-H in
-// memory; tbl reads a WriteTblDir directory; wakeblock opens a wake_pack
-// output directory lazily, so scans stream block by block and the
-// optimizer's pushed-down filters skip blocks their synopses refute.
+// memory; wakeblock opens a wake_pack output directory lazily, so scans
+// stream block by block and the optimizer's pushed-down filters skip
+// blocks their synopses refute.
 //
 // --connect HOST:PORT runs the same query against a remote wake_server
 // instead of generating data locally: identical streaming loop, identical
@@ -101,9 +101,9 @@ int main(int argc, char** argv) {
           throw Error("--connect needs HOST:PORT");
         }
       } else if (arg == "--data") {
-        if (i + 1 >= argc) throw Error("--data needs gen|tbl|wakeblock");
+        if (i + 1 >= argc) throw Error("--data needs gen|wakeblock");
         data = argv[++i];
-        if (data != "gen" && data != "tbl" && data != "wakeblock") {
+        if (data != "gen" && data != "wakeblock") {
           throw Error("unknown --data '" + data + "'");
         }
       } else if (arg == "--data-dir") {
@@ -187,9 +187,7 @@ int main(int argc, char** argv) {
 
   Catalog catalog;
   try {
-    if (data == "tbl") {
-      catalog = OpenTblCatalog(data_dir);
-    } else if (data == "wakeblock") {
+    if (data == "wakeblock") {
       catalog = wakeblock::OpenCatalog(data_dir);
     } else {
       tpch::DbgenConfig cfg;

@@ -5,21 +5,6 @@
 
 namespace wake {
 
-std::vector<std::string> Split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& delim) {
   std::string out;
@@ -52,15 +37,6 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
   }
   while (p < pattern.size() && pattern[p] == '%') ++p;
   return p == pattern.size();
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -84,8 +84,8 @@ class Schema {
   Schema Select(const std::vector<std::string>& names) const;
 
   /// For each field of this (full) schema: the matching field index in
-  /// `narrowed`, or npos when the field was projected away. The projected
-  /// tbl reader and dbgen use this to map file fields to output slots.
+  /// `narrowed`, or npos when the field was projected away. dbgen uses
+  /// this to map generated fields to output slots.
   std::vector<size_t> ProjectionSlots(const Schema& narrowed) const;
 
   bool SameFields(const Schema& other) const {

@@ -3,7 +3,8 @@
 //
 // Dates are stored as int64 days since 1970-01-01 (proleptic Gregorian) so
 // date arithmetic and range filters are plain integer operations; kDate is
-// a distinct logical type only for printing and .tbl round trips.
+// a distinct logical type only for printing, YEAR's type check and the
+// parser's DATE +/- INTERVAL fold.
 #ifndef WAKE_FRAME_VALUE_H_
 #define WAKE_FRAME_VALUE_H_
 

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/strings.h"
 
 namespace wake {
 
@@ -175,163 +172,6 @@ DataFrame PartitionedTable::Materialize(const std::vector<std::string>& columns,
 }
 
 // ---------------------------------------------------------------------------
-// Text (.tbl) serialization
-// ---------------------------------------------------------------------------
-
-namespace {
-
-char TypeChar(ValueType t) {
-  switch (t) {
-    case ValueType::kInt64: return 'i';
-    case ValueType::kFloat64: return 'f';
-    case ValueType::kString: return 's';
-    case ValueType::kDate: return 'd';
-    case ValueType::kBool: return 'b';
-  }
-  return '?';
-}
-
-ValueType TypeFromChar(char c) {
-  switch (c) {
-    case 'i': return ValueType::kInt64;
-    case 'f': return ValueType::kFloat64;
-    case 's': return ValueType::kString;
-    case 'd': return ValueType::kDate;
-    case 'b': return ValueType::kBool;
-  }
-  throw Error(std::string("bad type char: ") + c);
-}
-
-void WriteMeta(const std::string& path, const PartitionedTable& table) {
-  std::ofstream out(path);
-  CheckArg(out.good(), "cannot write " + path);
-  const Schema& s = table.schema();
-  out << table.name() << "\n" << table.num_partitions() << "\n";
-  out << s.num_fields() << "\n";
-  for (const auto& f : s.fields()) {
-    out << f.name << "|" << TypeChar(f.type) << "|" << (f.mutable_attr ? 1 : 0)
-        << "\n";
-  }
-  out << Join(s.primary_key(), ",") << "\n";
-  out << Join(s.clustering_key(), ",") << "\n";
-}
-
-Schema ReadMeta(const std::string& path, std::string* name,
-                size_t* num_partitions) {
-  std::ifstream in(path);
-  CheckArg(in.good(), "cannot read " + path);
-  std::string line;
-  std::getline(in, *name);
-  std::getline(in, line);
-  *num_partitions = std::stoul(line);
-  std::getline(in, line);
-  size_t num_fields = std::stoul(line);
-  Schema schema;
-  for (size_t i = 0; i < num_fields; ++i) {
-    std::getline(in, line);
-    auto parts = Split(line, '|');
-    CheckArg(parts.size() == 3, "malformed meta field line: " + line);
-    schema.AddField(
-        Field(parts[0], TypeFromChar(parts[1][0]), parts[2] == "1"));
-  }
-  auto read_key = [&]() {
-    std::getline(in, line);
-    std::vector<std::string> key;
-    if (!line.empty()) key = Split(line, ',');
-    return key;
-  };
-  schema.set_primary_key(read_key());
-  schema.set_clustering_key(read_key());
-  return schema;
-}
-
-}  // namespace
-
-void PartitionedTable::WriteTblDir(const std::string& dir) const {
-  CheckArg(!lazy() && !composite(),
-           "WriteTblDir on a wakeblock-backed or composite table");
-  std::filesystem::create_directories(dir);
-  WriteMeta(dir + "/" + name_ + ".meta", *this);
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    std::string path = dir + "/" + name_ + "." + std::to_string(i) + ".tbl";
-    std::ofstream out(path);
-    CheckArg(out.good(), "cannot write " + path);
-    const DataFrame& df = *partitions_[i];
-    for (size_t r = 0; r < df.num_rows(); ++r) {
-      for (size_t c = 0; c < df.num_columns(); ++c) {
-        if (c > 0) out << '|';
-        const Column& col = df.column(c);
-        if (col.IsNull(r)) {
-          // empty field == null; TPC-H data itself has no nulls.
-        } else if (col.type() == ValueType::kFloat64) {
-          out << StrFormat("%.9g", col.DoubleAt(r));
-        } else if (col.type() == ValueType::kString) {
-          out << col.StringAt(r);
-        } else if (col.type() == ValueType::kDate) {
-          out << FormatDate(col.IntAt(r));
-        } else {
-          out << col.IntAt(r);
-        }
-      }
-      out << '\n';
-    }
-  }
-}
-
-PartitionedTable PartitionedTable::ReadTblDir(
-    const std::string& dir, const std::string& name,
-    const std::vector<std::string>& columns) {
-  std::string table_name;
-  size_t num_partitions = 0;
-  Schema full = ReadMeta(dir + "/" + name + ".meta", &table_name,
-                         &num_partitions);
-  Schema schema = columns.empty() ? full : full.Select(columns);
-  // For file field f: slot_of[f] = output column, or npos (skip the field
-  // entirely — no number parse, no string intern).
-  std::vector<size_t> slot_of = full.ProjectionSlots(schema);
-  PartitionedTable table(table_name, schema);
-  for (size_t i = 0; i < num_partitions; ++i) {
-    std::string path = dir + "/" + name + "." + std::to_string(i) + ".tbl";
-    std::ifstream in(path);
-    CheckArg(in.good(), "cannot read " + path);
-    auto df = std::make_shared<DataFrame>(schema);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      auto fields = Split(line, '|');
-      CheckArg(fields.size() == full.num_fields(),
-               "column count mismatch in " + path);
-      for (size_t f = 0; f < fields.size(); ++f) {
-        if (slot_of[f] == Schema::npos) continue;
-        Column* col = df->mutable_column(slot_of[f]);
-        const std::string& text = fields[f];
-        if (text.empty() && full.field(f).type != ValueType::kString) {
-          col->AppendNull();
-          continue;
-        }
-        switch (full.field(f).type) {
-          case ValueType::kInt64:
-          case ValueType::kBool:
-            col->AppendInt(std::stoll(text));
-            break;
-          case ValueType::kFloat64:
-            col->AppendDouble(std::stod(text));
-            break;
-          case ValueType::kString:
-            col->AppendString(text);
-            break;
-          case ValueType::kDate:
-            col->AppendInt(ParseDate(text));
-            break;
-        }
-      }
-    }
-    table.AddPartition(std::move(df));
-  }
-  return table;
-}
-
-// ---------------------------------------------------------------------------
 // Catalog
 // ---------------------------------------------------------------------------
 
@@ -392,21 +232,6 @@ std::vector<std::string> Catalog::TableNames() const {
   for (const auto& [name, _] : dynamic_) names.push_back(name);
   std::sort(names.begin(), names.end());
   return names;
-}
-
-Catalog OpenTblCatalog(const std::string& dir) {
-  Catalog catalog;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::filesystem::path p = entry.path();
-    if (p.extension() != ".meta") continue;
-    catalog.Add(std::make_shared<PartitionedTable>(
-        PartitionedTable::ReadTblDir(dir, p.stem().string())));
-  }
-  CheckArg(!ec, "cannot list tbl directory '" + dir + "': " + ec.message());
-  CheckArg(!catalog.TableNames().empty(),
-           "no <name>.meta tables found in '" + dir + "'");
-  return catalog;
 }
 
 }  // namespace wake

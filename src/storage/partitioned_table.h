@@ -7,9 +7,8 @@
 // clustering-key value never straddles two partitions — which is what makes
 // clustering-key aggregations local operations (Case 1, §2.2).
 //
-// Tables are stored either as pipe-separated text (TPC-H .tbl-compatible,
-// WriteTblDir/ReadTblDir below) or in the wakeblock columnar format
-// (storage/wakeblock.h), which OpenWakeblock reads lazily.
+// Tables live either in memory (FromDataFrame) or on disk in the wakeblock
+// columnar format (storage/wakeblock.h), which OpenWakeblock reads lazily.
 #ifndef WAKE_STORAGE_PARTITIONED_TABLE_H_
 #define WAKE_STORAGE_PARTITIONED_TABLE_H_
 
@@ -51,8 +50,7 @@ class PartitionedTable {
   /// concatenates the segments' chunks in order, so readers stream hot
   /// rows and block-skipped cold blocks through one table handle. The
   /// segments keep their own representation (eager or lazy); partition-
-  /// level accessors and serializers throw. Zero segments is a valid
-  /// empty table.
+  /// level accessors throw. Zero segments is a valid empty table.
   static PartitionedTable FromSegments(std::string name, Schema schema,
                                        std::vector<TablePtr> segments);
 
@@ -104,17 +102,6 @@ class PartitionedTable {
   /// chunks still hold non-matching rows.
   DataFrame Materialize(const std::vector<std::string>& columns = {},
                         const ExprPtr& filter = nullptr) const;
-
-  /// --- serialization ---
-  /// Writes one `<name>.<i>.tbl` per partition plus `<name>.meta` into
-  /// `dir`; `ReadTblDir` is the inverse. A non-empty `columns` list makes
-  /// the read projected: unselected fields are never parsed, allocated,
-  /// or interned.
-  void WriteTblDir(const std::string& dir) const;
-  static PartitionedTable ReadTblDir(const std::string& dir,
-                                     const std::string& name,
-                                     const std::vector<std::string>& columns =
-                                         {});
 
  private:
   /// Maps a composite table's global chunk index to (segment, local
@@ -170,11 +157,6 @@ class Catalog {
   std::map<std::string, TablePtr> tables_;
   std::map<std::string, std::shared_ptr<DynamicTable>> dynamic_;
 };
-
-/// Reads every `<name>.meta` table under `dir` (the WriteTblDir layout)
-/// into a catalog. Counterpart of wakeblock::OpenCatalog for the text
-/// format; throws if the directory holds no tables.
-Catalog OpenTblCatalog(const std::string& dir);
 
 }  // namespace wake
 

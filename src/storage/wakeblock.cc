@@ -948,6 +948,10 @@ bool BlockTable::CompareRefuted(const Expr& cmp, size_t b) const {
   }
   if (lit->type == ValueType::kString) return false;
   if ((h.flags & kFlagHasMinMax) == 0) return false;
+  // A float block's min/max can leave its NaN rows out, yet `NaN <> x`
+  // holds: a float range never refutes `<>`. The rule sits in the reader
+  // so tables already packed read correctly too.
+  if (spec.type == ValueType::kFloat64 && op == CompareOp::kNe) return false;
 
   if (spec.type == ValueType::kFloat64 || lit->type == ValueType::kFloat64) {
     double min = spec.type == ValueType::kFloat64
@@ -1033,11 +1037,6 @@ bool BlockTable::Refuted(const Expr& e, size_t b) const {
     default:
       return false;
   }
-}
-
-bool BlockTable::BlockRefuted(size_t b, const Expr& filter) const {
-  CheckArg(b < blocks_.size(), "block index out of range");
-  return Refuted(filter, b);
 }
 
 ScanStats BlockTable::stats() const {

@@ -100,9 +100,6 @@ class BlockTable {
   DataFramePtr ReadBlock(size_t b, const std::vector<std::string>& columns,
                          const ExprPtr& filter = nullptr) const;
 
-  /// True if `filter` refutes block `b` from synopses alone (no I/O).
-  bool BlockRefuted(size_t b, const Expr& filter) const;
-
   ScanStats stats() const;
   void ResetStats() const;
 

@@ -75,7 +75,7 @@ const char* kColors[] = {
     "spring",  "steel",     "tan",        "thistle", "tomato",   "turquoise",
     "violet",  "wheat",     "white",      "yellow"};
 
-// Generic comment filler words (no '|' so the .tbl writer stays unescaped).
+// Generic comment filler words.
 const char* kWords[] = {
     "carefully", "quickly",  "furiously", "slowly",   "blithely", "ideas",
     "requests",  "deposits", "accounts",  "packages", "theodolites",

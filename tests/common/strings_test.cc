@@ -5,33 +5,9 @@
 namespace wake {
 namespace {
 
-TEST(SplitTest, BasicFields) {
-  auto parts = Split("a|b|c", '|');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(SplitTest, KeepsEmptyFields) {
-  auto parts = Split("|x||", '|');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "");
-  EXPECT_EQ(parts[1], "x");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(SplitTest, NoDelimiter) {
-  auto parts = Split("hello", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "hello");
-}
-
-TEST(JoinTest, RoundTripsWithSplit) {
+TEST(JoinTest, KeepsEmptyParts) {
   std::vector<std::string> parts = {"x", "", "yz"};
   EXPECT_EQ(Join(parts, ","), "x,,yz");
-  EXPECT_EQ(Split(Join(parts, ","), ','), parts);
 }
 
 TEST(JoinTest, EmptyVector) { EXPECT_EQ(Join({}, ","), ""); }
@@ -73,13 +49,6 @@ TEST(LikeMatchTest, BacktrackingIsCorrect) {
   EXPECT_TRUE(LikeMatch("aaab", "%ab"));
   EXPECT_TRUE(LikeMatch("abcabc", "%abc"));
   EXPECT_FALSE(LikeMatch("abcabd", "%abc"));
-}
-
-TEST(StartsEndsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("forest green", "forest"));
-  EXPECT_FALSE(StartsWith("fo", "forest"));
-  EXPECT_TRUE(EndsWith("LARGE BRASS", "BRASS"));
-  EXPECT_FALSE(EndsWith("SS", "BRASS"));
 }
 
 TEST(StrFormatTest, FormatsLikePrintf) {

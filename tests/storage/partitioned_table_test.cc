@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <set>
 
 #include "common/error.h"
 
@@ -97,65 +97,6 @@ TEST(PartitionedTableTest, ChunkRowsMatchPartitions) {
     sum += t.chunk_rows(i);
   }
   EXPECT_EQ(sum, t.total_rows());
-}
-
-class SerializationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wake_test_" + std::to_string(::getpid()));
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
-};
-
-DataFrame MixedFrame() {
-  Schema schema({{"k", ValueType::kInt64},
-                 {"f", ValueType::kFloat64},
-                 {"s", ValueType::kString},
-                 {"d", ValueType::kDate}});
-  schema.set_primary_key({"k"});
-  schema.set_clustering_key({"k"});
-  DataFrame df(schema);
-  for (int i = 0; i < 25; ++i) {
-    df.mutable_column(0)->AppendInt(i);
-    df.mutable_column(1)->AppendDouble(i * 1.25);
-    df.mutable_column(2)->AppendString("row " + std::to_string(i));
-    df.mutable_column(3)->AppendInt(DateToDays(1995, 1, 1) + i);
-  }
-  return df;
-}
-
-TEST_F(SerializationTest, TblRoundTrip) {
-  PartitionedTable t = PartitionedTable::FromDataFrame("tbl", MixedFrame(), 3);
-  t.WriteTblDir(dir_.string());
-  PartitionedTable back = PartitionedTable::ReadTblDir(dir_.string(), "tbl");
-  EXPECT_EQ(back.num_partitions(), t.num_partitions());
-  std::string diff;
-  EXPECT_TRUE(back.Materialize().ApproxEquals(t.Materialize(), 1e-6, &diff))
-      << diff;
-  EXPECT_EQ(back.schema().primary_key(), t.schema().primary_key());
-  EXPECT_EQ(back.schema().clustering_key(), t.schema().clustering_key());
-}
-
-TEST_F(SerializationTest, MissingFileThrows) {
-  EXPECT_THROW(PartitionedTable::ReadTblDir(dir_.string(), "ghost"), Error);
-}
-
-// --- projected reads (scan column pruning reaches the storage layer) -----
-
-TEST_F(SerializationTest, TblProjectedReadMatchesFullReadSelect) {
-  PartitionedTable t = PartitionedTable::FromDataFrame("tbl", MixedFrame(), 3);
-  t.WriteTblDir(dir_.string());
-  PartitionedTable full = PartitionedTable::ReadTblDir(dir_.string(), "tbl");
-  PartitionedTable projected =
-      PartitionedTable::ReadTblDir(dir_.string(), "tbl", {"f", "d"});
-  EXPECT_EQ(projected.schema().num_fields(), 2u);
-  EXPECT_EQ(projected.schema().field(0).name, "f");
-  std::string diff;
-  EXPECT_TRUE(projected.Materialize().ApproxEquals(
-      full.Materialize({"f", "d"}), 1e-6, &diff))
-      << diff;
 }
 
 TEST(CatalogTest, AddGetHas) {

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "common/error.h"
@@ -404,6 +406,47 @@ TEST_F(WakeblockTest, NullPredicatesUseNullCountSynopsis) {
   auto an = wakeblock::BlockTable::Open(dir_.string(), "an");
   EXPECT_EQ(an->ReadBlock(0, {}, Ge(Expr::Col("x"), Expr::Int(0))), nullptr);
   EXPECT_NE(an->ReadBlock(0, {}, Expr::IsNull(Expr::Col("x"))), nullptr);
+}
+
+// A NaN after a float block's first row stays out of its min/max, yet
+// `NaN <> 5` holds, so `<>` must not skip a block whose other rows all
+// equal 5. Rows are compared by bit pattern: ApproxEquals never equates
+// NaN with NaN.
+TEST_F(WakeblockTest, NotEqualKeepsNaNRows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({{"x", ValueType::kFloat64}});
+  DataFrame df(schema);
+  for (double v : {5.0, nan, 5.0, 5.0,    // NaN after the first row
+                   nan, 5.0, 5.0, 5.0,    // NaN as the first row
+                   5.0, 5.0, 5.0, 5.0}) {
+    df.mutable_column(0)->AppendDouble(v);
+  }
+  wakeblock::WriteOptions opts;
+  opts.block_rows = 4;
+  wakeblock::Write(PartitionedTable::FromDataFrame("nan", df, 1),
+                   dir_.string(), opts);
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "nan");
+  ASSERT_EQ(bt->num_blocks(), 3u);
+  auto bits = [](const DataFrame& f) {
+    std::vector<uint64_t> out(f.num_rows());
+    for (size_t r = 0; r < out.size(); ++r) {
+      double d = f.column(0).DoubleAt(r);
+      std::memcpy(&out[r], &d, sizeof d);
+    }
+    return out;
+  };
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    ExprPtr filter = Expr::Cmp(op, Expr::Col("x"), Expr::Float(5.0));
+    DataFrame gathered(bt->schema());
+    for (size_t b = 0; b < bt->num_blocks(); ++b) {
+      DataFramePtr block = bt->ReadBlock(b, {}, filter);
+      if (block != nullptr) gathered.Append(*block);
+    }
+    EXPECT_EQ(bits(ApplyFilter(gathered, filter)),
+              bits(ApplyFilter(df, filter)))
+        << filter->ToString();
+  }
 }
 
 TEST_F(WakeblockTest, SkippedRowsCountTowardStats) {

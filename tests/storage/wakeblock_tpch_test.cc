@@ -1,8 +1,8 @@
 // End-to-end equivalence: every TPC-H query must produce byte-identical
-// results whether the catalog is served from text .tbl partitions or from
-// packed wakeblock files, on every engine and worker count. This is the
-// storage engine's correctness gate: the binary format, projection
-// pushdown, and block skipping must be invisible to query results.
+// results whether the catalog is dbgen's in-memory output or its packed
+// wakeblock copy, on every engine and worker count. This is the storage
+// engine's correctness gate: the binary format, projection pushdown, and
+// block skipping must be invisible to query results.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,8 +23,8 @@ namespace wake {
 namespace {
 
 struct Catalogs {
-  Catalog tbl;  // text partitions read back from a WriteTblDir layout
-  Catalog wb;   // lazy wakeblock-backed tables
+  Catalog mem;  // dbgen's in-memory partitions
+  Catalog wb;   // their lazy wakeblock-backed copy
 };
 
 // Generated, packed, and reopened once per binary: the suite runs 22
@@ -34,28 +34,19 @@ const Catalogs& Shared() {
     tpch::DbgenConfig cfg;
     cfg.scale_factor = 0.01;
     cfg.partitions = 4;
-    Catalog gen = tpch::Generate(cfg);
+    auto* out = new Catalogs;
+    out->mem = tpch::Generate(cfg);
 
     auto dir = std::filesystem::temp_directory_path() /
                ("wake_wbtpch_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir / "tbl");
-    for (const std::string& name : gen.TableNames()) {
-      gen.Get(name).WriteTblDir((dir / "tbl").string());
-    }
-    auto* out = new Catalogs;
-    out->tbl = OpenTblCatalog((dir / "tbl").string());
-    // Pack from the parsed text catalog (the wake_pack --in pipeline):
-    // byte-identical results require byte-identical source values, and the
-    // text round-trip is allowed to perturb low double bits vs dbgen's
-    // in-memory output.
     wakeblock::WriteOptions opts;
     opts.block_rows = 1024;  // several blocks per partition, so skipping
                              // and projection both exercise real extents
-    for (const std::string& name : out->tbl.TableNames()) {
-      wakeblock::Write(out->tbl.Get(name), (dir / "wb").string(), opts);
+    for (const std::string& name : out->mem.TableNames()) {
+      wakeblock::Write(out->mem.Get(name), dir.string(), opts);
     }
-    out->wb = wakeblock::OpenCatalog((dir / "wb").string());
+    out->wb = wakeblock::OpenCatalog(dir.string());
     return out;
   }();
   return *fixture;
@@ -63,27 +54,27 @@ const Catalogs& Shared() {
 
 class WakeblockTpch : public ::testing::TestWithParam<int> {};
 
-TEST_P(WakeblockTpch, ExactEngineMatchesTblExactly) {
+TEST_P(WakeblockTpch, ExactEngineMatchesInMemoryExactly) {
   const Catalogs& cat = Shared();
   Plan plan = tpch::Query(GetParam());
-  DataFrame expected = ExactEngine(&cat.tbl).Execute(plan.node());
+  DataFrame expected = ExactEngine(&cat.mem).Execute(plan.node());
   std::string diff;
   EXPECT_TRUE(ExactEngine(&cat.wb).Execute(plan.node()).ApproxEquals(
       expected, 0.0, &diff))
       << diff;
 }
 
-TEST_P(WakeblockTpch, WakeEngineMatchesTblExactlyAtOneAndFourWorkers) {
+TEST_P(WakeblockTpch, WakeEngineMatchesInMemoryExactlyAtOneAndFourWorkers) {
   const Catalogs& cat = Shared();
   Plan plan = tpch::Query(GetParam());
   for (size_t workers : {size_t{1}, size_t{4}}) {
     WakeOptions options;
     options.workers = workers;
-    WakeEngine tbl_engine(&cat.tbl, options);
+    WakeEngine mem_engine(&cat.mem, options);
     WakeEngine wb_engine(&cat.wb, options);
     std::string diff;
     EXPECT_TRUE(wb_engine.ExecuteFinal(plan.node())
-                    .ApproxEquals(tbl_engine.ExecuteFinal(plan.node()), 0.0,
+                    .ApproxEquals(mem_engine.ExecuteFinal(plan.node()), 0.0,
                                   &diff))
         << "workers=" << workers << ": " << diff;
   }
@@ -96,19 +87,19 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, WakeblockTpch, ::testing::Range(1, 23),
 
 // ProgressiveOla only serves single-table pipelines (Q1, Q6); its chunk
 // loop is the third consumer of the lazy block-sourced chunk API.
-TEST(WakeblockTpchExtra, ProgressiveOlaMatchesTblExactly) {
+TEST(WakeblockTpchExtra, ProgressiveOlaMatchesInMemoryExactly) {
   const Catalogs& cat = Shared();
   for (int q : {1, 6}) {
     Plan plan = tpch::Query(q);
-    DataFrame tbl_final, wb_final;
-    ProgressiveOla(&cat.tbl).Execute(plan.node(), [&](const OlaState& s) {
-      if (s.is_final) tbl_final = *s.frame;
+    DataFrame mem_final, wb_final;
+    ProgressiveOla(&cat.mem).Execute(plan.node(), [&](const OlaState& s) {
+      if (s.is_final) mem_final = *s.frame;
     });
     ProgressiveOla(&cat.wb).Execute(plan.node(), [&](const OlaState& s) {
       if (s.is_final) wb_final = *s.frame;
     });
     std::string diff;
-    EXPECT_TRUE(wb_final.ApproxEquals(tbl_final, 0.0, &diff))
+    EXPECT_TRUE(wb_final.ApproxEquals(mem_final, 0.0, &diff))
         << "Q" << q << ": " << diff;
   }
 }
@@ -126,7 +117,7 @@ TEST(WakeblockTpchExtra, ClusteredPredicateSkipsBlocksThroughTheEngine) {
                            .Aggregate({}, {Count("n"), Sum("l_quantity", "qty")}),
                        cat.wb);
 
-  DataFrame expected = ExactEngine(&cat.tbl).Execute(plan.node());
+  DataFrame expected = ExactEngine(&cat.mem).Execute(plan.node());
   const auto& source = cat.wb.Get("lineitem").block_source();
   wakeblock::ScanStats before = source->stats();
   DataFrame got = ExactEngine(&cat.wb).Execute(plan.node());
