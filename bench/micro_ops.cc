@@ -471,6 +471,105 @@ IngestRates MeasureIngest(size_t rows) {
   return rates;
 }
 
+// Per-state kernels of the refresh-mode operators, which recompute their
+// whole output for every state:
+//   sort_snapshot  SortLimitNode's sort and gather of a Q16-shaped
+//                  aggregate: 5k rows ordered by an int descending, two
+//                  dict strings (25 and 150 entries, dictionary order
+//                  not byte order) and an int
+//   agg_snapshot   a scaled GroupedAggState::Finalize over 16k groups:
+//                  SUM, COUNT and a COUNT(DISTINCT) whose (distinct,
+//                  rows) pairs repeat across groups, as in Q16
+struct SnapshotRates {
+  double sort_snapshot = 0.0;
+  double agg_snapshot = 0.0;
+};
+
+// `values` in a random order, so a dict built from them is not in byte
+// order.
+Column ShuffledPool(std::vector<std::string> values, Rng* rng) {
+  for (size_t i = values.size(); i > 1; --i) {
+    std::swap(values[i - 1], values[static_cast<size_t>(rng->UniformInt(
+                                 0, static_cast<int64_t>(i) - 1))]);
+  }
+  return Column::FromStrings(values);
+}
+
+SnapshotRates MeasureSnapshots() {
+  SnapshotRates rates;
+  Rng rng(13);
+  std::vector<std::string> brands, types;
+  for (int m = 1; m <= 5; ++m) {
+    for (int n = 1; n <= 5; ++n) {
+      brands.push_back(StrFormat("Brand#%d%d", m, n));
+    }
+  }
+  for (const char* size :
+       {"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}) {
+    for (const char* finish :
+         {"ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"}) {
+      for (const char* metal : {"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"}) {
+        types.push_back(StrFormat("%s %s %s", size, finish, metal));
+      }
+    }
+  }
+  const Column brand_pool = ShuffledPool(brands, &rng);
+  const Column type_pool = ShuffledPool(types, &rng);
+  constexpr size_t kSortRows = 5000;
+  constexpr int kSortReps = 40;
+  DataFrame sort_in(Schema({{"p_brand", ValueType::kString},
+                            {"p_type", ValueType::kString},
+                            {"p_size", ValueType::kInt64},
+                            {"supplier_cnt", ValueType::kInt64}}));
+  std::vector<uint32_t> brand_rows, type_rows;
+  for (size_t r = 0; r < kSortRows; ++r) {
+    brand_rows.push_back(static_cast<uint32_t>(rng.UniformInt(0, 24)));
+    type_rows.push_back(static_cast<uint32_t>(rng.UniformInt(0, 149)));
+    sort_in.mutable_column(2)->AppendInt(rng.UniformInt(1, 50));
+    sort_in.mutable_column(3)->AppendInt(rng.UniformInt(1, 40));
+  }
+  *sort_in.mutable_column(0) = brand_pool.Take(brand_rows);
+  *sort_in.mutable_column(1) = type_pool.Take(type_rows);
+  const std::vector<SortKey> keys = {{"supplier_cnt", true},
+                                     {"p_brand", false},
+                                     {"p_type", false},
+                                     {"p_size", false}};
+  rates.sort_snapshot = BestMrowsPerSec(kSortRows * kSortReps, [&] {
+    for (int rep = 0; rep < kSortReps; ++rep) {
+      DataFrame sorted = sort_in.Take(sort_in.SortedIndices(keys));
+      if (sorted.num_rows() != kSortRows) std::abort();
+    }
+  });
+
+  constexpr int64_t kGroups = 1 << 14;
+  constexpr int kAggReps = 4;
+  Schema agg_schema({{"g", ValueType::kInt64},
+                     {"v", ValueType::kFloat64},
+                     {"d", ValueType::kInt64}});
+  DataFrame agg_in(agg_schema);
+  for (int64_t r = 0; r < 4 * kGroups; ++r) {
+    agg_in.mutable_column(0)->AppendInt(rng.UniformInt(0, kGroups - 1));
+    agg_in.mutable_column(1)->AppendDouble(rng.UniformDouble(0, 100));
+    agg_in.mutable_column(2)->AppendInt(rng.UniformInt(0, 7));
+  }
+  std::vector<AggSpec> aggs = {Sum("v", "s"), Count("n"),
+                               CountDistinct("d", "cd")};
+  GroupedAggState state({"g"}, aggs, agg_schema,
+                        AggOutputSchema(agg_schema, {"g"}, aggs));
+  state.Consume(agg_in);
+  AggScaling scaling;
+  scaling.enabled = true;
+  scaling.t = 0.25;
+  scaling.w = 0.9;
+  const size_t groups = state.num_groups();
+  rates.agg_snapshot = BestMrowsPerSec(groups * kAggReps, [&] {
+    for (int rep = 0; rep < kAggReps; ++rep) {
+      if (state.Finalize(scaling).frame.num_rows() != groups) std::abort();
+    }
+  });
+  return rates;
+}
+
 int RunMicroJson() {
   constexpr size_t kRows = 1 << 18;     // 256k rows per kernel invocation
   constexpr int64_t kJoinKeys = 1 << 16;
@@ -513,6 +612,8 @@ int RunMicroJson() {
 
   IngestRates ingest = MeasureIngest(kRows);
 
+  SnapshotRates snapshot = MeasureSnapshots();
+
   std::printf(
       "{\"bench\":\"micro_ops\",\"rows\":%zu,\"host_cores\":%u,"
       "\"join_build_mrows_per_s\":%.2f,\"join_probe_mrows_per_s\":%.2f,"
@@ -531,13 +632,16 @@ int RunMicroJson() {
       "\"scan_columnar_mrows_per_s\":%.2f,"
       "\"scan_columnar_skip_mrows_per_s\":%.2f,"
       "\"ingest_append_mrows_per_s\":%.2f,"
-      "\"ingest_standing_mrows_per_s\":%.2f}\n",
+      "\"ingest_standing_mrows_per_s\":%.2f,"
+      "\"sort_snapshot_mrows_per_s\":%.2f,"
+      "\"agg_snapshot_mrows_per_s\":%.2f}\n",
       kRows, std::thread::hardware_concurrency(), ints.join_build,
       ints.join_probe, ints.group_by, ints.count_distinct, dict.join_build,
       dict.join_probe, dict.group_by, dict.count_distinct, probe_w1,
       probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
       ef.null_hash_scalar, ef.null_hash, scan.scan_columnar,
-      scan.scan_columnar_skip, ingest.ingest_append, ingest.ingest_standing);
+      scan.scan_columnar_skip, ingest.ingest_append, ingest.ingest_standing,
+      snapshot.sort_snapshot, snapshot.agg_snapshot);
   return 0;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/hash.h"
 #include "core/inference.h"
@@ -18,6 +19,49 @@ uint64_t DoubleBits(double d) {
   std::memcpy(&bits, &d, sizeof(bits));
   return bits;
 }
+
+// COUNT(DISTINCT) estimates of one snapshot. Within a snapshot x̂ is a
+// function of x, so (d, x) determines the MM1 estimate and its CI
+// derivative, and groups sharing a pair share one Newton solve.
+class DistinctMemo {
+ public:
+  struct Entry {
+    double est;
+    double dy_dxhat;  // set when the snapshot reports CIs and est > 0
+  };
+
+  explicit DistinctMemo(bool with_ci) : with_ci_(with_ci) {}
+
+  const Entry& Get(double d, double x, double xhat) {
+    const uint64_t h = MixHash(MixHash(0, DoubleBits(d)), DoubleBits(x));
+    for (uint32_t e = index_.Find(h); e != FlatHashIndex::kNil;
+         e = index_.Next(e)) {
+      if (keys_[e].first == d && keys_[e].second == x) return entries_[e];
+    }
+    Entry entry{EstimateCountDistinct(d, x, xhat), 0.0};
+    if (with_ci_ && entry.est > 0) {
+      // Eq 19 with Var(y) = 0: Var(f_cd) = Var(x̂)·(∂Y/∂x̂)². The
+      // derivative is taken numerically through the full MM1 solve — h in
+      // Eq 7 depends on x̂ both via z = x̂/Y and via the gamma arguments,
+      // so the z-partial alone (Eq 18's h′ term) would understate the
+      // sensitivity.
+      double eps = std::max(1e-4 * xhat, 1e-6);
+      double d_hi = EstimateCountDistinct(d, x, xhat + eps);
+      double d_lo = EstimateCountDistinct(d, x, xhat - eps);
+      entry.dy_dxhat = (d_hi - d_lo) / (2.0 * eps);
+    }
+    index_.Insert(h, static_cast<uint32_t>(entries_.size()));
+    keys_.emplace_back(d, x);
+    entries_.push_back(entry);
+    return entries_.back();
+  }
+
+ private:
+  bool with_ci_;
+  FlatHashIndex index_;
+  std::vector<std::pair<double, double>> keys_;
+  std::vector<Entry> entries_;
+};
 
 }  // namespace
 
@@ -361,6 +405,11 @@ AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
   }
 
   bool scale = scaling.enabled && scaling.t > 0.0 && scaling.t < 1.0;
+  // Per-snapshot constants: t^w for every group's x̂, and ln(1/t) for
+  // Var(x̂).
+  const double t_pow_w = scale ? std::pow(scaling.t, scaling.w) : 1.0;
+  const double lg = scale ? std::log(1.0 / scaling.t) : 0.0;
+  DistinctMemo distinct_memo(scaling.with_ci);
 
   std::vector<std::vector<double>*> var_cols(aggs_.size(), nullptr);
   if (scaling.with_ci) {
@@ -378,11 +427,12 @@ AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
       const HotAccum& acc = hot_[a][g];
       const ColdAccum& cold = cold_[a].empty() ? kNoCold : cold_[a][g];
       double x = static_cast<double>(group_rows_[g]);
-      double xhat = scale ? EstimateCardinality(x, scaling.t, scaling.w) : x;
+      double xhat = scale ? ScaleCardinality(x, t_pow_w) : x;
+      // EstimateSum's scale-up y·(x̂/x), its ratio computed once.
+      double ratio = x > 0 ? xhat / x : 1.0;
       double var_xhat = 0.0;
       if (scaling.with_ci && scale) {
         // Eq 10: Var(x̂) = (x̂ ln(1/t))² Var(w).
-        double lg = std::log(1.0 / scaling.t);
         var_xhat = xhat * xhat * lg * lg * scaling.var_w;
       }
       double ci_var = 0.0;
@@ -390,14 +440,13 @@ AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
         case AggFunc::kCount: {
           // Non-null counts scale like the group cardinality.
           double c = static_cast<double>(acc.count);
-          double est = scale && x > 0 ? EstimateSum(c, x, xhat) : c;
+          double est = scale && x > 0 ? c * ratio : c;
           col->AppendInt(static_cast<int64_t>(std::llround(est)));
           ci_var = var_xhat;
           break;
         }
         case AggFunc::kSum: {
-          double est = scale && x > 0 ? EstimateSum(acc.sum, x, xhat)
-                                      : acc.sum;
+          double est = scale && x > 0 ? acc.sum * ratio : acc.sum;
           if (col->type() == ValueType::kInt64) {
             col->AppendInt(static_cast<int64_t>(std::llround(est)));
           } else {
@@ -413,7 +462,6 @@ AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
               s2 = std::max(0.0, acc.sumsq / c - mean * mean);
             }
             double var_y = s2 * c;
-            double ratio = x > 0 ? xhat / x : 1.0;
             ci_var = x > 0 ? (var_y * xhat * xhat +
                               var_xhat * acc.sum * acc.sum) /
                                  (x * x)
@@ -449,20 +497,14 @@ AggResult GroupedAggState::Finalize(const AggScaling& scaling) const {
         }
         case AggFunc::kCountDistinct: {
           double d = static_cast<double>(acc.count);
-          double est =
-              scale && x > 0 ? EstimateCountDistinct(d, x, xhat) : d;
-          col->AppendInt(static_cast<int64_t>(std::llround(est)));
-          if (scaling.with_ci && scale && x > 0 && est > 0) {
-            // Eq 19 with Var(y) = 0: Var(f_cd) = Var(x̂)·(∂Y/∂x̂)². The
-            // derivative is taken numerically through the full MM1 solve —
-            // h in Eq 7 depends on x̂ both via z = x̂/Y and via the gamma
-            // arguments, so the z-partial alone (Eq 18's h′ term) would
-            // understate the sensitivity.
-            double eps = std::max(1e-4 * xhat, 1e-6);
-            double d_hi = EstimateCountDistinct(d, x, xhat + eps);
-            double d_lo = EstimateCountDistinct(d, x, xhat - eps);
-            double dy_dxhat = (d_hi - d_lo) / (2.0 * eps);
-            ci_var = var_xhat * dy_dxhat * dy_dxhat;
+          if (!scale || x <= 0) {
+            col->AppendInt(static_cast<int64_t>(std::llround(d)));
+            break;
+          }
+          const DistinctMemo::Entry& e = distinct_memo.Get(d, x, xhat);
+          col->AppendInt(static_cast<int64_t>(std::llround(e.est)));
+          if (scaling.with_ci && e.est > 0) {
+            ci_var = var_xhat * e.dy_dxhat * e.dy_dxhat;
           }
           break;
         }

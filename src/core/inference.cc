@@ -9,8 +9,12 @@ double EstimateCardinality(double x, double t, double w) {
   if (x <= 0.0) return 0.0;
   if (t <= 0.0) return x;
   if (t >= 1.0) return x;
-  double xhat = x / std::pow(t, w);
-  return std::max(xhat, x);
+  return ScaleCardinality(x, std::pow(t, w));
+}
+
+double ScaleCardinality(double x, double t_pow_w) {
+  if (x <= 0.0) return 0.0;
+  return std::max(x / t_pow_w, x);
 }
 
 double EstimateSum(double y, double x, double xhat) {

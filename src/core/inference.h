@@ -19,6 +19,10 @@ namespace wake {
 /// never returns less than `x`.
 double EstimateCardinality(double x, double t, double w);
 
+/// EstimateCardinality(x, t, w) for 0 < t < 1, given `t_pow_w` = t^w: a
+/// snapshot shares one t and one w, so it computes the power once.
+double ScaleCardinality(double x, double t_pow_w);
+
 /// Sum estimator f_sum = y·x̂/x (scale-up by the sampling ratio).
 double EstimateSum(double y, double x, double xhat);
 

@@ -250,12 +250,17 @@ class SortLimitNode : public ExecNode {
 
  private:
   void EmitSorted();
+  /// The full current content: the last refresh frame, or the appends.
+  const DataFrame& content() const {
+    return snapshot_ != nullptr ? *snapshot_ : appended_;
+  }
 
   std::vector<SortKey> sort_keys_;
   size_t limit_;
   Schema schema_;
   NodeOptions options_;
-  DataFrame content_;  // full current content
+  DataFramePtr snapshot_;  // last refresh-mode input, shared with its sender
+  DataFrame appended_;     // append-mode input (after any refresh)
   bool has_input_ = false;
   double last_progress_ = 0.0;
   uint64_t version_ = 0;

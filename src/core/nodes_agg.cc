@@ -151,17 +151,24 @@ SortLimitNode::SortLimitNode(const PlanNode& plan, const Schema& schema,
       limit_(plan.limit),
       schema_(schema),
       options_(options),
-      content_(schema) {}
+      appended_(schema) {}
 
-size_t SortLimitNode::BufferedBytes() const { return content_.ByteSize(); }
+size_t SortLimitNode::BufferedBytes() const { return content().ByteSize(); }
 
 void SortLimitNode::Process(size_t, const Message& msg) {
   // Case 3 (§2.2): order-by consumes its entire input; each state change
   // triggers a full recomputation of the sorted output.
   if (msg.refresh) {
-    content_ = *msg.frame;
+    // Frames are immutable once sent, so a refresh is held, not copied.
+    snapshot_ = msg.frame;
+    appended_ = DataFrame(schema_);
   } else {
-    content_.Append(*msg.frame);
+    if (snapshot_ != nullptr) {
+      // Appends extend the last refresh: copy it once to append to it.
+      appended_ = *snapshot_;
+      snapshot_ = nullptr;
+    }
+    appended_.Append(*msg.frame);
   }
   has_input_ = true;
   last_progress_ = msg.progress;
@@ -175,7 +182,8 @@ void SortLimitNode::Finish() {
 void SortLimitNode::EmitSorted() {
   // Top-k aware: with a limit, only the first k rows are ordered and
   // gathered, in the order the stable full sort would give them.
-  DataFrame sorted = content_.Take(content_.SortedIndices(sort_keys_, limit_));
+  const DataFrame& content = this->content();
+  DataFrame sorted = content.Take(content.SortedIndices(sort_keys_, limit_));
   Message result;
   result.frame = std::make_shared<DataFrame>(std::move(sorted));
   result.progress = last_progress_;

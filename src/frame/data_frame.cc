@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/error.h"
@@ -93,26 +94,177 @@ DataFrame DataFrame::SortBy(const std::vector<SortKey>& keys) const {
   return Take(SortedIndices(keys));
 }
 
-std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
-                                               size_t limit) const {
-  std::vector<size_t> cols;
-  std::vector<bool> desc;
-  for (const auto& k : keys) {
-    cols.push_back(schema_.FieldIndex(k.column));
-    desc.push_back(k.descending);
-  }
-  const size_t n = num_rows();
-  // Total order: sort keys, then row index — exactly the stable sort of
-  // the keys alone, but usable with partial_sort.
-  auto less = [&](uint32_t a, uint32_t b) {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      int c = columns_[cols[i]].CompareRows(a, columns_[cols[i]], b);
-      if (c != 0) return desc[i] ? c > 0 : c < 0;
-    }
-    return a < b;
-  };
+namespace {
+
+constexpr uint64_t kSignBit = 1ULL << 63;
+
+int BitWidth(uint64_t x) { return x == 0 ? 0 : 64 - __builtin_clzll(x); }
+
+uint64_t LowMask(int bits) { return bits >= 64 ? ~0ULL : (1ULL << bits) - 1; }
+
+// Unsigned images whose uint64 order is the value order.
+uint64_t IntImage(int64_t v) { return static_cast<uint64_t>(v) ^ kSignBit; }
+
+uint64_t DoubleImage(double d) {
+  if (std::isnan(d)) return ~0ULL;  // every NaN equal, above +inf
+  if (d == 0.0) d = 0.0;            // -0.0 ties with 0.0
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+// Inputs this small sort by insertion: a histogram pass costs more.
+constexpr size_t kInsertionSortRows = 32;
+
+// Row order of `keys` under a stable LSD radix sort of their low `bits`
+// bits, one byte per pass. One read histograms every pass, and a pass
+// whose byte is the same in every key is skipped. Stability makes the
+// row index the tie-break.
+std::vector<uint32_t> RadixOrder(std::vector<uint64_t> keys, int bits) {
+  const size_t n = keys.size();
   std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  std::iota(order.begin(), order.end(), 0u);
+  const int passes = (bits + 7) / 8;
+  if (n < 2 || passes == 0) return order;
+  if (n <= kInsertionSortRows) {
+    for (size_t i = 1; i < n; ++i) {
+      const uint32_t row = order[i];
+      size_t j = i;
+      for (; j > 0 && keys[order[j - 1]] > keys[row]; --j) {
+        order[j] = order[j - 1];
+      }
+      order[j] = row;
+    }
+    return order;
+  }
+  std::vector<uint32_t> counts(static_cast<size_t>(passes) * 256, 0);
+  for (uint64_t k : keys) {
+    for (int p = 0; p < passes; ++p) {
+      ++counts[p * 256 + ((k >> (8 * p)) & 255)];
+    }
+  }
+  std::vector<uint64_t> keys_out(n);
+  std::vector<uint32_t> order_out(n);
+  for (int p = 0; p < passes; ++p) {
+    uint32_t* offset = &counts[p * 256];
+    const int shift = 8 * p;
+    if (offset[(keys[0] >> shift) & 255] == n) continue;
+    uint32_t sum = 0;
+    for (int d = 0; d < 256; ++d) {
+      const uint32_t c = offset[d];
+      offset[d] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t at = offset[(keys[i] >> shift) & 255]++;
+      keys_out[at] = keys[i];
+      order_out[at] = order[i];
+    }
+    keys.swap(keys_out);
+    order.swap(order_out);
+  }
+  return order;
+}
+
+// The images of one sort key, rebased to the smallest valid image: the
+// valid rows' values span `bits` bits, and a column with nulls adds one
+// more bit above them (0 for a null row, so nulls sort first ascending).
+// Null rows hold value 0.
+struct KeyImage {
+  const Column* col;
+  bool desc;
+  bool nulls;
+  int bits;
+  std::vector<uint64_t> value;
+
+  int width() const { return bits + (nulls ? 1 : 0); }
+};
+
+// Byte-order rank of each valid row's string among the strings the
+// column holds. Rows are bucketed by code, so only the distinct codes
+// present are compared as bytes, never the whole dictionary.
+void StringRanks(const Column& col, std::vector<uint64_t>* out) {
+  std::vector<uint64_t>& v = *out;
+  const int32_t* codes = col.codes().data();
+  uint64_t max_code = 0;
+  for (size_t r = 0; r < v.size(); ++r) {
+    v[r] = col.IsNull(r) ? 0 : static_cast<uint64_t>(codes[r]);
+    max_code = std::max(max_code, v[r]);
+  }
+  // Each valid row's ordinal among the distinct codes, in code order.
+  std::vector<int32_t> distinct;
+  for (uint32_t r : RadixOrder(v, BitWidth(max_code))) {
+    if (col.IsNull(r)) continue;
+    if (distinct.empty() || distinct.back() != codes[r]) {
+      distinct.push_back(codes[r]);
+    }
+    v[r] = distinct.size() - 1;
+  }
+  std::vector<uint32_t> by_bytes(distinct.size());
+  std::iota(by_bytes.begin(), by_bytes.end(), 0u);
+  std::sort(by_bytes.begin(), by_bytes.end(), [&](uint32_t a, uint32_t b) {
+    return col.dict()->At(distinct[a]) < col.dict()->At(distinct[b]);
+  });
+  std::vector<uint64_t> rank(distinct.size());
+  for (size_t j = 0; j < by_bytes.size(); ++j) rank[by_bytes[j]] = j;
+  for (size_t r = 0; r < v.size(); ++r) {
+    if (!col.IsNull(r)) v[r] = rank[v[r]];
+  }
+}
+
+KeyImage MakeKeyImage(const Column& col, bool desc) {
+  KeyImage key{&col, desc, col.has_nulls(), 0, {}};
+  const size_t n = col.size();
+  std::vector<uint64_t>& v = key.value;
+  v.resize(n);
+  switch (col.type()) {
+    case ValueType::kString:
+      StringRanks(col, &v);
+      break;
+    case ValueType::kFloat64:
+      for (size_t r = 0; r < n; ++r) v[r] = DoubleImage(col.doubles()[r]);
+      break;
+    default:
+      for (size_t r = 0; r < n; ++r) v[r] = IntImage(col.ints()[r]);
+      break;
+  }
+  uint64_t lo = ~0ULL, hi = 0;
+  for (size_t r = 0; r < n; ++r) {
+    if (col.IsNull(r)) continue;
+    lo = std::min(lo, v[r]);
+    hi = std::max(hi, v[r]);
+  }
+  if (lo > hi) lo = hi = 0;  // no valid row
+  for (size_t r = 0; r < n; ++r) v[r] = col.IsNull(r) ? 0 : v[r] - lo;
+  key.bits = BitWidth(hi - lo);
+  return key;
+}
+
+// One word per row: the keys' fields concatenated, first key highest,
+// each complemented within its width when descending. Requires the
+// widths to sum to at most 64.
+std::vector<uint64_t> PackKeys(const std::vector<KeyImage>& keys, size_t n) {
+  std::vector<uint64_t> words(n, 0);
+  for (const KeyImage& key : keys) {
+    const int width = key.width();
+    if (width == 0) continue;
+    const uint64_t flip = key.desc ? LowMask(width) : 0;
+    const uint64_t valid_bit = key.nulls ? 1ULL << key.bits : 0;
+    for (size_t r = 0; r < n; ++r) {
+      uint64_t field = key.value[r];
+      if (key.nulls) field = key.col->IsNull(r) ? 0 : field | valid_bit;
+      words[r] = (width == 64 ? 0 : words[r] << width) | (field ^ flip);
+    }
+  }
+  return words;
+}
+
+// Row order of [0, n) under the total order `less`, truncated to the
+// first `limit` rows when 0 < limit < n.
+template <typename Less>
+std::vector<uint32_t> SortRows(size_t n, size_t limit, Less less) {
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
   if (limit > 0 && limit < n) {
     std::partial_sort(order.begin(), order.begin() + limit, order.end(),
                       less);
@@ -121,6 +273,41 @@ std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
     std::sort(order.begin(), order.end(), less);
   }
   return order;
+}
+
+}  // namespace
+
+std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
+                                               size_t limit) const {
+  const size_t n = num_rows();
+  std::vector<KeyImage> images;
+  images.reserve(keys.size());
+  int width = 0;
+  for (const auto& k : keys) {
+    images.push_back(
+        MakeKeyImage(columns_[schema_.FieldIndex(k.column)], k.descending));
+    width += images.back().width();
+  }
+  if (width <= 64) {
+    std::vector<uint64_t> words = PackKeys(images, n);
+    if (limit == 0 || limit >= n) return RadixOrder(std::move(words), width);
+    return SortRows(n, limit, [&](uint32_t a, uint32_t b) {
+      return words[a] != words[b] ? words[a] < words[b] : a < b;
+    });
+  }
+  // Wider keys compare field by field, then by row index.
+  return SortRows(n, limit, [&](uint32_t a, uint32_t b) {
+    for (const KeyImage& key : images) {
+      if (key.nulls) {
+        const bool na = key.col->IsNull(a), nb = key.col->IsNull(b);
+        if (na != nb) return na != key.desc;
+        if (na) continue;
+      }
+      const uint64_t va = key.value[a], vb = key.value[b];
+      if (va != vb) return key.desc ? va > vb : va < vb;
+    }
+    return a < b;
+  });
 }
 
 namespace {

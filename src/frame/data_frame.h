@@ -64,13 +64,15 @@ class DataFrame {
   /// Appends all rows of `other` (schemas must have identical fields).
   void Append(const DataFrame& other);
 
-  /// Stable sort by the given keys; nulls first on ascending.
+  /// Stable sort by the given keys; nulls first on ascending, strings in
+  /// byte order, -0.0 equal to 0.0, and NaN above +inf and equal to every
+  /// NaN (see README.md "Sorting").
   DataFrame SortBy(const std::vector<SortKey>& keys) const;
 
   /// Row order SortBy would gather, truncated to the first `limit` rows
-  /// when limit > 0. The comparator is total (sort keys, then row index
-  /// as tie-break), so a top-k partial sort yields exactly the stable
-  /// sort's first k rows.
+  /// when limit > 0. The order is total (sort keys, then row index as
+  /// tie-break), so a top-k partial sort yields exactly the stable sort's
+  /// first k rows.
   std::vector<uint32_t> SortedIndices(const std::vector<SortKey>& keys,
                                       size_t limit = 0) const;
 

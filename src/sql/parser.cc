@@ -1,7 +1,10 @@
 #include "sql/parser.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <optional>
+#include <system_error>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -77,6 +80,29 @@ class Parser {
   void Expect(TokenType type, const char* what) {
     if (Peek().type != type) Fail(std::string("expected ") + what);
     Advance();
+  }
+
+  /// Consumes the number token `what` as a T (int64_t, uint64_t or
+  /// double), converting the whole token: a value outside T's range, or a
+  /// fractional token where T is an integer, is a parse error at the
+  /// token (never an exception from the standard library).
+  template <typename T>
+  T ExpectNumber(const char* what) {
+    if (Peek().type != TokenType::kNumber) {
+      Fail(std::string("expected ") + what);
+    }
+    const std::string& text = Peek().text;
+    const char* end = text.data() + text.size();
+    T value{};
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+      Fail(std::string(what) + " out of range");
+    }
+    if (ec != std::errc() || ptr != end) {
+      Fail(std::string(what) + " must be an integer");
+    }
+    Advance();
+    return value;
   }
 
   /// Identifier with an optional table qualifier (`t.col` -> `col`).
@@ -166,14 +192,17 @@ class Parser {
       // DATE 'x' +/- INTERVAL n DAY folds into a date literal.
       if (AtKeyword("INTERVAL")) {
         Advance();
-        if (Peek().type != TokenType::kNumber) Fail("expected day count");
-        int64_t days = std::stoll(Advance().text);
+        const int64_t days = ExpectNumber<int64_t>("day count");
         ExpectKeyword("DAY");
         CheckSql(left->kind() == ExprKind::kLiteral &&
                      left->literal().type == ValueType::kDate,
                  "INTERVAL arithmetic requires a DATE literal left side");
-        int64_t base = left->literal().i;
-        left = Expr::Lit(Value::Date(add ? base + days : base - days));
+        const int64_t base = left->literal().i;
+        int64_t date = 0;
+        CheckSql(!(add ? __builtin_add_overflow(base, days, &date)
+                       : __builtin_sub_overflow(base, days, &date)),
+                 "INTERVAL arithmetic overflows the date range");
+        left = Expr::Lit(Value::Date(date));
         continue;
       }
       ExprPtr right = ParseMultiplicative();
@@ -202,11 +231,10 @@ class Parser {
 
   Value ParseLiteralValue() {
     if (Peek().type == TokenType::kNumber) {
-      std::string text = Advance().text;
-      if (text.find('.') != std::string::npos) {
-        return Value::Float(std::stod(text));
+      if (Peek().text.find('.') != std::string::npos) {
+        return Value::Float(ExpectNumber<double>("number"));
       }
-      return Value::Int(std::stoll(text));
+      return Value::Int(ExpectNumber<int64_t>("integer"));
     }
     if (Peek().type == TokenType::kString) {
       return Value::Str(Advance().text);
@@ -247,11 +275,9 @@ class Parser {
           ExpectSymbol("(");
           ExprPtr arg = ParseExpr();
           ExpectSymbol(",");
-          if (Peek().type != TokenType::kNumber) Fail("expected start");
-          int64_t start = std::stoll(Advance().text);
+          const int64_t start = ExpectNumber<int64_t>("start");
           ExpectSymbol(",");
-          if (Peek().type != TokenType::kNumber) Fail("expected length");
-          int64_t len = std::stoll(Advance().text);
+          const int64_t len = ExpectNumber<int64_t>("length");
           ExpectSymbol(")");
           return Expr::Substr(std::move(arg), start, len);
         }
@@ -547,15 +573,10 @@ class Parser {
         keys.push_back(std::move(key));
       } while (AcceptSymbol(","));
       size_t limit = 0;
-      if (AcceptKeyword("LIMIT")) {
-        if (Peek().type != TokenType::kNumber) Fail("expected limit");
-        limit = static_cast<size_t>(std::stoull(Advance().text));
-      }
+      if (AcceptKeyword("LIMIT")) limit = ExpectNumber<uint64_t>("limit");
       plan = plan.Sort(std::move(keys), limit);
     } else if (AcceptKeyword("LIMIT")) {
-      if (Peek().type != TokenType::kNumber) Fail("expected limit");
-      size_t limit = static_cast<size_t>(std::stoull(Advance().text));
-      plan = plan.Sort({}, limit);
+      plan = plan.Sort({}, ExpectNumber<uint64_t>("limit"));
     }
     return plan;
   }

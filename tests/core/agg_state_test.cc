@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "common/rng.h"
+#include "core/inference.h"
 #include "plan/props.h"
 
 namespace wake {
@@ -302,6 +304,94 @@ TEST(GbiScalingTest, CountDistinctUsesMm1) {
   int64_t est = state.Finalize(scaling).frame.ColumnByName("d").IntAt(0);
   EXPECT_GE(est, 5);   // at least the observed distinct count
   EXPECT_LE(est, 20);  // at most the projected cardinality
+}
+
+// A scaled Finalize computes t^w once and shares one COUNT(DISTINCT)
+// solve among groups with equal (distinct count, rows): every cell and
+// variance must still equal the per-group estimator calls bit for bit.
+TEST(GroupedAggStateTest, SnapshotMatchesPerGroupEstimators) {
+  constexpr size_t kGroups = 300;
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f"};
+  std::vector<int64_t> g;
+  std::vector<double> v;
+  std::vector<std::string> name;
+  Rng rng(17);
+  for (size_t grp = 0; grp < kGroups; ++grp) {
+    // Groups cycle through 12 (rows, distinct names) shapes, so many
+    // groups share one (d, x) pair.
+    const size_t rows = 1 + grp % 4 * 3;
+    const size_t distinct = 1 + grp % 3 % rows;
+    for (size_t r = 0; r < rows; ++r) {
+      g.push_back(static_cast<int64_t>(grp));
+      v.push_back(rng.UniformDouble(-50.0, 100.0));
+      name.push_back(names[r % distinct]);
+    }
+  }
+  std::vector<AggSpec> aggs = {Sum("v", "s"), Count("n"),
+                               CountDistinct("name", "d")};
+  auto state = MakeState({"g"}, aggs);
+  state.Consume(MakeInput(g, v, name));
+  ASSERT_EQ(state.num_groups(), kGroups);
+
+  auto bits = [](double d) {
+    uint64_t b;
+    std::memcpy(&b, &d, sizeof(b));
+    return b;
+  };
+  for (bool with_ci : {false, true}) {
+    AggScaling scaling;
+    scaling.enabled = true;
+    scaling.t = 0.37;
+    scaling.w = 0.83;
+    scaling.var_w = 0.02;
+    scaling.with_ci = with_ci;
+    AggResult res = state.Finalize(scaling);
+    size_t row = 0;
+    for (size_t grp = 0; grp < kGroups; ++grp) {
+      double x = 0, sum = 0, sumsq = 0, count = 0;
+      std::vector<std::string> seen;
+      for (; row < g.size() && g[row] == static_cast<int64_t>(grp); ++row) {
+        ++x;
+        sum += v[row];
+        sumsq += v[row] * v[row];
+        ++count;
+        if (std::find(seen.begin(), seen.end(), name[row]) == seen.end()) {
+          seen.push_back(name[row]);
+        }
+      }
+      const double d = static_cast<double>(seen.size());
+      const double xhat = EstimateCardinality(x, scaling.t, scaling.w);
+      const double dhat = EstimateCountDistinct(d, x, xhat);
+      const DataFrame& out = res.frame;
+      EXPECT_EQ(bits(out.ColumnByName("s").DoubleAt(grp)),
+                bits(EstimateSum(sum, x, xhat)))
+          << "group " << grp;
+      EXPECT_EQ(out.ColumnByName("n").IntAt(grp),
+                std::llround(EstimateSum(count, x, xhat)));
+      EXPECT_EQ(out.ColumnByName("d").IntAt(grp), std::llround(dhat));
+      if (!with_ci) {
+        EXPECT_TRUE(res.variances.empty());
+        continue;
+      }
+      const double lg = std::log(1.0 / scaling.t);
+      const double var_xhat = xhat * xhat * lg * lg * scaling.var_w;
+      double s2 = 0.0;
+      if (count > 1.0) {
+        double mean = sum / count;
+        s2 = std::max(0.0, sumsq / count - mean * mean);
+      }
+      const double var_s =
+          (s2 * count * xhat * xhat + var_xhat * sum * sum) / (x * x);
+      const double eps = std::max(1e-4 * xhat, 1e-6);
+      const double dy = (EstimateCountDistinct(d, x, xhat + eps) -
+                         EstimateCountDistinct(d, x, xhat - eps)) /
+                        (2.0 * eps);
+      EXPECT_EQ(bits(res.variances.at("s")[grp]), bits(var_s));
+      EXPECT_EQ(bits(res.variances.at("n")[grp]), bits(var_xhat));
+      EXPECT_EQ(bits(res.variances.at("d")[grp]), bits(var_xhat * dy * dy))
+          << "group " << grp;
+    }
+  }
 }
 
 // Confidence-interval output (§6).

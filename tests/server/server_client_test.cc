@@ -110,6 +110,30 @@ TEST_F(ServerClientTest, IllTypedQueryIsAPlanErrorAndTheServerKeepsServing) {
   EXPECT_TRUE(server.Shutdown(1000));
 }
 
+TEST_F(ServerClientTest,
+       OutOfRangeLiteralIsAParseErrorAndTheServerKeepsServing) {
+  Db db(&cat_);
+  Server server(&db, FastServer());
+  server.Start();
+  Client client(FastClient(server.port()));
+  try {
+    client.Execute("SELECT 99999999999999999999 AS x FROM nation");
+    FAIL() << "expected a parse error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kParse) << e.what();
+    EXPECT_FALSE(e.retryable());
+  }
+  // The same client, on the same server, still runs Q6 to its final state.
+  DataFrame local = db.Prepare(tpch::QuerySql(6)).Execute();
+  QueryResult remote = client.Execute(tpch::QuerySql(6));
+  ASSERT_TRUE(remote.frame != nullptr);
+  EXPECT_EQ(remote.status, ResultStatus::kFinal);
+  std::string diff;
+  EXPECT_TRUE(remote.frame->ApproxEquals(local, 0.0, &diff)) << diff;
+  client.Close();
+  EXPECT_TRUE(server.Shutdown(1000));
+}
+
 TEST_F(ServerClientTest, StreamingSnapshotsConvergeToFinal) {
   Db db(&cat_);
   Server server(&db, FastServer());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "baseline/exact_engine.h"
 #include "common/error.h"
 #include "core/engine.h"
@@ -180,6 +183,54 @@ TEST(SqlParserTest, ErrorsArePositionAnnotated) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
   }
+}
+
+// Every number token converts whole: one outside its type's range, or a
+// fractional one where an integer is required (INTERVAL days, SUBSTR
+// bounds, LIMIT), is a kParse error at the token's offset, not an
+// exception from the standard library or a silent truncation.
+TEST(SqlParserTest, OutOfRangeAndFractionalNumbersAreParseErrors) {
+  const std::string huge_float = "1" + std::string(400, '0') + ".5";
+  const std::pair<std::string, std::string> cases[] = {
+      {"SELECT 99999999999999999999 AS x FROM nation",
+       "99999999999999999999"},
+      {"SELECT " + huge_float + " AS x FROM nation", huge_float},
+      {"SELECT * FROM orders WHERE o_orderdate < "
+       "DATE '1995-01-01' + INTERVAL 2.5 DAY",
+       "2.5"},
+      {"SELECT * FROM orders WHERE o_orderdate < "
+       "DATE '1995-01-01' - INTERVAL 99999999999999999999 DAY",
+       "99999999999999999999"},
+      {"SELECT SUBSTR(c_phone, 1.5, 2) AS p FROM customer", "1.5"},
+      {"SELECT SUBSTR(c_phone, 1, 99999999999999999999) AS p FROM customer",
+       "99999999999999999999"},
+      {"SELECT * FROM nation ORDER BY n_name LIMIT 2.9", "2.9"},
+      {"SELECT * FROM nation LIMIT 99999999999999999999",
+       "99999999999999999999"},
+  };
+  for (const auto& [sql, token] : cases) {
+    try {
+      Parse(sql);
+      ADD_FAILURE() << "expected a parse error: " << sql;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kParse) << sql;
+      EXPECT_EQ(e.position(), sql.find(token)) << sql << ": " << e.what();
+    }
+  }
+  // A date pushed past int64 by INTERVAL is rejected too.
+  try {
+    Parse("SELECT * FROM orders WHERE o_orderdate < "
+          "DATE '1995-01-01' + INTERVAL 9223372036854775807 DAY");
+    ADD_FAILURE() << "expected a parse error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kParse) << e.what();
+  }
+  // In-range numbers still parse, and LIMIT keeps its count.
+  EXPECT_EQ(RunExact("SELECT * FROM nation ORDER BY n_name LIMIT 2")
+                .num_rows(),
+            2u);
+  EXPECT_NO_THROW(Parse("SELECT 9223372036854775807 AS x, .5 AS y, "
+                        "SUBSTR(c_phone, 1, 2) AS p FROM customer"));
 }
 
 TEST(SqlParserTest, RejectsUnsupportedConstructs) {

@@ -9,6 +9,8 @@
 
 #include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 
 #include "baseline/exact_engine.h"
 #include "baseline/progressive_ola.h"
@@ -22,34 +24,53 @@
 namespace wake {
 namespace {
 
+// A directory removed, with its contents, when the object is destroyed.
+struct TempDir {
+  explicit TempDir(std::filesystem::path p) : path(std::move(p)) {
+    std::filesystem::remove_all(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::filesystem::path path;
+};
+
+// dbgen's catalog and its packed wakeblock copy. The packed directory is
+// declared first, so it is removed after the catalog that reads it.
 struct Catalogs {
+  Catalogs();
+
+  TempDir dir;
   Catalog mem;  // dbgen's in-memory partitions
   Catalog wb;   // their lazy wakeblock-backed copy
 };
 
-// Generated, packed, and reopened once per binary: the suite runs 22
-// queries x several engine configurations against the same two catalogs.
-const Catalogs& Shared() {
-  static const Catalogs* fixture = [] {
-    tpch::DbgenConfig cfg;
-    cfg.scale_factor = 0.01;
-    cfg.partitions = 4;
-    auto* out = new Catalogs;
-    out->mem = tpch::Generate(cfg);
+Catalogs::Catalogs()
+    : dir(std::filesystem::temp_directory_path() /
+          ("wake_wbtpch_" + std::to_string(::getpid()))) {
+  tpch::DbgenConfig cfg;
+  cfg.scale_factor = 0.01;
+  cfg.partitions = 4;
+  mem = tpch::Generate(cfg);
+  wakeblock::WriteOptions opts;
+  opts.block_rows = 1024;  // several blocks per partition, so skipping
+                           // and projection both exercise real extents
+  for (const std::string& name : mem.TableNames()) {
+    wakeblock::Write(mem.Get(name), dir.path.string(), opts);
+  }
+  wb = wakeblock::OpenCatalog(dir.path.string());
+}
 
-    auto dir = std::filesystem::temp_directory_path() /
-               ("wake_wbtpch_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    wakeblock::WriteOptions opts;
-    opts.block_rows = 1024;  // several blocks per partition, so skipping
-                             // and projection both exercise real extents
-    for (const std::string& name : out->mem.TableNames()) {
-      wakeblock::Write(out->mem.Get(name), dir.string(), opts);
-    }
-    out->wb = wakeblock::OpenCatalog(dir.string());
-    return out;
-  }();
-  return *fixture;
+// Generated, packed, and reopened once per binary (the suite runs 22
+// queries x several engine configurations against the same two
+// catalogs), and removed when the binary exits.
+const Catalogs& Shared() {
+  static const Catalogs fixture;
+  return fixture;
 }
 
 class WakeblockTpch : public ::testing::TestWithParam<int> {};
