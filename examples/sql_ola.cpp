@@ -2,7 +2,7 @@
 // line, a TPC-H query number, or a built-in default) against generated
 // TPC-H data and stream its states from any of the three engines.
 //
-//   build/examples/sql_ola [--explain] [--no-optimize]
+//   build/examples/sql_ola [--explain]
 //                          [--mode ola|exact|progressive] [--workers N]
 //                          [--timeout-ms N] [--memory-limit-kb N]
 //                          [--data gen|wakeblock] [--data-dir DIR]
@@ -12,7 +12,9 @@
 // --mode selects the engine behind the same handle: ola (Wake, streaming
 // converging states), exact (blocking baseline, one final state), or
 // progressive (ProgressiveDB-style middleware; single-table queries
-// only). --workers sizes the session's shared worker pool.
+// only). --workers sizes the session's worker pool, which runs the hash
+// join probe's morsels: 0 (default) = the process-wide pool (WAKE_WORKERS),
+// N = a pool of N workers, where 1 runs every probe inline.
 //
 // --timeout-ms / --memory-limit-kb attach a resource budget. An OLA run
 // that breaches its budget degrades instead of erroring: the query stops
@@ -63,8 +65,6 @@ int main(int argc, char** argv) {
       std::string arg = argv[i];
       if (arg == "--explain") {
         explain = true;
-      } else if (arg == "--no-optimize") {
-        db_options.optimize = false;
       } else if (arg == "--mode") {
         if (i + 1 >= argc) throw Error("--mode needs ola|exact|progressive");
         mode = argv[++i];

@@ -156,10 +156,6 @@ void QueryHandle::Impl::RunEngine(Stopwatch& clock,
       WakeOptions wopts;
       wopts.with_ci = options.with_ci;
       wopts.pool = db->pool();
-      // Without a shared pool the session is serial by construction
-      // (DbOptions::workers resolved to no pool); keep node bodies serial
-      // rather than letting the engine re-derive a pool of its own.
-      wopts.workers = 1;
       wopts.tracker = budgeted ? &tracker : nullptr;
       engine = std::make_unique<WakeEngine>(&db->catalog(), wopts);
       if (budgeted) {
@@ -394,7 +390,12 @@ std::string PreparedQuery::Explain() const {
 Db::Db(const Catalog* catalog, DbOptions options)
     : catalog_(catalog), options_(options) {
   CheckArg(catalog != nullptr, "null catalog");
-  pool_ = ResolveWorkerPool(options_.workers, &owned_pool_);
+  if (options_.workers == 0) {
+    pool_ = &WorkerPool::Global();
+  } else {
+    owned_pool_ = std::make_unique<WorkerPool>(options_.workers);
+    pool_ = owned_pool_.get();
+  }
   if (options_.max_concurrent_queries > 0) {
     admission_ = std::make_unique<AdmissionController>(
         options_.max_concurrent_queries, options_.max_queued);
@@ -419,12 +420,9 @@ PreparedQuery Db::Prepare(const Plan& plan) const {
 PreparedQuery Db::Finish(std::string sql, Plan plan) const {
   Schema schema;
   try {
-    if (options_.optimize) {
-      plan = Optimize(plan, *catalog_);
-    }
-    // Validate now (errors surface at Prepare, not mid-run) and pin the
-    // result schema. Optimize() already validates, but the no-optimize
-    // path must be just as loud.
+    plan = Optimize(plan, *catalog_);
+    // Pin the result schema (Optimize() has validated the plan, so
+    // errors surface at Prepare, not mid-run).
     schema = InferProps(plan.node(), *catalog_).schema;
   } catch (const Error& e) {
     // Validation reuses frame/schema helpers whose throws default to

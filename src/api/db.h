@@ -44,7 +44,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -69,14 +68,11 @@ enum class QueryEngine : uint8_t {
 /// Session-wide configuration.
 struct DbOptions {
   /// Worker pool shared by all queries of this Db, which runs their
-  /// join-probe and projection morsels: 0 = process-wide pool
-  /// (WAKE_WORKERS, default hardware concurrency), 1 = serial operator
-  /// bodies, N > 1 = a Db-owned pool of N workers. Results are
+  /// join-probe morsels: 0 = the process-wide pool (WAKE_WORKERS, default
+  /// hardware concurrency), N = a Db-owned pool of N workers, where 1
+  /// spawns no thread and runs every probe inline. Results are
   /// byte-identical across settings.
   size_t workers = 0;
-  /// Run the logical optimizer in Prepare(). Off = naive plans (mostly
-  /// useful for plan-shape debugging; results are identical either way).
-  bool optimize = true;
   /// Admission control: at most this many queries execute at once; excess
   /// runs queue FIFO. 0 = unlimited (no admission gate).
   size_t max_concurrent_queries = 0;
@@ -265,16 +261,6 @@ struct SubscriptionState {
   DataFramePtr frame;
 };
 
-/// Configuration for Db::Subscribe.
-struct SubscribeOptions {
-  /// Poll interval of the subscription's background refresher thread;
-  /// 0 = no thread, the owner drives Refresh() manually.
-  int64_t poll_ms = 0;
-  /// Invoked for every emitted state, on whichever thread produced it
-  /// (the poll thread, or the caller of Refresh()).
-  std::function<void(const SubscriptionState&)> on_state;
-};
-
 /// A standing query over a live table (Db::Subscribe): a long-lived
 /// handle whose result is maintained *incrementally*. Each Refresh()
 /// takes one consistent live-table snapshot, folds only the rows
@@ -287,11 +273,12 @@ struct SubscribeOptions {
 /// aggregate whose input is a Filter/Map chain over a single scan of a
 /// live table; anything else is rejected at Subscribe with kPlan.
 ///
-/// Thread safety: Refresh()/Current() are safe from any thread. The
-/// destructor stops and joins the poll thread, if any. If retention
-/// evicts rows the subscription has not folded yet, Refresh() throws
-/// kResourceExhausted (the incremental state can no longer be made
-/// consistent) — size retain_tablets to outlast the refresh cadence.
+/// The owner advances it: a subscription runs no thread of its own, and
+/// its state moves only when Refresh() is called. Refresh()/Current()
+/// are safe from any thread. If retention evicts rows the subscription
+/// has not folded yet, Refresh() throws kResourceExhausted (the
+/// incremental state can no longer be made consistent) — size
+/// retain_tablets to outlast the refresh cadence.
 class Subscription {
  public:
   ~Subscription();
@@ -328,22 +315,20 @@ class Db {
   /// (with position) for rejected SQL, kPlan for validation failures.
   PreparedQuery Prepare(const std::string& sql) const;
 
-  /// Prepares a programmatically built plan (optimized under the same
-  /// DbOptions::optimize switch).
+  /// Prepares (optimizes and validates) a programmatically built plan.
   PreparedQuery Prepare(const Plan& plan) const;
 
-  /// Registers a standing query over a live table (see Subscription).
-  /// Throws kPlan if the plan shape is unsupported or the scanned table
-  /// is not dynamic. The Db must outlive the returned handle.
-  std::unique_ptr<Subscription> Subscribe(const std::string& sql,
-                                          SubscribeOptions options = {}) const;
-  std::unique_ptr<Subscription> Subscribe(const Plan& plan,
-                                          SubscribeOptions options = {}) const;
+  /// Registers a standing query over a live table (see Subscription),
+  /// preparing it once. Throws kPlan if the plan shape is unsupported or
+  /// the scanned table is not dynamic. The Db must outlive the returned
+  /// handle.
+  std::unique_ptr<Subscription> Subscribe(const std::string& sql) const;
+  std::unique_ptr<Subscription> Subscribe(const Plan& plan) const;
 
   const Catalog& catalog() const { return *catalog_; }
   const DbOptions& options() const { return options_; }
 
-  /// The shared worker pool (null = serial operator bodies).
+  /// The shared worker pool (never null).
   WorkerPool* pool() const { return pool_; }
 
   /// Admission gate (null when max_concurrent_queries == 0).
@@ -358,7 +343,7 @@ class Db {
 
   const Catalog* catalog_;
   DbOptions options_;
-  std::unique_ptr<WorkerPool> owned_pool_;
+  std::unique_ptr<WorkerPool> owned_pool_;  // when options_.workers > 0
   WorkerPool* pool_ = nullptr;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<ResourceTracker> session_tracker_;

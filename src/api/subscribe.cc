@@ -11,11 +11,8 @@
 // snapshot. The operators around the aggregate are the exact engine's
 // own: each step runs through ExactEngine::Apply.
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +22,7 @@
 #include "core/agg_state.h"
 #include "ingest/live_table.h"
 #include "plan/props.h"
+#include "sql/parser.h"
 
 namespace wake {
 
@@ -35,7 +33,6 @@ struct Subscription::Impl {
   PlanNodePtr agg;
   std::vector<PlanNodePtr> post_ops;  // aggregate output → root, in order
   Schema output_schema;
-  SubscribeOptions options;
 
   mutable std::mutex mu;
   std::unique_ptr<GroupedAggState> state;  // persistent, serial
@@ -43,21 +40,6 @@ struct Subscription::Impl {
   uint64_t watermark = 0;  // rows below this global index are folded in
   bool emitted = false;
   SubscriptionState last;
-  std::exception_ptr poll_error;
-
-  std::thread poller;
-  std::mutex stop_mu;
-  std::condition_variable stop_cv;
-  bool stop = false;
-
-  ~Impl() {
-    {
-      std::lock_guard<std::mutex> lock(stop_mu);
-      stop = true;
-    }
-    stop_cv.notify_all();
-    if (poller.joinable()) poller.join();
-  }
 
   /// An empty frame with the scan's output columns, the seed deltas
   /// append onto.
@@ -147,38 +129,6 @@ struct Subscription::Impl {
     emitted = true;
     return last;
   }
-
-  std::optional<SubscriptionState> Refresh() {
-    std::optional<SubscriptionState> emittedState;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (poll_error != nullptr) std::rethrow_exception(poll_error);
-      emittedState = RefreshLocked();
-    }
-    if (emittedState && options.on_state) options.on_state(*emittedState);
-    return emittedState;
-  }
-
-  void PollLoop() {
-    std::unique_lock<std::mutex> lock(stop_mu);
-    while (!stop) {
-      stop_cv.wait_for(lock, std::chrono::milliseconds(options.poll_ms),
-                       [this] { return stop; });
-      if (stop) break;
-      lock.unlock();
-      try {
-        Refresh();
-      } catch (...) {
-        // Park the error for the owner's next Refresh()/Current() and
-        // stop polling: the state can no longer advance consistently.
-        std::lock_guard<std::mutex> elock(mu);
-        poll_error = std::current_exception();
-        lock.lock();
-        break;
-      }
-      lock.lock();
-    }
-  }
 };
 
 Subscription::Subscription(std::unique_ptr<Impl> impl)
@@ -187,30 +137,26 @@ Subscription::Subscription(std::unique_ptr<Impl> impl)
 Subscription::~Subscription() = default;
 
 std::optional<SubscriptionState> Subscription::Refresh() {
-  return impl_->Refresh();
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->RefreshLocked();
 }
 
 SubscriptionState Subscription::Current() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  if (impl_->poll_error != nullptr) std::rethrow_exception(impl_->poll_error);
   return impl_->last;
 }
 
 const Schema& Subscription::schema() const { return impl_->output_schema; }
 
-std::unique_ptr<Subscription> Db::Subscribe(const std::string& sql,
-                                            SubscribeOptions options) const {
-  PreparedQuery q = Prepare(sql);
-  return Subscribe(Plan(q.plan().node()), std::move(options));
+std::unique_ptr<Subscription> Db::Subscribe(const std::string& sql) const {
+  return Subscribe(sql::Parse(sql));
 }
 
-std::unique_ptr<Subscription> Db::Subscribe(const Plan& plan,
-                                            SubscribeOptions options) const {
+std::unique_ptr<Subscription> Db::Subscribe(const Plan& plan) const {
   PreparedQuery q = Prepare(plan);
 
   auto impl = std::make_unique<Subscription::Impl>();
   impl->output_schema = q.schema();
-  impl->options = std::move(options);
 
   // Decompose the optimized plan: [post_ops] over one kAggregate over
   // [pre_ops] over one kScan of a live table.
@@ -250,9 +196,6 @@ std::unique_ptr<Subscription> Db::Subscribe(const Plan& plan,
             "dynamic table '" + impl->scan->table +
                 "' does not support subscriptions");
 
-  if (impl->options.poll_ms > 0) {
-    impl->poller = std::thread([p = impl.get()] { p->PollLoop(); });
-  }
   return std::unique_ptr<Subscription>(new Subscription(std::move(impl)));
 }
 

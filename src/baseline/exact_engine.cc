@@ -86,11 +86,8 @@ DataFrame ExactEngine::Apply(const PlanNode& node, DataFrame in) {
       state.Consume(in);
       return state.Finalize(AggScaling{}).frame;
     }
-    case PlanOp::kSortLimit: {
-      DataFrame sorted = in.SortBy(node.sort_keys);
-      if (node.limit > 0) return sorted.Head(node.limit);
-      return sorted;
-    }
+    case PlanOp::kSortLimit:
+      return in.Take(in.SortedIndices(node.sort_keys, node.limit));
     case PlanOp::kScan:
     case PlanOp::kJoin:
       break;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "common/error.h"
 #include "common/failpoint.h"
@@ -11,9 +12,9 @@
 namespace wake {
 
 // Shared state of one blocking parallel loop. Runner tasks (one per
-// worker) claim indices from `next` until exhausted; `active` counts
-// runners still inside body calls so the caller can wait for the last
-// claimed index to finish, not just for the cursor to empty.
+// worker) claim indices from `next` until exhausted; `done` counts the
+// indices whose body returned, so the caller waits for the last claimed
+// index to finish, not just for the cursor to empty.
 struct WorkerPool::LoopState {
   std::atomic<size_t> next{0};
   size_t total = 0;
@@ -27,10 +28,9 @@ struct WorkerPool::LoopState {
 
 WorkerPool::WorkerPool(size_t workers) {
   size_t spawn = workers > 0 ? workers - 1 : 0;
-  queues_.resize(spawn);
   threads_.reserve(spawn);
   for (size_t i = 0; i < spawn; ++i) {
-    threads_.emplace_back([this, i] { WorkerMain(i); });
+    threads_.emplace_back([this] { WorkerMain(); });
   }
 }
 
@@ -59,60 +59,31 @@ WorkerPool& WorkerPool::Global() {
 }
 
 void WorkerPool::Submit(std::function<void()> task) {
-  if (queues_.empty()) {
+  if (threads_.empty()) {
     // No spawned threads: run inline (serial pool).
     task();
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(task));
   }
   work_ready_.notify_one();
 }
 
-bool WorkerPool::PopOrSteal(size_t slot, std::function<void()>* task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Own deque first, newest task (LIFO keeps caches warm) …
-  if (!queues_[slot].empty()) {
-    *task = std::move(queues_[slot].back());
-    queues_[slot].pop_back();
-    return true;
-  }
-  // … then steal the oldest task from a sibling (FIFO takes the work the
-  // owner is furthest from touching).
-  for (size_t i = 1; i < queues_.size(); ++i) {
-    size_t victim = (slot + i) % queues_.size();
-    if (!queues_[victim].empty()) {
-      *task = std::move(queues_[victim].front());
-      queues_[victim].pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkerPool::WorkerMain(size_t slot) {
+void WorkerPool::WorkerMain() {
   for (;;) {
     std::function<void()> task;
-    if (PopOrSteal(slot, &task)) {
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_ready_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
+      // Shutdown drains the queue first: a queued runner may be the one
+      // a blocked loop caller is waiting on.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    work_ready_.wait(lock, [&] {
-      if (shutdown_) return true;
-      for (const auto& q : queues_) {
-        if (!q.empty()) return true;
-      }
-      return false;
-    });
-    if (shutdown_) {
-      bool any = false;
-      for (const auto& q : queues_) any = any || !q.empty();
-      if (!any) return;
-    }
+    task();
   }
 }
 
@@ -144,7 +115,7 @@ void WorkerPool::ParallelFor(size_t n, size_t grain,
                              const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  if (queues_.empty() || n <= grain) {
+  if (threads_.empty() || n <= grain) {
     // Serial pool or a single morsel: run inline, in range order.
     for (size_t begin = 0; begin < n; begin += grain) {
       body(begin, std::min(begin + grain, n));
@@ -162,7 +133,7 @@ void WorkerPool::ParallelFor(size_t n, size_t grain,
   // runners than morsels is harmless: surplus runners see an exhausted
   // cursor and return immediately.
   size_t morsels = (n + grain - 1) / grain;
-  size_t runners = std::min(queues_.size(), morsels - 1);
+  size_t runners = std::min(threads_.size(), morsels - 1);
   for (size_t i = 0; i < runners; ++i) {
     Submit([state] { RunLoop(state.get()); });
   }
@@ -179,18 +150,6 @@ void WorkerPool::ParallelShards(size_t shards,
                                 const std::function<void(size_t)>& body) {
   ParallelFor(shards, 1,
               [&body](size_t begin, size_t /*end*/) { body(begin); });
-}
-
-WorkerPool* ResolveWorkerPool(size_t workers,
-                              std::unique_ptr<WorkerPool>* owned) {
-  if (workers == 0) {
-    return WorkerPool::DefaultWorkers() > 1 ? &WorkerPool::Global() : nullptr;
-  }
-  if (workers > 1) {
-    *owned = std::make_unique<WorkerPool>(workers);
-    return owned->get();
-  }
-  return nullptr;
 }
 
 }  // namespace wake

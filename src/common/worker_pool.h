@@ -1,11 +1,12 @@
-// WorkerPool: a process-wide pool of worker threads with a work-stealing
-// task queue, used to run morsel-parallel loops inside execution nodes.
+// WorkerPool: a pool of worker threads with one task queue, used to run
+// the hash-join probe's morsel-parallel loop (JoinHashTable::Probe).
 //
 // Wake's pipeline parallelism (one thread per node, §7.2) caps a deep
 // plan's throughput at its slowest operator. The pool adds intra-operator
-// parallelism: a node splits each incoming partial into row-range morsels
-// and runs them here, while the node thread itself participates as one
-// worker, so WAKE_WORKERS=1 degenerates to the exact serial execution.
+// parallelism to one operator body: a probe splits a large partial into
+// row-range morsels and runs them here, while the node thread itself
+// participates as one worker, so a 1-worker pool degenerates to the exact
+// serial execution.
 //
 // Determinism contract: the pool only schedules work — callers must make
 // their task decomposition (morsel boundaries, shard counts) a function of
@@ -14,12 +15,10 @@
 // runs which task is unspecified, so per-task outputs must be stitched by
 // task index, not completion order.
 //
-// Scheduling: each worker owns a deque; Submit() pushes to the deques
-// round-robin, idle workers pop their own deque LIFO and steal from
-// siblings FIFO. Parallel loops submit one runner task per worker; runners
-// claim loop indices from a shared atomic cursor (cheaper than one queue
-// entry per morsel) while the stealing layer balances runners across
-// concurrently executing nodes.
+// Scheduling: Submit() appends to one FIFO queue under one mutex, and idle
+// workers pop from its front. Parallel loops submit one runner task per
+// spawned thread; runners claim loop indices from a shared atomic cursor,
+// so the queue sees one entry per worker per loop, not one per morsel.
 #ifndef WAKE_COMMON_WORKER_POOL_H_
 #define WAKE_COMMON_WORKER_POOL_H_
 
@@ -27,7 +26,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,7 +53,7 @@ class WorkerPool {
   /// Total executors (spawned threads + the participating caller).
   size_t workers() const { return threads_.size() + 1; }
 
-  /// Enqueues one task on the work-stealing queue.
+  /// Enqueues one task; a pool without threads runs it inline.
   void Submit(std::function<void()> task);
 
   /// Runs body(begin, end) for consecutive row ranges of size `grain`
@@ -78,28 +76,17 @@ class WorkerPool {
  private:
   struct LoopState;
 
-  void WorkerMain(size_t slot);
-  /// Runs queued tasks until `until` returns true (worker main loop uses
-  /// `until` = pool shutdown).
-  bool PopOrSteal(size_t slot, std::function<void()>* task);
+  void WorkerMain();
   static void RunLoop(LoopState* state);
 
-  std::vector<std::thread> threads_;
-  // One deque per spawned thread; guarded by mu_ (tasks are coarse —
-  // runner tasks for whole loops — so one lock is not contended).
-  std::vector<std::deque<std::function<void()>>> queues_;
   std::mutex mu_;
-  std::condition_variable work_ready_;
-  size_t next_queue_ = 0;
+  // Guarded by mu_. Tasks are coarse (one runner per worker per loop), so
+  // one lock is not contended.
+  std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
+  std::condition_variable work_ready_;
+  std::vector<std::thread> threads_;  // after what the threads use
 };
-
-/// Resolves the shared 0/1/N worker-count policy (WakeOptions::workers,
-/// DbOptions::workers): 0 = the process-wide pool when it would actually
-/// be parallel (else null = serial), 1 = null (serial operator bodies),
-/// N > 1 = a new owned pool of N workers stored in *owned.
-WorkerPool* ResolveWorkerPool(size_t workers,
-                              std::unique_ptr<WorkerPool>* owned);
 
 }  // namespace wake
 

@@ -28,13 +28,7 @@ void CollectStreamed(const PlanNode* node,
 WakeEngine::WakeEngine(const Catalog* catalog, WakeOptions options)
     : catalog_(catalog), options_(options) {
   CheckArg(catalog != nullptr, "null catalog");
-  if (options_.pool != nullptr) {
-    // Externally owned (shared) pool, e.g. one wake::Db pool serving
-    // several concurrent query handles.
-    pool_ = options_.pool;
-  } else {
-    pool_ = ResolveWorkerPool(options_.workers, &owned_pool_);
-  }
+  if (options_.pool == nullptr) options_.pool = &WorkerPool::Global();
 }
 
 WakeEngine::Compiled WakeEngine::CompileRec(
@@ -52,7 +46,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
   NodeOptions node_options;
   node_options.with_ci = options_.with_ci;
   node_options.fixed_growth_w = options_.fixed_growth_w;
-  node_options.pool = pool_;
+  node_options.pool = options_.pool;
   node_options.final_only = streamed.count(plan.get()) == 0;
 
   switch (plan->op) {
@@ -67,8 +61,8 @@ WakeEngine::Compiled WakeEngine::CompileRec(
     }
     case PlanOp::kMap: {
       Compiled in = CompileRec(plan->inputs[0], streamed, nodes, memo);
-      nodes->push_back(std::make_unique<MapNode>(
-          *plan, in.props.schema, out.props.schema, node_options));
+      nodes->push_back(
+          std::make_unique<MapNode>(*plan, out.props.schema, node_options));
       nodes->back()->AddInput(in.node);
       break;
     }

@@ -54,17 +54,12 @@ struct WakeOptions {
   /// through several parents, e.g. Q15's revenue view) instead of
   /// executing them once per parent — the paper's §7.3 reuse optimization.
   bool share_subplans = true;
-  /// Intra-operator parallelism: workers available to each node for
-  /// morsel-parallel join-probe and projection loops. 0 = use the
-  /// process-wide pool (sized from WAKE_WORKERS, default hardware
-  /// concurrency); 1 = serial operator bodies (pipeline parallelism
-  /// only); N > 1 = engine-owned pool of N workers. Results are
-  /// byte-identical across settings.
-  size_t workers = 0;
-  /// Externally owned worker pool; overrides `workers` when set. This is
-  /// how wake::Db shares one pool across concurrent query handles instead
-  /// of each engine spawning its own threads. Must outlive the engine and
-  /// every EngineRun started from it.
+  /// Worker pool that runs the hash-join probe's morsels (the only
+  /// intra-operator parallel loop); null = the process-wide pool
+  /// (WorkerPool::Global(), sized from WAKE_WORKERS). wake::Db passes its
+  /// session pool here, so concurrent query handles share one pool. Must
+  /// outlive the engine and every EngineRun started from it. Results are
+  /// byte-identical at any pool size.
   WorkerPool* pool = nullptr;
   /// Per-query resource tracker (may be null = unbudgeted). Every node
   /// charges/credits it as partials and operator state move through the
@@ -168,7 +163,7 @@ class WakeEngine {
   explicit WakeEngine(const Catalog* catalog, WakeOptions options = {});
 
   /// Compiles `plan` and starts every node thread, returning the live run.
-  /// The engine (and its worker pool) must outlive the returned run.
+  /// The engine must outlive the returned run.
   std::unique_ptr<EngineRun> Start(const PlanNodePtr& plan) const;
 
   /// Runs `plan` to completion, invoking `on_state` for every intermediate
@@ -204,9 +199,7 @@ class WakeEngine {
                       CompileMemo* memo) const;
 
   const Catalog* catalog_;
-  WakeOptions options_;
-  std::unique_ptr<WorkerPool> owned_pool_;  // when options.workers > 1
-  WorkerPool* pool_ = nullptr;              // null = serial operators
+  WakeOptions options_;  // options_.pool is never null
   std::vector<TraceSpan> last_trace_;
   size_t buffered_bytes_ = 0;
 };

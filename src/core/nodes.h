@@ -37,6 +37,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "core/agg_state.h"
 #include "core/growth.h"
@@ -54,12 +55,12 @@ struct NodeOptions {
   /// power instead of the fitted one (e.g. 1.0 reproduces naive linear
   /// 1/t scaling — what Wake would do without §5.2's growth model).
   double fixed_growth_w = -1.0;
-  /// Worker pool for intra-operator morsel parallelism: a hash join's
-  /// probe and a projection split a large partial into row-range morsels
-  /// run across the pool (the node thread participates); every other
-  /// operator body is serial. Null = serial operator bodies. Results are
-  /// deterministic at any worker count — morsel decomposition depends
-  /// only on the input, and outputs are stitched in morsel order.
+  /// Worker pool for the one intra-operator parallel loop: a hash join's
+  /// probe splits a large partial into row-range morsels run across the
+  /// pool (the node thread participates); every other operator body is
+  /// serial. Null = a serial probe. Results are deterministic at any
+  /// worker count — morsel decomposition depends only on the input, and
+  /// outputs are stitched in morsel order.
   WorkerPool* pool = nullptr;
   /// Only this node's last state has a reader (see the file comment):
   /// ShuffleAggNode and SortLimitNode then emit once, from Finish(), and
@@ -97,8 +98,8 @@ class ReaderNode : public ExecNode {
 /// Projection (map). Stateless: one output partial per input partial.
 class MapNode : public ExecNode {
  public:
-  MapNode(const PlanNode& plan, const Schema& input_schema,
-          const Schema& output_schema, NodeOptions options);
+  MapNode(const PlanNode& plan, const Schema& output_schema,
+          NodeOptions options);
 
  protected:
   void Process(size_t port, const Message& msg) override;
@@ -106,7 +107,6 @@ class MapNode : public ExecNode {
  private:
   std::vector<NamedExpr> projections_;
   bool append_input_;
-  Schema input_schema_;
   Schema output_schema_;
   NodeOptions options_;
 };
@@ -256,7 +256,7 @@ class SortLimitNode : public ExecNode {
   }
 
   std::vector<SortKey> sort_keys_;
-  size_t limit_;
+  std::optional<size_t> limit_;
   Schema schema_;
   NodeOptions options_;
   DataFramePtr snapshot_;  // last refresh-mode input, shared with its sender

@@ -6,16 +6,10 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
-#include "common/worker_pool.h"
 
 namespace wake {
 
 namespace {
-
-// Rows per morsel for parallel projection. Expressions are row-local, so
-// per-morsel evaluation over slices stitched in morsel order reproduces
-// the serial output exactly.
-constexpr size_t kEvalMorselRows = 32 * 1024;
 
 // Transient read faults (I/O hiccups; injected via the reader.read_batch
 // failpoint) are absorbed by a short bounded retry before the error is
@@ -88,51 +82,16 @@ void ReaderNode::RunSource() {
 // MapNode
 // ---------------------------------------------------------------------------
 
-MapNode::MapNode(const PlanNode& plan, const Schema& input_schema,
-                 const Schema& output_schema, NodeOptions options)
+MapNode::MapNode(const PlanNode& plan, const Schema& output_schema,
+                 NodeOptions options)
     : ExecNode(plan.label.empty() ? "map" : plan.label),
       projections_(plan.projections),
       append_input_(plan.append_input),
-      input_schema_(input_schema),
       output_schema_(output_schema),
       options_(options) {}
 
 void MapNode::Process(size_t, const Message& msg) {
   const DataFrame& in = *msg.frame;
-  size_t n = in.num_rows();
-  WorkerPool* pool = options_.pool;
-  const bool vars_in = options_.with_ci && msg.variances != nullptr;
-  if (pool != nullptr && !vars_in && pool->workers() > 1 &&
-      n >= 2 * kEvalMorselRows) {
-    // Morsel-parallel projection: evaluate each slice independently and
-    // stitch in morsel order (identical to the serial evaluation).
-    size_t morsels = (n + kEvalMorselRows - 1) / kEvalMorselRows;
-    std::vector<DataFrame> parts(morsels);
-    pool->ParallelFor(n, kEvalMorselRows, [&](size_t b, size_t e) {
-      DataFrame slice = in.Slice(b, e);
-      DataFrame part(output_schema_);
-      size_t col = 0;
-      if (append_input_) {
-        for (size_t c = 0; c < slice.num_columns(); ++c) {
-          *part.mutable_column(col++) = slice.column(c);
-        }
-      }
-      for (const auto& p : projections_) {
-        *part.mutable_column(col++) = p.expr->Eval(slice);
-      }
-      parts[b / kEvalMorselRows] = std::move(part);
-    });
-    DataFrame stitched(output_schema_);
-    for (auto& part : parts) stitched.Append(part);
-    Message result;
-    result.frame = std::make_shared<DataFrame>(std::move(stitched));
-    result.progress = msg.progress;
-    result.version = msg.version;
-    result.refresh = msg.refresh;
-    Emit(std::move(result));
-    return;
-  }
-
   auto out = std::make_shared<DataFrame>(output_schema_);
   size_t col = 0;
   if (append_input_) {
@@ -142,7 +101,7 @@ void MapNode::Process(size_t, const Message& msg) {
   }
 
   Message result;
-  if (vars_in) {
+  if (options_.with_ci && msg.variances != nullptr) {
     // Propagate uncertainty through the projection expressions (§6).
     std::unordered_map<std::string, const std::vector<double>*> var_of;
     for (const auto& [name, vars] : *msg.variances) var_of[name] = &vars;

@@ -260,15 +260,16 @@ std::vector<uint64_t> PackKeys(const std::vector<KeyImage>& keys, size_t n) {
 }
 
 // Row order of [0, n) under the total order `less`, truncated to the
-// first `limit` rows when 0 < limit < n.
+// first `limit` rows when limit < n.
 template <typename Less>
-std::vector<uint32_t> SortRows(size_t n, size_t limit, Less less) {
+std::vector<uint32_t> SortRows(size_t n, std::optional<size_t> limit,
+                               Less less) {
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
-  if (limit > 0 && limit < n) {
-    std::partial_sort(order.begin(), order.begin() + limit, order.end(),
+  if (limit && *limit < n) {
+    std::partial_sort(order.begin(), order.begin() + *limit, order.end(),
                       less);
-    order.resize(limit);
+    order.resize(*limit);
   } else {
     std::sort(order.begin(), order.end(), less);
   }
@@ -277,8 +278,8 @@ std::vector<uint32_t> SortRows(size_t n, size_t limit, Less less) {
 
 }  // namespace
 
-std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
-                                               size_t limit) const {
+std::vector<uint32_t> DataFrame::SortedIndices(
+    const std::vector<SortKey>& keys, std::optional<size_t> limit) const {
   const size_t n = num_rows();
   std::vector<KeyImage> images;
   images.reserve(keys.size());
@@ -290,7 +291,7 @@ std::vector<uint32_t> DataFrame::SortedIndices(const std::vector<SortKey>& keys,
   }
   if (width <= 64) {
     std::vector<uint64_t> words = PackKeys(images, n);
-    if (limit == 0 || limit >= n) return RadixOrder(std::move(words), width);
+    if (!limit || *limit >= n) return RadixOrder(std::move(words), width);
     return SortRows(n, limit, [&](uint32_t a, uint32_t b) {
       return words[a] != words[b] ? words[a] < words[b] : a < b;
     });

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,11 +71,12 @@ class DataFrame {
   DataFrame SortBy(const std::vector<SortKey>& keys) const;
 
   /// Row order SortBy would gather, truncated to the first `limit` rows
-  /// when limit > 0. The order is total (sort keys, then row index as
-  /// tie-break), so a top-k partial sort yields exactly the stable sort's
-  /// first k rows.
-  std::vector<uint32_t> SortedIndices(const std::vector<SortKey>& keys,
-                                      size_t limit = 0) const;
+  /// when a limit is given (0 = no rows). The order is total (sort keys,
+  /// then row index as tie-break), so a top-k partial sort yields exactly
+  /// the stable sort's first k rows.
+  std::vector<uint32_t> SortedIndices(
+      const std::vector<SortKey>& keys,
+      std::optional<size_t> limit = std::nullopt) const;
 
   /// Hash of the key columns `key_cols` for row `row`.
   uint64_t HashRowKeys(const std::vector<size_t>& key_cols, size_t row) const;

@@ -465,7 +465,7 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
       bool child_shared = IsShared(*ctx, node->inputs[0].get());
       // Filters commute with a pure sort, but not with a limit (dropping
       // rows before the cut changes which rows survive it).
-      bool can_push = node->limit == 0 && !child_shared;
+      bool can_push = !node->limit && !child_shared;
       bool had_pending = !pending.empty();
       std::vector<ExprPtr> below, stays;
       if (can_push) {

@@ -104,7 +104,8 @@ Plan Plan::Aggregate(std::vector<std::string> group_by,
   return Plan(node);
 }
 
-Plan Plan::Sort(std::vector<SortKey> keys, size_t limit) const {
+Plan Plan::Sort(std::vector<SortKey> keys,
+                std::optional<size_t> limit) const {
   CheckPlan(node_ != nullptr, "Sort on empty plan");
   auto node = NewNode(PlanOp::kSortLimit);
   node->inputs = {node_};
@@ -164,7 +165,7 @@ std::string PlanToString(const PlanNodePtr& node, int indent) {
       break;
     case PlanOp::kSortLimit:
       out += "Sort";
-      if (node->limit > 0) out += " limit " + std::to_string(node->limit);
+      if (node->limit) out += " limit " + std::to_string(*node->limit);
       break;
   }
   out += "\n";

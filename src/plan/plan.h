@@ -11,6 +11,7 @@
 #define WAKE_PLAN_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ enum class PlanOp : uint8_t {
   kFilter,
   kJoin,
   kAggregate,
-  kSortLimit,  // order-by with optional limit (limit==0 means no limit)
+  kSortLimit,  // order-by with an optional row limit
 };
 
 enum class JoinType : uint8_t {
@@ -105,7 +106,7 @@ struct PlanNode {
 
   // kSortLimit
   std::vector<SortKey> sort_keys;
-  size_t limit = 0;  // 0 = unlimited
+  std::optional<size_t> limit;  // nullopt = no limit; 0 = no rows
 };
 
 /// Fluent plan builder. Cheap value type wrapping a PlanNodePtr.
@@ -139,7 +140,8 @@ class Plan {
   Plan Aggregate(std::vector<std::string> group_by,
                  std::vector<AggSpec> aggs) const;
 
-  Plan Sort(std::vector<SortKey> keys, size_t limit = 0) const;
+  Plan Sort(std::vector<SortKey> keys,
+            std::optional<size_t> limit = std::nullopt) const;
 
   Plan WithLabel(std::string label) const;
 

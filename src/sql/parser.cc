@@ -572,7 +572,7 @@ class Parser {
         }
         keys.push_back(std::move(key));
       } while (AcceptSymbol(","));
-      size_t limit = 0;
+      std::optional<size_t> limit;
       if (AcceptKeyword("LIMIT")) limit = ExpectNumber<uint64_t>("limit");
       plan = plan.Sort(std::move(keys), limit);
     } else if (AcceptKeyword("LIMIT")) {

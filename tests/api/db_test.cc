@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,13 +62,6 @@ TEST_F(DbTest, PlanErrorIsCategorized) {
   }
 }
 
-TEST_F(DbTest, PlanErrorSurfacesWithoutOptimizerToo) {
-  DbOptions options;
-  options.optimize = false;
-  Db db(&cat_, options);
-  EXPECT_THROW(db.Prepare("SELECT no_such_column FROM lineitem"), Error);
-}
-
 TEST_F(DbTest, IllTypedExpressionsArePlanErrorsAtPrepare) {
   // Each of these once prepared and then crashed or failed mid-run.
   const char* kIllTyped[] = {
@@ -83,23 +77,19 @@ TEST_F(DbTest, IllTypedExpressionsArePlanErrorsAtPrepare) {
       // Folding drops the string operand; the plan as written is checked.
       "SELECT COUNT(*) AS n FROM lineitem WHERE l_comment AND 1 = 0",
   };
-  for (bool optimize : {true, false}) {
-    DbOptions options;
-    options.optimize = optimize;
-    Db db(&cat_, options);
-    for (const char* sql : kIllTyped) {
-      try {
-        db.Prepare(sql);
-        ADD_FAILURE() << "expected a plan error for " << sql;
-      } catch (const Error& e) {
-        EXPECT_EQ(e.category(), ErrorCategory::kPlan) << sql << ": "
-                                                      << e.what();
-      }
+  Db db(&cat_);
+  for (const char* sql : kIllTyped) {
+    try {
+      db.Prepare(sql);
+      ADD_FAILURE() << "expected a plan error for " << sql;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kPlan) << sql << ": "
+                                                    << e.what();
     }
-    // The rules accept every TPC-H query.
-    for (int q = 1; q <= 22; ++q) {
-      EXPECT_NO_THROW(db.Prepare(tpch::QuerySql(q))) << "q" << q;
-    }
+  }
+  // The rules accept every TPC-H query.
+  for (int q = 1; q <= 22; ++q) {
+    EXPECT_NO_THROW(db.Prepare(tpch::QuerySql(q))) << "q" << q;
   }
 }
 
@@ -223,6 +213,28 @@ TEST_F(DbTest, FunctionsOfNullPaddedRowsStayNull) {
     EXPECT_EQ(f.ColumnByName("years").IntAt(0), dates) << name;
     EXPECT_EQ(f.ColumnByName("comments").IntAt(0), dates) << name;
     EXPECT_LT(dates, f.ColumnByName("joined").IntAt(0)) << name;
+  }
+}
+
+TEST_F(DbTest, LimitZeroReturnsNoRowsWithTheQuerySchema) {
+  // LIMIT 0 is an empty result, not "no limit", with or without ORDER BY;
+  // a positive limit still cuts the same queries.
+  Db db(&cat_);
+  for (const char* order : {" ORDER BY n_name", ""}) {
+    const std::string base = std::string("SELECT n_name FROM nation") + order;
+    for (QueryEngine engine : {QueryEngine::kExact, QueryEngine::kOla}) {
+      RunOptions run;
+      run.engine = engine;
+      const std::string label =
+          base + " engine " + std::to_string(static_cast<int>(engine));
+      DataFrame none = db.Prepare(base + " LIMIT 0").Execute(run);
+      EXPECT_EQ(none.num_rows(), 0u) << label;
+      ASSERT_EQ(none.num_columns(), 1u) << label;
+      EXPECT_EQ(none.schema().field(0).name, "n_name") << label;
+      EXPECT_EQ(none.schema().field(0).type, ValueType::kString) << label;
+      EXPECT_EQ(db.Prepare(base + " LIMIT 3").Execute(run).num_rows(), 3u)
+          << label;
+    }
   }
 }
 

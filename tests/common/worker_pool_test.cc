@@ -85,6 +85,17 @@ TEST(WorkerPoolTest, SubmitRunsTask) {
   EXPECT_TRUE(ran.load());
 }
 
+TEST(WorkerPoolTest, DestructorRunsEveryQueuedTask) {
+  // Tasks still queued at destruction run before the threads exit: a
+  // queued runner may be what a blocked loop caller waits for.
+  std::atomic<int> ran{0};
+  {
+    WorkerPool pool(3);
+    for (int i = 0; i < 200; ++i) pool.Submit([&] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 200);
+}
+
 TEST(WorkerPoolTest, ConcurrentLoopsFromManyCallers) {
   // Several node threads sharing one pool, as in a deep plan.
   WorkerPool pool(4);

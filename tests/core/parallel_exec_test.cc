@@ -4,6 +4,8 @@
 // result identity.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -232,8 +234,9 @@ TEST(EngineWorkersTest, FinalResultIdenticalAcrossWorkerCounts) {
                   .Aggregate({"dim"}, {Sum("val", "s"), Count("n")});
 
   auto run = [&](size_t workers) {
+    WorkerPool pool(workers);
     WakeOptions options;
-    options.workers = workers;
+    options.pool = &pool;
     WakeEngine engine(&cat, options);
     return engine.ExecuteFinal(plan.node());
   };
@@ -257,12 +260,14 @@ TEST(EngineWorkersTest, SortLimitIdenticalAcrossWorkerCounts) {
   Catalog cat;
   cat.Add(std::make_shared<PartitionedTable>(
       PartitionedTable::FromDataFrame("fact", df, 2)));
-  for (size_t limit : {size_t{0}, size_t{50}}) {
+  for (std::optional<size_t> limit :
+       {std::optional<size_t>(), std::optional<size_t>(50)}) {
     Plan plan = Plan::Scan("fact").Sort({{"key", true}, {"val", false}},
                                         limit);
     auto run = [&](size_t workers) {
+      WorkerPool pool(workers);
       WakeOptions options;
-      options.workers = workers;
+      options.pool = &pool;
       WakeEngine engine(&cat, options);
       return engine.ExecuteFinal(plan.node());
     };
@@ -271,7 +276,8 @@ TEST(EngineWorkersTest, SortLimitIdenticalAcrossWorkerCounts) {
     ASSERT_GT(serial.num_rows(), 0u);
     std::string diff;
     EXPECT_TRUE(serial.ApproxEquals(wide, 0.0, &diff))
-        << "limit=" << limit << ": " << diff;
+        << "limit=" << (limit ? std::to_string(*limit) : "none") << ": "
+        << diff;
   }
 }
 

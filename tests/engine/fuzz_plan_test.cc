@@ -6,6 +6,8 @@
 // sort/limit tails.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "baseline/exact_engine.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -115,8 +117,9 @@ Plan RandomPlan(Rng& rng) {
   } else if (rng.UniformInt(0, 1)) {
     // Sort tail with optional limit.
     std::vector<SortKey> keys = {{"s", rng.UniformInt(0, 1) == 1}};
-    plan = plan.Sort(std::move(keys),
-                     rng.UniformInt(0, 1) ? 0 : 5);
+    plan = plan.Sort(std::move(keys), rng.UniformInt(0, 1)
+                                          ? std::nullopt
+                                          : std::optional<size_t>(5));
   }
   return plan;
 }

@@ -2,8 +2,13 @@
 // engine runs on synthetic tables.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "baseline/exact_engine.h"
 #include "core/engine.h"
+#include "core/nodes.h"
 #include "plan/props.h"
 
 namespace wake {
@@ -78,6 +83,79 @@ TEST(MapFilterNodeTest, StreamsPerPartial) {
   EXPECT_GE(states, 4u);
   EXPECT_EQ(final_frame.num_rows(), 50u);
   EXPECT_DOUBLE_EQ(final_frame.column(0).DoubleAt(49), 98.0);
+}
+
+/// Source node that emits one prepared message.
+class OneMessageSource : public ExecNode {
+ public:
+  explicit OneMessageSource(Message msg)
+      : ExecNode("source"), msg_(std::move(msg)) {}
+
+ protected:
+  void Process(size_t, const Message&) override {}
+  void RunSource() override { Emit(msg_); }
+
+ private:
+  Message msg_;
+};
+
+/// Runs `node` over one input message; returns what it emits before EOF.
+std::vector<Message> RunOnOneMessage(ExecNode* node, Message in) {
+  OneMessageSource source(std::move(in));
+  node->AddInput(&source);
+  auto sink = std::make_shared<Inbox>();
+  node->AddOutlet(sink, 0);
+  source.Start(nullptr);
+  node->Start(nullptr);
+  std::vector<Message> out;
+  while (auto tagged = sink->Receive()) {
+    if (tagged->eof) break;
+    out.push_back(std::move(tagged->msg));
+  }
+  source.Join();
+  node->Join();
+  return out;
+}
+
+TEST(MapFilterNodeTest, FilterKeepsTheSelectedRowsVariances) {
+  // A CI-mode partial of 70 rows (two truth words) with one variance
+  // vector per mutable column.
+  constexpr size_t kRows = 70;
+  auto frame = std::make_shared<DataFrame>(
+      Schema({{"v", ValueType::kFloat64}, {"w", ValueType::kFloat64}}));
+  auto vars = std::make_shared<VarianceMap>();
+  for (size_t i = 0; i < kRows; ++i) {
+    frame->mutable_column(0)->AppendDouble(static_cast<double>(i));
+    frame->mutable_column(1)->AppendDouble(10.0 * i);
+    (*vars)["v"].push_back(100.0 + i);
+    (*vars)["w"].push_back(200.0 + i);
+  }
+  Message in;
+  in.frame = frame;
+  in.variances = vars;
+  in.progress = 0.5;
+  NodeOptions options;
+  options.with_ci = true;
+  // v < 2 OR v > 62: rows 0, 1 and 63..69, across the word boundary.
+  FilterNode filter(Expr::Or(Lt(Expr::Col("v"), Expr::Float(2.0)),
+                             Gt(Expr::Col("v"), Expr::Float(62.0))),
+                    options);
+  std::vector<Message> out = RunOnOneMessage(&filter, in);
+  ASSERT_EQ(out.size(), 1u);
+  std::vector<size_t> kept = {0, 1, 63, 64, 65, 66, 67, 68, 69};
+  const DataFrame& f = *out[0].frame;
+  ASSERT_EQ(f.num_rows(), kept.size());
+  ASSERT_NE(out[0].variances, nullptr);
+  const VarianceMap& got = *out[0].variances;
+  ASSERT_EQ(got.size(), 2u);
+  for (size_t r = 0; r < kept.size(); ++r) {
+    EXPECT_EQ(f.column(0).DoubleAt(r), static_cast<double>(kept[r]));
+    EXPECT_EQ(got.at("v")[r], 100.0 + kept[r]) << r;
+    EXPECT_EQ(got.at("w")[r], 200.0 + kept[r]) << r;
+  }
+  EXPECT_EQ(got.at("v").size(), kept.size());
+  EXPECT_EQ(got.at("w").size(), kept.size());
+  EXPECT_EQ(out[0].progress, 0.5);
 }
 
 TEST(LocalAggNodeTest, AppendsCompleteGroupsOnly) {

@@ -630,5 +630,38 @@ TEST(ExprVarianceTest, NonDifferentiableNodesYieldZero) {
   EXPECT_EQ(var, std::vector<double>(3, 0.0));
 }
 
+TEST(ExprVarianceTest, CaseTakesTheVarianceOfEachRowsBranch) {
+  // 70 rows span two truth words; row 67's condition is NULL, which takes
+  // the ELSE branch like a false one.
+  constexpr size_t kRows = 70;
+  DataFrame df(Schema({{"k", ValueType::kInt64},
+                       {"a", ValueType::kFloat64},
+                       {"b", ValueType::kFloat64}}));
+  std::vector<double> var_a, var_b;
+  for (size_t i = 0; i < kRows; ++i) {
+    df.mutable_column(0)->AppendInt(static_cast<int64_t>(i % 5));
+    df.mutable_column(1)->AppendDouble(10.0 + i);
+    df.mutable_column(2)->AppendDouble(20.0 + i);
+    var_a.push_back(1.0 + i);
+    var_b.push_back(0.5 + i);
+  }
+  df.mutable_column(0)->SetNull(67);
+  std::unordered_map<std::string, const std::vector<double>*> vars{
+      {"a", &var_a}, {"b", &var_b}};
+  // CASE WHEN k > 2 THEN a ELSE b * 2 END: Var(2b) = 4 Var(b).
+  ExprPtr e = Expr::Case(Gt(Expr::Col("k"), Expr::Int(2)), Expr::Col("a"),
+                         Expr::Col("b") * Expr::Float(2.0));
+  Column value;
+  std::vector<double> var;
+  e->EvalWithVariance(df, vars, &value, &var);
+  ASSERT_EQ(value.size(), kRows);
+  ASSERT_EQ(var.size(), kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const bool then = i % 5 > 2 && i != 67;
+    EXPECT_EQ(value.DoubleAt(i), then ? 10.0 + i : 2.0 * (20.0 + i)) << i;
+    EXPECT_EQ(var[i], then ? var_a[i] : 4.0 * var_b[i]) << i;
+  }
+}
+
 }  // namespace
 }  // namespace wake

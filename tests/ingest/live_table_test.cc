@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,6 +298,46 @@ TEST_F(LiveTableTest, ConcurrentAppendsAndRefreshesConverge) {
   run.engine = QueryEngine::kExact;
   DataFrame fresh = db.Prepare(StandingPlan()).Execute(run);
   EXPECT_EQ(WireBytes(*sub->Current().frame), WireBytes(fresh));
+}
+
+// A standing query subscribed by SQL text: every refresh equals the same
+// SQL run from scratch on kExact, at hot-only, mixed and cold-only
+// tablet states.
+TEST_F(LiveTableTest, SqlSubscriptionRefreshesEqualExact) {
+  const char* kSql =
+      "SELECT k, SUM(v * 2.0) AS s, AVG(v) AS a, COUNT(*) AS c "
+      "FROM events WHERE v > 3.0 GROUP BY k ORDER BY k";
+  spill_ = FreshDir("wake_live_sql");
+  LiveTableOptions opts;
+  opts.seal_rows = 256;
+  opts.spill_dir = spill_.string();
+  auto live = std::make_shared<LiveTable>("events", EventSchema(), opts);
+  Catalog catalog;
+  catalog.AddDynamic(live);
+  Db db(&catalog);
+  auto sub = db.Subscribe(kSql);
+  PreparedQuery fresh = db.Prepare(kSql);
+  ASSERT_EQ(sub->schema().num_fields(), fresh.schema().num_fields());
+  for (size_t i = 0; i < fresh.schema().num_fields(); ++i) {
+    EXPECT_EQ(sub->schema().field(i), fresh.schema().field(i)) << i;
+  }
+
+  auto expect_exact = [&](const char* stage) {
+    std::optional<SubscriptionState> state = sub->Refresh();
+    ASSERT_TRUE(state.has_value()) << stage;
+    RunOptions run;
+    run.engine = QueryEngine::kExact;
+    EXPECT_EQ(WireBytes(*state->frame), WireBytes(fresh.Execute(run)))
+        << stage;
+  };
+  live->Append(MakeRows(0, 100));
+  expect_exact("hot-only");
+  live->Append(MakeRows(100, 300));  // crosses 256: seals the hot rows
+  live->Append(MakeRows(400, 50));
+  ASSERT_EQ(live->stats().cold_tablets, 1u);
+  expect_exact("mixed");
+  live->SealHot();
+  expect_exact("cold-only");
 }
 
 TEST_F(LiveTableTest, RefreshWithoutNewRowsReturnsNullopt) {

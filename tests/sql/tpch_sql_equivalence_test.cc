@@ -46,12 +46,13 @@ TEST_P(TpchSqlEquivalenceTest, OptimizedPlanIsWorkerCountInvariantOnWake) {
   const Catalog& catalog = testing::SharedTpch();
   Plan optimized = Optimize(sql::Parse(tpch::QuerySql(q)), catalog);
 
+  WorkerPool one(1), four(4);
   WakeOptions serial;
-  serial.workers = 1;
+  serial.pool = &one;
   DataFrame w1 = WakeEngine(&catalog, serial).ExecuteFinal(optimized.node());
 
   WakeOptions parallel;
-  parallel.workers = 4;
+  parallel.pool = &four;
   DataFrame w4 =
       WakeEngine(&catalog, parallel).ExecuteFinal(optimized.node());
 

@@ -89,8 +89,9 @@ TEST_P(WakeblockTpch, WakeEngineMatchesInMemoryExactlyAtOneAndFourWorkers) {
   const Catalogs& cat = Shared();
   Plan plan = tpch::Query(GetParam());
   for (size_t workers : {size_t{1}, size_t{4}}) {
+    WorkerPool pool(workers);
     WakeOptions options;
-    options.workers = workers;
+    options.pool = &pool;
     WakeEngine mem_engine(&cat.mem, options);
     WakeEngine wb_engine(&cat.wb, options);
     std::string diff;
