@@ -29,7 +29,7 @@
 // RNG state shared with the engines.
 //
 // Current injection sites (grep WAKE_FAILPOINT for the live list):
-//   reader.read_batch    ReaderNode, once per partition (bounded retry
+//   reader.read_batch    ReaderNode, once per chunk (bounded retry
 //                        absorbs transient errors: 3 attempts, backoff)
 //   channel.send         Channel<T>::Send
 //   worker_pool.dispatch WorkerPool loop-runner, once per claimed morsel

@@ -42,11 +42,13 @@ class StringDict {
       : entries_(other.entries_),
         hashes_(other.hashes_),
         index_(other.index_),
+        string_bytes_(other.string_bytes_),
         id_(NextId()) {}
   StringDict& operator=(const StringDict& other) {
     entries_ = other.entries_;
     hashes_ = other.hashes_;
     index_ = other.index_;
+    string_bytes_ = other.string_bytes_;
     id_ = NextId();
     return *this;
   }
@@ -66,6 +68,10 @@ class StringDict {
     if (code != kNotFound) return code;
     code = static_cast<int32_t>(entries_.size());
     entries_.emplace_back(s);
+    static const size_t kInlineCapacity = std::string().capacity();
+    if (entries_.back().capacity() > kInlineCapacity) {
+      string_bytes_ += entries_.back().capacity();
+    }
     hashes_.push_back(h);
     index_.Insert(h, static_cast<uint32_t>(code));
     return code;
@@ -95,15 +101,25 @@ class StringDict {
     index_.Reserve(entries);
   }
 
-  /// Approximate heap footprint in bytes.
+  /// Approximate heap footprint in bytes, in O(1): the entry, hash and
+  /// index arrays plus a running total of the entries' own buffers.
   size_t ByteSize() const {
-    static const size_t kInlineCapacity = std::string().capacity();
-    size_t bytes = entries_.capacity() * sizeof(std::string) +
-                   hashes_.capacity() * sizeof(uint64_t) + index_.ByteSize();
-    for (const auto& s : entries_) {
-      if (s.capacity() > kInlineCapacity) bytes += s.capacity();
-    }
-    return bytes;
+    return entries_.capacity() * sizeof(std::string) +
+           hashes_.capacity() * sizeof(uint64_t) + index_.ByteSize() +
+           string_bytes_;
+  }
+
+  /// The part of ByteSize charged to a column of `rows` codes into this
+  /// dict: rows × the mean entry size, capped at the whole dict. Every
+  /// slice, gather and same-dict append of a column shares its dict, so
+  /// charging each of them the whole dict would count it once per
+  /// partial (a 4,096-row block of a table-wide dict of a million
+  /// comments would weigh as much as the table's comments).
+  size_t ShareBytes(size_t rows) const {
+    const size_t total = ByteSize();
+    const size_t n = entries_.size();
+    if (rows >= n) return total;
+    return total / n * rows + total % n * rows / n;  // rows < n < 2^31
   }
 
  private:
@@ -124,6 +140,7 @@ class StringDict {
   std::vector<std::string> entries_;  // code -> string
   std::vector<uint64_t> hashes_;      // code -> FnvHash64(string)
   FlatHashIndex index_;               // FnvHash64 -> code chains
+  size_t string_bytes_ = 0;           // heap buffers of entries_
   uint64_t id_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/worker_pool.h"
@@ -55,8 +57,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
       // so downstream nodes only ever gather the columns the plan needs
       // and no full-table narrowed copy is ever held.
       nodes->push_back(std::make_unique<ReaderNode>(
-          catalog_->GetPtr(plan->table), node_options, plan->columns,
-          plan->scan_filter));
+          catalog_->GetPtr(plan->table), plan->columns, plan->scan_filter));
       break;
     }
     case PlanOp::kMap: {
@@ -91,8 +92,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
             node_options));
       } else {
         nodes->push_back(std::make_unique<HashJoinNode>(
-            *plan, left.props.schema, right.props.schema, out.props.schema,
-            node_options));
+            *plan, right.props.schema, out.props.schema, node_options));
       }
       nodes->back()->AddInput(left.node);
       nodes->back()->AddInput(right.node);
@@ -196,7 +196,11 @@ void EngineRun::Collect(const StateCallback& on_state) {
 }
 
 void EngineRun::CollectImpl(const StateCallback& on_state) {
-  // Collector: assemble the evolving result from the root's stream.
+  // Collector: assemble the evolving result from the root's stream. A
+  // refresh frame is the whole result and, like every sent frame, never
+  // changes, so it is handed on as the state itself; appends accumulate
+  // in `content`, copied once per state.
+  DataFramePtr refreshed;
   DataFrame content(root_props_.schema);
   std::shared_ptr<const VarianceMap> latest_vars;
   double progress = 0.0;
@@ -217,8 +221,10 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
         tracker_->Credit(msg.frame->ByteSize());
       }
       if (msg.refresh) {
-        content = *msg.frame;
+        refreshed = msg.frame;
       } else {
+        // Appends extend the last refresh: copy it once to append to it.
+        if (refreshed != nullptr) content = *std::exchange(refreshed, nullptr);
         content.Append(*msg.frame);
       }
       progress = std::max(progress, msg.progress);
@@ -226,7 +232,9 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
       got_any = true;
       if (on_state) {
         OlaState state;
-        state.frame = std::make_shared<DataFrame>(content);
+        state.frame = refreshed != nullptr
+                          ? refreshed
+                          : std::make_shared<DataFrame>(content);
         state.progress = progress;
         state.is_final = false;
         state.elapsed_seconds = clock_.ElapsedSeconds();
@@ -241,7 +249,8 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
   }
   for (auto& n : nodes_) n->Join();
 
-  buffered_bytes_ = content.ByteSize();
+  buffered_bytes_ =
+      refreshed != nullptr ? refreshed->ByteSize() : content.ByteSize();
   for (const auto& n : nodes_) buffered_bytes_ += n->BufferedBytes();
   spans_ = trace_enabled_ ? trace_.Spans() : std::vector<TraceSpan>{};
   collected_ = true;
@@ -254,7 +263,9 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
   bool degraded = tracker_ != nullptr && tracker_->breached();
   if (on_state && !cancelled()) {
     OlaState state;
-    state.frame = std::make_shared<DataFrame>(std::move(content));
+    state.frame = refreshed != nullptr
+                      ? refreshed
+                      : std::make_shared<DataFrame>(std::move(content));
     state.progress = (got_any && !degraded) ? 1.0 : progress;
     state.is_final = true;
     state.elapsed_seconds = clock_.ElapsedSeconds();

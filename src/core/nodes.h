@@ -80,8 +80,8 @@ struct NodeOptions {
 /// rows, so the partial genuinely covers them).
 class ReaderNode : public ExecNode {
  public:
-  ReaderNode(TablePtr table, NodeOptions options,
-             std::vector<std::string> columns = {}, ExprPtr filter = nullptr);
+  explicit ReaderNode(TablePtr table, std::vector<std::string> columns = {},
+                      ExprPtr filter = nullptr);
   size_t BufferedBytes() const override { return 0; }
 
  protected:
@@ -127,9 +127,8 @@ class FilterNode : public ExecNode {
 /// Hash join; port 0 = probe (left), port 1 = build (right).
 class HashJoinNode : public ExecNode {
  public:
-  HashJoinNode(const PlanNode& plan, const Schema& left_schema,
-               const Schema& right_schema, const Schema& output_schema,
-               NodeOptions options);
+  HashJoinNode(const PlanNode& plan, const Schema& right_schema,
+               const Schema& output_schema, NodeOptions options);
   size_t BufferedBytes() const override;
 
  protected:
@@ -231,7 +230,6 @@ class ShuffleAggNode : public ExecNode {
   NodeOptions options_;
   GroupedAggState state_;
   GrowthModel growth_;
-  uint64_t version_ = 0;
   double last_progress_ = 0.0;
   bool emitted_final_ = false;
 };
@@ -263,7 +261,6 @@ class SortLimitNode : public ExecNode {
   DataFrame appended_;     // append-mode input (after any refresh)
   bool has_input_ = false;
   double last_progress_ = 0.0;
-  uint64_t version_ = 0;
 };
 
 }  // namespace wake

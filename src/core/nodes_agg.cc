@@ -28,7 +28,7 @@ void LocalAggNode::Process(size_t, const Message& msg) {
   size_t n = pending_.num_rows();
   if (n == 0) {
     Emit(Message{std::make_shared<DataFrame>(output_schema_), msg.progress,
-                 0, false, nullptr});
+                 false, nullptr});
     return;
   }
   size_t ready = n;
@@ -131,7 +131,6 @@ void ShuffleAggNode::EmitSnapshot(double progress, bool final_snapshot,
   Message msg;
   msg.frame = std::make_shared<DataFrame>(std::move(res.frame));
   msg.progress = progress;
-  msg.version = ++version_;
   msg.refresh = true;
   if (options_.with_ci) {
     msg.variances = std::make_shared<VarianceMap>(std::move(res.variances));
@@ -187,7 +186,6 @@ void SortLimitNode::EmitSorted() {
   Message result;
   result.frame = std::make_shared<DataFrame>(std::move(sorted));
   result.progress = last_progress_;
-  result.version = ++version_;
   result.refresh = true;
   Emit(std::move(result));
 }

@@ -22,8 +22,8 @@ constexpr int kReadAttempts = 3;
 // ReaderNode
 // ---------------------------------------------------------------------------
 
-ReaderNode::ReaderNode(TablePtr table, NodeOptions,
-                       std::vector<std::string> columns, ExprPtr filter)
+ReaderNode::ReaderNode(TablePtr table, std::vector<std::string> columns,
+                       ExprPtr filter)
     : ExecNode("read(" + table->name() + ")"),
       table_(std::move(table)),
       columns_(std::move(columns)),
@@ -126,7 +126,6 @@ void MapNode::Process(size_t, const Message& msg) {
   }
   result.frame = std::move(out);
   result.progress = msg.progress;
-  result.version = msg.version;
   result.refresh = msg.refresh;
   Emit(std::move(result));
 }
@@ -148,7 +147,6 @@ void FilterNode::Process(size_t, const Message& msg) {
   Message result;
   result.frame = std::make_shared<DataFrame>(in.Take(sel));
   result.progress = msg.progress;
-  result.version = msg.version;
   result.refresh = msg.refresh;
   if (options_.with_ci && msg.variances != nullptr) {
     auto out_vars = std::make_shared<VarianceMap>();

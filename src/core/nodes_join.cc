@@ -10,17 +10,14 @@ namespace wake {
 // HashJoinNode
 // ---------------------------------------------------------------------------
 
-HashJoinNode::HashJoinNode(const PlanNode& plan, const Schema& left_schema,
-                           const Schema& right_schema,
+HashJoinNode::HashJoinNode(const PlanNode& plan, const Schema& right_schema,
                            const Schema& output_schema, NodeOptions options)
     : ExecNode(plan.label.empty() ? "hash-join" : plan.label),
       join_type_(plan.join_type),
       left_keys_(plan.left_keys),
       output_schema_(output_schema),
       options_(options),
-      table_(right_schema, plan.right_keys) {
-  (void)left_schema;
-}
+      table_(right_schema, plan.right_keys) {}
 
 size_t HashJoinNode::BufferedBytes() const {
   size_t bytes = table_.ByteSize();
@@ -82,7 +79,6 @@ void HashJoinNode::ProbeAndEmit(const Message& msg) {
                      nullptr, nullptr, options_.pool));
   }
   result.progress = msg.progress;
-  result.version = msg.version;
   result.refresh = msg.refresh;
   Emit(std::move(result));
 }

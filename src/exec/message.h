@@ -27,8 +27,6 @@ struct Message {
   /// Progress t of this edf: fraction of the transitive base-table input
   /// consumed so far (§4.1). Monotone per edge; 1.0 on the last message.
   double progress = 0.0;
-  /// Snapshot counter for refresh streams (0 on append streams).
-  uint64_t version = 0;
   /// True if this frame replaces all previously received content.
   bool refresh = false;
   /// Optional per-column variances of mutable attributes (§6).

@@ -465,7 +465,7 @@ size_t Column::ByteSize() const {
   size_t bytes = ints_.capacity() * sizeof(int64_t) +
                  doubles_.capacity() * sizeof(double) +
                  codes_.capacity() * sizeof(int32_t) + valid_.CapacityBytes();
-  if (dict_ != nullptr) bytes += dict_->ByteSize();
+  if (dict_ != nullptr) bytes += dict_->ShareBytes(codes_.size());
   return bytes;
 }
 

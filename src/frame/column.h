@@ -158,8 +158,9 @@ class Column {
   void HashIntoRange(uint64_t* hashes, size_t begin, size_t end) const;
 
   /// Approximate heap footprint in bytes (peak-memory accounting, §8.2).
-  /// String columns count their codes plus the dict pool; a dict shared
-  /// by k columns is counted k times (upper bound).
+  /// String columns count their codes plus their rows' share of the dict
+  /// pool (StringDict::ShareBytes), so the partials that share one dict
+  /// are not each charged all of it.
   size_t ByteSize() const;
 
   /// Truth words of `pred` (bool/int64 storage): bit i is set iff row i is

@@ -132,9 +132,10 @@ uint64_t LiveTable::Append(const DataFrame& rows) {
            "append schema mismatch for live table '" + name_ + "'");
   auto chunk = std::make_shared<DataFrame>(rows);  // immutable copy
   for (size_t c = 0; c < chunk->num_columns(); ++c) {
-    // A slice of a larger frame shares that frame's whole dictionary,
-    // which ByteSize counts in full: a few small appends would then seal
-    // a tablet each. Give such a column a dictionary of its own rows.
+    // A slice of a larger frame shares that frame's whole dictionary:
+    // the hot chunk would keep every string of the source alive, and the
+    // tablet sealed from it would adopt, and write, all of them. Give
+    // such a column a dictionary of its own rows.
     const Column& col = chunk->column(c);
     if (col.is_dict() && col.dict()->size() > col.size()) {
       Column own(ValueType::kString);  // its first append starts a dict

@@ -1,6 +1,7 @@
 #include "plan/optimizer.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,9 +15,59 @@ namespace {
 
 using NodeMemo = std::unordered_map<const PlanNode*, PlanNodePtr>;
 
-std::shared_ptr<PlanNode> CloneNode(const PlanNode& node) {
-  return std::make_shared<PlanNode>(node);
+// A copy of `node` over `inputs`.
+std::shared_ptr<PlanNode> WithInputs(const PlanNode& node,
+                                     std::vector<PlanNodePtr> inputs) {
+  auto n = std::make_shared<PlanNode>(node);
+  n->inputs = std::move(inputs);
+  return n;
 }
+
+// The replacement for `node` given its rewritten inputs, or null to keep
+// the node.
+using NodeRewrite = std::function<PlanNodePtr(
+    const PlanNodePtr& node, const std::vector<PlanNodePtr>& inputs)>;
+
+// Rewrites the DAG under `node` bottom-up, visiting each node once, so a
+// subplan shared by several parents (§7.3) stays one object. A node that
+// `fn` keeps is copied over its rewritten inputs only when one of them
+// changed; otherwise the original pointer survives.
+PlanNodePtr RewriteBottomUp(const PlanNodePtr& node, const NodeRewrite& fn,
+                            NodeMemo* memo) {
+  auto it = memo->find(node.get());
+  if (it != memo->end()) return it->second;
+  std::vector<PlanNodePtr> inputs;
+  inputs.reserve(node->inputs.size());
+  bool changed = false;
+  for (const auto& in : node->inputs) {
+    inputs.push_back(RewriteBottomUp(in, fn, memo));
+    changed |= inputs.back() != in;
+  }
+  PlanNodePtr out = fn(node, inputs);
+  if (out == nullptr) {
+    out = changed ? WithInputs(*node, std::move(inputs)) : node;
+  }
+  (*memo)[node.get()] = out;
+  return out;
+}
+
+// Output schemas, each inferred once per pass (InferProps recurses over
+// the whole subtree on every call).
+class SchemaCache {
+ public:
+  explicit SchemaCache(const Catalog& catalog) : catalog_(catalog) {}
+
+  const Schema& Of(const PlanNodePtr& node) {
+    auto it = schemas_.find(node.get());
+    if (it != schemas_.end()) return it->second;
+    return schemas_.emplace(node.get(), InferProps(node, catalog_).schema)
+        .first->second;
+  }
+
+ private:
+  const Catalog& catalog_;
+  std::unordered_map<const PlanNode*, Schema> schemas_;
+};
 
 // Number of parent edges per node. Nodes with more than one parent are
 // shared subplans (§7.3): passes must rewrite them context-free so every
@@ -44,6 +95,10 @@ bool LiteralTruthy(const Value& v) {
 }
 
 bool IsLiteral(const ExprPtr& e) { return e->kind() == ExprKind::kLiteral; }
+
+bool IsTrueLiteral(const ExprPtr& e) {
+  return IsLiteral(e) && LiteralTruthy(e->literal());
+}
 
 // True when `e` is guaranteed to evaluate to a non-null kBool column
 // (what Expr::Eval's logical operators produce). Bare columns and CASE
@@ -103,7 +158,7 @@ ExprPtr RebuildExpr(const Expr& e, std::vector<ExprPtr> kids) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Pass 1: constant folding / trivial-predicate elimination
+// Constant folding / trivial-predicate elimination
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -167,84 +222,55 @@ ExprPtr FoldExpr(const ExprPtr& expr) {
   return node;
 }
 
-namespace {
-
-PlanNodePtr FoldNode(const PlanNodePtr& node, NodeMemo* memo) {
-  auto it = memo->find(node.get());
-  if (it != memo->end()) return it->second;
-  std::vector<PlanNodePtr> inputs;
-  inputs.reserve(node->inputs.size());
-  bool changed = false;
-  for (const auto& in : node->inputs) {
-    inputs.push_back(FoldNode(in, memo));
-    changed |= inputs.back() != in;
-  }
-
-  PlanNodePtr out = node;
-  switch (node->op) {
-    case PlanOp::kFilter: {
-      ExprPtr folded = FoldExpr(node->predicate);
-      if (IsLiteral(folded) && LiteralTruthy(folded->literal())) {
-        out = inputs[0];  // trivially true: drop the filter
-        break;
-      }
-      if (folded != node->predicate || changed) {
-        auto n = CloneNode(*node);
-        n->inputs = std::move(inputs);
-        n->predicate = std::move(folded);
-        out = n;
-      }
-      break;
-    }
-    case PlanOp::kMap: {
-      std::vector<NamedExpr> projections;
-      projections.reserve(node->projections.size());
-      bool exprs_changed = false;
-      for (const auto& p : node->projections) {
-        ExprPtr folded = FoldExpr(p.expr);
-        exprs_changed |= folded != p.expr;
-        projections.push_back({p.name, std::move(folded)});
-      }
-      if (exprs_changed || changed) {
-        auto n = CloneNode(*node);
-        n->inputs = std::move(inputs);
-        n->projections = std::move(projections);
-        out = n;
-      }
-      break;
-    }
-    default:
-      if (changed) {
-        auto n = CloneNode(*node);
-        n->inputs = std::move(inputs);
-        out = n;
-      }
-      break;
-  }
-  (*memo)[node.get()] = out;
-  return out;
-}
-
-}  // namespace
-
 PlanNodePtr FoldConstantsPass(const PlanNodePtr& plan, const Catalog&) {
   NodeMemo memo;
-  return FoldNode(plan, &memo);
+  return RewriteBottomUp(
+      plan,
+      [](const PlanNodePtr& node,
+         const std::vector<PlanNodePtr>& inputs) -> PlanNodePtr {
+        if (node->op == PlanOp::kFilter) {
+          ExprPtr folded = FoldExpr(node->predicate);
+          if (IsTrueLiteral(folded)) return inputs[0];  // drop the filter
+          if (folded == node->predicate) return nullptr;
+          auto n = WithInputs(*node, inputs);
+          n->predicate = std::move(folded);
+          return n;
+        }
+        if (node->op != PlanOp::kMap) return nullptr;
+        std::vector<NamedExpr> projections = node->projections;
+        bool changed = false;
+        for (auto& p : projections) {
+          ExprPtr folded = FoldExpr(p.expr);
+          changed |= folded != p.expr;
+          p.expr = std::move(folded);
+        }
+        if (!changed) return nullptr;
+        auto n = WithInputs(*node, inputs);
+        n->projections = std::move(projections);
+        return n;
+      },
+      &memo);
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: filter pushdown
+// Filter pushdown
 // ---------------------------------------------------------------------------
 
 namespace {
 
+// Appends the conjuncts of `e` as fold-constants will leave them, so a
+// short-circuit that exposes an AND or drops a column reference (`(a AND
+// b) OR FALSE`) is pushed in this round. A true literal filters nothing
+// and is dropped.
 void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (e->kind() == ExprKind::kLogic && e->logic_op() == LogicOp::kAnd) {
-    SplitConjuncts(e->children()[0], out);
-    SplitConjuncts(e->children()[1], out);
-    return;
+  ExprPtr folded = FoldExpr(e);
+  if (folded->kind() == ExprKind::kLogic &&
+      folded->logic_op() == LogicOp::kAnd) {
+    SplitConjuncts(folded->children()[0], out);
+    SplitConjuncts(folded->children()[1], out);
+  } else if (!IsTrueLiteral(folded)) {
+    out->push_back(std::move(folded));
   }
-  out->push_back(e);
 }
 
 ExprPtr AndChain(const std::vector<ExprPtr>& conjuncts) {
@@ -272,6 +298,12 @@ bool AllColumnsIn(const std::set<std::string>& cols, const Schema& schema) {
   return true;
 }
 
+bool ReadsNoColumn(const ExprPtr& e) {
+  std::set<std::string> cols;
+  e->CollectColumns(&cols);
+  return cols.empty();
+}
+
 // Rewrites `e` so every column reference is resolved through the Map's
 // projections / pass-through columns. Returns null when some reference is
 // not losslessly rewritable (non-trivial projection expression).
@@ -281,11 +313,10 @@ ExprPtr RewriteThroughMap(const ExprPtr& e, const PlanNode& map,
   if (e->kind() == ExprKind::kColumn) {
     for (const auto& p : map.projections) {
       if (p.name != e->column_name()) continue;
-      // Only substitute trivial projections (column refs / literals):
-      // duplicating a computed expression below the map would evaluate it
-      // twice.
-      if (p.expr->kind() == ExprKind::kColumn ||
-          p.expr->kind() == ExprKind::kLiteral) {
+      // Only substitute column references and constants: duplicating a
+      // computed expression below the map would evaluate it twice, while
+      // a constant folds to a literal.
+      if (p.expr->kind() == ExprKind::kColumn || ReadsNoColumn(p.expr)) {
         return p.expr;
       }
       return nullptr;
@@ -308,26 +339,15 @@ ExprPtr RewriteThroughMap(const ExprPtr& e, const PlanNode& map,
 }
 
 struct PushCtx {
-  const Catalog* catalog;
+  explicit PushCtx(const Catalog& catalog) : schemas(catalog) {}
   std::unordered_map<const PlanNode*, size_t> parents;
   NodeMemo memo;  // rewrites of nodes entered with no pending conjuncts
-  std::unordered_map<const PlanNode*, Schema> schemas;
+  SchemaCache schemas;
 };
 
 bool IsShared(const PushCtx& ctx, const PlanNode* node) {
   auto it = ctx.parents.find(node);
   return it != ctx.parents.end() && it->second > 1;
-}
-
-// Output schema of `node`, inferred once per pass (InferProps recurses
-// over the whole subtree on every call; joins/maps ask for their inputs'
-// schemas repeatedly).
-const Schema& SchemaOf(const PlanNodePtr& node, PushCtx* ctx) {
-  auto it = ctx->schemas.find(node.get());
-  if (it != ctx->schemas.end()) return it->second;
-  return ctx->schemas
-      .emplace(node.get(), InferProps(node, *ctx->catalog).schema)
-      .first->second;
 }
 
 // Rewrites `node`, absorbing `pending` conjuncts (addressed to this
@@ -364,7 +384,7 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
     }
 
     case PlanOp::kMap: {
-      const Schema& input_schema = SchemaOf(node->inputs[0], ctx);
+      const Schema& input_schema = ctx->schemas.Of(node->inputs[0]);
       std::vector<ExprPtr> below, stays;
       bool child_shared = IsShared(*ctx, node->inputs[0].get());
       for (const auto& c : pending) {
@@ -372,7 +392,7 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
             child_shared ? nullptr
                          : RewriteThroughMap(c, *node, input_schema);
         if (rewritten != nullptr) {
-          below.push_back(std::move(rewritten));
+          SplitConjuncts(rewritten, &below);
         } else {
           stays.push_back(c);
         }
@@ -383,16 +403,14 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
       if (new_child == node->inputs[0] && stays.empty() && pending.empty()) {
         out = node;
       } else {
-        auto n = CloneNode(*node);
-        n->inputs = {std::move(new_child)};
-        out = WrapFilter(std::move(n), stays);
+        out = WrapFilter(WithInputs(*node, {std::move(new_child)}), stays);
       }
       break;
     }
 
     case PlanOp::kJoin: {
-      const Schema& left_schema = SchemaOf(node->inputs[0], ctx);
-      const Schema& right_schema = SchemaOf(node->inputs[1], ctx);
+      const Schema& left_schema = ctx->schemas.Of(node->inputs[0]);
+      const Schema& right_schema = ctx->schemas.Of(node->inputs[1]);
       bool left_shared = IsShared(*ctx, node->inputs[0].get());
       bool right_shared = IsShared(*ctx, node->inputs[1].get());
       // Right-side pushdown is legal only for inner joins: a Left join
@@ -420,9 +438,9 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
           pending.empty()) {
         out = node;
       } else {
-        auto n = CloneNode(*node);
-        n->inputs = {std::move(new_left), std::move(new_right)};
-        out = WrapFilter(std::move(n), stays);
+        out = WrapFilter(
+            WithInputs(*node, {std::move(new_left), std::move(new_right)}),
+            stays);
       }
       break;
     }
@@ -454,9 +472,7 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
       if (new_child == node->inputs[0] && pending.empty()) {
         out = node;
       } else {
-        auto n = CloneNode(*node);
-        n->inputs = {std::move(new_child)};
-        out = WrapFilter(std::move(n), stays);
+        out = WrapFilter(WithInputs(*node, {std::move(new_child)}), stays);
       }
       break;
     }
@@ -477,9 +493,7 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
       if (new_child == node->inputs[0] && !had_pending) {
         out = node;
       } else {
-        auto n = CloneNode(*node);
-        n->inputs = {std::move(new_child)};
-        out = WrapFilter(std::move(n), stays);
+        out = WrapFilter(WithInputs(*node, {std::move(new_child)}), stays);
       }
       break;
     }
@@ -492,14 +506,13 @@ PlanNodePtr Push(const PlanNodePtr& node, std::vector<ExprPtr> pending,
 
 PlanNodePtr PushDownFiltersPass(const PlanNodePtr& plan,
                                 const Catalog& catalog) {
-  PushCtx ctx;
-  ctx.catalog = &catalog;
+  PushCtx ctx(catalog);
   ctx.parents = CountParentEdges(plan);
   return Push(plan, {}, &ctx);
 }
 
 // ---------------------------------------------------------------------------
-// Passes 3 & 4: projection pruning and scan projection
+// Column pruning
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -507,20 +520,11 @@ namespace {
 using ColumnSet = std::set<std::string>;
 
 struct PruneCtx {
-  const Catalog* catalog;
-  bool narrow_maps = false;
-  bool project_scans = false;
-  bool prune_aggs = false;
-  std::unordered_map<const PlanNode*, Schema> schema;
+  explicit PruneCtx(const Catalog& c) : catalog(c), schemas(c) {}
+  const Catalog& catalog;
+  SchemaCache schemas;
   std::unordered_map<const PlanNode*, ColumnSet> required;
-  NodeMemo memo;
 };
-
-void CollectSchemas(const PlanNodePtr& node, PruneCtx* ctx) {
-  if (ctx->schema.count(node.get())) return;
-  for (const auto& in : node->inputs) CollectSchemas(in, ctx);
-  ctx->schema[node.get()] = InferProps(node, *ctx->catalog).schema;
-}
 
 // Reverse DFS postorder: every parent precedes its children, so required
 // sets accumulate the union over all parents before a node is expanded.
@@ -532,27 +536,25 @@ void TopoOrder(const PlanNodePtr& node,
   postorder->push_back(node.get());
 }
 
-// The projections of a Map that survive pruning under `req`. Never empty:
-// a parent that needs only the row count keeps the first projection.
+// The projections of a Map that survive pruning under `req`. A parent
+// that needs only the row count still needs rows, so then the first
+// projection survives. A Derive that passes a required input column
+// through keeps no derived column nobody reads.
 std::vector<size_t> SurvivingProjections(const PlanNode& node,
                                          const ColumnSet& req) {
   std::vector<size_t> keep;
   for (size_t i = 0; i < node.projections.size(); ++i) {
     if (req.count(node.projections[i].name)) keep.push_back(i);
   }
-  if (keep.empty() && !node.projections.empty()) keep.push_back(0);
+  if (req.empty() && !node.projections.empty()) keep.push_back(0);
   return keep;
-}
-
-void AddExprColumns(const ExprPtr& e, ColumnSet* out) {
-  e->CollectColumns(out);
 }
 
 // The aggregates of an Aggregate node that survive pruning under `req`.
 // Group keys are part of the output schema but live in node.group_by, so
 // only agg outputs are candidates. Never empty: an Aggregate must keep at
 // least one aggregate (a parent may consume only the group keys), so the
-// first is retained — mirroring SurvivingProjections.
+// first is retained.
 std::vector<size_t> SurvivingAggs(const PlanNode& node, const ColumnSet& req) {
   std::vector<size_t> keep;
   for (size_t i = 0; i < node.aggs.size(); ++i) {
@@ -563,238 +565,149 @@ std::vector<size_t> SurvivingAggs(const PlanNode& node, const ColumnSet& req) {
 }
 
 // Propagates this node's required set into its inputs' required sets.
+// Always a union, never an assignment: an input may be shared and already
+// carry requirements from another parent.
 void PropagateRequired(const PlanNode* node, PruneCtx* ctx) {
   const ColumnSet& req = ctx->required[node];
-  std::vector<ColumnSet*> input_req;
-  for (const auto& in : node->inputs) {
-    input_req.push_back(&ctx->required[in.get()]);
-  }
+  auto input_req = [&](size_t i) -> ColumnSet* {
+    return &ctx->required[node->inputs[i].get()];
+  };
+  // Requires the columns of input `i` that this node republishes.
+  auto pass_through = [&](size_t i) {
+    for (const auto& f : ctx->schemas.Of(node->inputs[i]).fields()) {
+      if (req.count(f.name)) input_req(i)->insert(f.name);
+    }
+  };
   switch (node->op) {
     case PlanOp::kScan:
       break;
-    case PlanOp::kMap: {
-      const Schema& in_schema = ctx->schema[node->inputs[0].get()];
-      if (node->append_input) {
-        if (ctx->narrow_maps) {
-          for (const auto& f : in_schema.fields()) {
-            if (req.count(f.name)) input_req[0]->insert(f.name);
-          }
-          for (size_t i : SurvivingProjections(*node, req)) {
-            AddExprColumns(node->projections[i].expr, input_req[0]);
-          }
-        } else {
-          // An un-narrowed Derive republishes its whole input.
-          for (const auto& f : in_schema.fields()) {
-            input_req[0]->insert(f.name);
-          }
-          for (const auto& p : node->projections) {
-            AddExprColumns(p.expr, input_req[0]);
-          }
-        }
-      } else {
-        if (ctx->narrow_maps) {
-          for (size_t i : SurvivingProjections(*node, req)) {
-            AddExprColumns(node->projections[i].expr, input_req[0]);
-          }
-        } else {
-          for (const auto& p : node->projections) {
-            AddExprColumns(p.expr, input_req[0]);
-          }
-        }
+    case PlanOp::kMap:
+      if (node->append_input) pass_through(0);
+      for (size_t i : SurvivingProjections(*node, req)) {
+        node->projections[i].expr->CollectColumns(input_req(0));
       }
       break;
-    }
-    case PlanOp::kFilter: {
-      // Union, never assign: the input may be shared and already carry
-      // requirements from another parent.
-      input_req[0]->insert(req.begin(), req.end());
-      AddExprColumns(node->predicate, input_req[0]);
+    case PlanOp::kFilter:
+      input_req(0)->insert(req.begin(), req.end());
+      node->predicate->CollectColumns(input_req(0));
       break;
-    }
-    case PlanOp::kJoin: {
-      const Schema& left = ctx->schema[node->inputs[0].get()];
-      const Schema& right = ctx->schema[node->inputs[1].get()];
-      for (const auto& f : left.fields()) {
-        if (req.count(f.name)) input_req[0]->insert(f.name);
+    case PlanOp::kJoin:
+      pass_through(0);
+      input_req(0)->insert(node->left_keys.begin(), node->left_keys.end());
+      // Semi/Anti joins output the left side only.
+      if (node->join_type != JoinType::kSemi &&
+          node->join_type != JoinType::kAnti) {
+        pass_through(1);
       }
-      for (const auto& k : node->left_keys) input_req[0]->insert(k);
-      if (node->join_type == JoinType::kSemi ||
-          node->join_type == JoinType::kAnti) {
-        for (const auto& k : node->right_keys) input_req[1]->insert(k);
-      } else {
-        for (const auto& f : right.fields()) {
-          if (req.count(f.name)) input_req[1]->insert(f.name);
-        }
-        for (const auto& k : node->right_keys) input_req[1]->insert(k);
+      input_req(1)->insert(node->right_keys.begin(), node->right_keys.end());
+      break;
+    case PlanOp::kAggregate:
+      input_req(0)->insert(node->group_by.begin(), node->group_by.end());
+      // Only surviving aggregates pin their input columns; the columns
+      // feeding dropped aggregates become prunable below this node.
+      for (size_t i : SurvivingAggs(*node, req)) {
+        const AggSpec& a = node->aggs[i];
+        if (!a.input.empty()) input_req(0)->insert(a.input);
       }
       break;
-    }
-    case PlanOp::kAggregate: {
-      for (const auto& g : node->group_by) input_req[0]->insert(g);
-      if (ctx->prune_aggs) {
-        // Only surviving aggregates pin their input columns; the columns
-        // feeding dropped aggregates become prunable below this node.
-        for (size_t i : SurvivingAggs(*node, req)) {
-          const AggSpec& a = node->aggs[i];
-          if (!a.input.empty()) input_req[0]->insert(a.input);
-        }
-      } else {
-        for (const auto& a : node->aggs) {
-          if (!a.input.empty()) input_req[0]->insert(a.input);
-        }
-      }
+    case PlanOp::kSortLimit:
+      input_req(0)->insert(req.begin(), req.end());
+      for (const auto& k : node->sort_keys) input_req(0)->insert(k.column);
       break;
-    }
-    case PlanOp::kSortLimit: {
-      input_req[0]->insert(req.begin(), req.end());
-      for (const auto& k : node->sort_keys) input_req[0]->insert(k.column);
-      break;
-    }
   }
 }
 
-PlanNodePtr PruneRewrite(const PlanNodePtr& node, PruneCtx* ctx) {
-  auto it = ctx->memo.find(node.get());
-  if (it != ctx->memo.end()) return it->second;
-  std::vector<PlanNodePtr> inputs;
-  inputs.reserve(node->inputs.size());
-  bool changed = false;
-  for (const auto& in : node->inputs) {
-    inputs.push_back(PruneRewrite(in, ctx));
-    changed |= inputs.back() != in;
+// True when `projections` republish `input`'s columns under the same
+// names and in the same order. Such a Map outputs its input's exact schema
+// (types, mutability, keys) in its input's evolve mode, so it is a thread
+// and a queue hop that change nothing.
+bool RepublishesInput(const std::vector<NamedExpr>& projections,
+                      const PlanNodePtr& input, PruneCtx* ctx) {
+  for (const auto& p : projections) {
+    if (p.expr->kind() != ExprKind::kColumn ||
+        p.expr->column_name() != p.name) {
+      return false;
+    }
   }
-  const ColumnSet& req = ctx->required[node.get()];
+  const Schema& schema = ctx->schemas.Of(input);
+  if (schema.num_fields() != projections.size()) return false;
+  for (size_t i = 0; i < projections.size(); ++i) {
+    if (schema.field(i).name != projections[i].name) return false;
+  }
+  return true;
+}
 
-  PlanNodePtr out = node;
+PlanNodePtr PruneNode(const PlanNodePtr& node,
+                      const std::vector<PlanNodePtr>& inputs, PruneCtx* ctx) {
+  const ColumnSet& req = ctx->required[node.get()];
   switch (node->op) {
     case PlanOp::kScan: {
-      if (!ctx->project_scans) break;
-      const Schema& current = ctx->schema[node.get()];
-      const Schema& full = ctx->catalog->GetSchema(node->table);
+      const Schema& full = ctx->catalog.GetSchema(node->table);
       std::vector<std::string> want;
       for (const auto& f : full.fields()) {
-        if (current.HasField(f.name) && req.count(f.name)) {
-          want.push_back(f.name);
-        }
+        if (req.count(f.name)) want.push_back(f.name);
       }
       if (want.empty()) {
         // Parent needs only the row count (e.g. a bare count(*)); keep the
         // narrowest possible scan: one column.
-        want.push_back(current.field(0).name);
+        want.push_back(ctx->schemas.Of(node).field(0).name);
       }
       if (want.size() == full.num_fields()) want.clear();  // all = empty
-      if (want != node->columns) {
-        auto n = CloneNode(*node);
-        n->columns = std::move(want);
-        out = n;
-      }
-      break;
+      if (want == node->columns) return nullptr;
+      auto n = WithInputs(*node, {});
+      n->columns = std::move(want);
+      return n;
     }
     case PlanOp::kMap: {
-      if (!ctx->narrow_maps) {
-        if (changed) {
-          auto n = CloneNode(*node);
-          n->inputs = std::move(inputs);
-          out = n;
-        }
-        break;
-      }
-      std::vector<size_t> keep = SurvivingProjections(*node, req);
+      // A narrowed Derive becomes an explicit Map: its required
+      // pass-through columns (input order), then its surviving derived
+      // columns.
+      const Schema& in_schema = ctx->schemas.Of(node->inputs[0]);
+      std::vector<NamedExpr> projections;
       if (node->append_input) {
-        const Schema& in_schema = ctx->schema[node->inputs[0].get()];
-        bool all_inputs_required = true;
-        for (const auto& f : in_schema.fields()) {
-          all_inputs_required &= req.count(f.name) > 0;
-        }
-        if (all_inputs_required && keep.size() == node->projections.size()) {
-          if (changed) {
-            auto n = CloneNode(*node);
-            n->inputs = std::move(inputs);
-            out = n;
-          }
-          break;
-        }
-        // Narrow the Derive into an explicit Map: required pass-through
-        // columns (input order) plus the surviving derived columns.
-        std::vector<NamedExpr> projections;
         for (const auto& f : in_schema.fields()) {
           if (req.count(f.name)) {
             projections.push_back({f.name, Expr::Col(f.name)});
           }
         }
-        for (size_t i : keep) projections.push_back(node->projections[i]);
-        if (projections.empty()) {
-          const std::string& first = in_schema.field(0).name;
-          projections.push_back({first, Expr::Col(first)});
-        }
-        auto n = CloneNode(*node);
-        n->inputs = std::move(inputs);
-        n->projections = std::move(projections);
-        n->append_input = false;
-        out = n;
-        break;
       }
-      if (keep.size() == node->projections.size()) {
-        if (changed) {
-          auto n = CloneNode(*node);
-          n->inputs = std::move(inputs);
-          out = n;
-        }
-        break;
+      for (size_t i : SurvivingProjections(*node, req)) {
+        projections.push_back(node->projections[i]);
       }
-      std::vector<NamedExpr> projections;
-      for (size_t i : keep) projections.push_back(node->projections[i]);
-      auto n = CloneNode(*node);
-      n->inputs = std::move(inputs);
+      // A Derive of nothing republishes its input too.
+      if (projections.empty() ||
+          RepublishesInput(projections, inputs[0], ctx)) {
+        return inputs[0];
+      }
+      size_t outputs = node->projections.size() +
+                       (node->append_input ? in_schema.num_fields() : 0);
+      if (projections.size() == outputs) return nullptr;
+      auto n = WithInputs(*node, inputs);
       n->projections = std::move(projections);
-      out = n;
-      break;
+      n->append_input = false;
+      return n;
     }
     case PlanOp::kAggregate: {
-      std::vector<size_t> keep;
-      if (ctx->prune_aggs) keep = SurvivingAggs(*node, req);
-      if (!ctx->prune_aggs || keep.size() == node->aggs.size()) {
-        if (changed) {
-          auto n = CloneNode(*node);
-          n->inputs = std::move(inputs);
-          out = n;
-        }
-        break;
-      }
-      std::vector<AggSpec> aggs;
-      for (size_t i : keep) aggs.push_back(node->aggs[i]);
-      auto n = CloneNode(*node);
-      n->inputs = std::move(inputs);
-      n->aggs = std::move(aggs);
-      out = n;
-      break;
+      std::vector<size_t> keep = SurvivingAggs(*node, req);
+      if (keep.size() == node->aggs.size()) return nullptr;
+      auto n = WithInputs(*node, inputs);
+      n->aggs.clear();
+      for (size_t i : keep) n->aggs.push_back(node->aggs[i]);
+      return n;
     }
     default:
-      if (changed) {
-        auto n = CloneNode(*node);
-        n->inputs = std::move(inputs);
-        out = n;
-      }
-      break;
+      return nullptr;
   }
-  ctx->memo[node.get()] = out;
-  return out;
 }
 
-PlanNodePtr PruneImpl(const PlanNodePtr& plan, const Catalog& catalog,
-                      bool narrow_maps, bool project_scans,
-                      bool prune_aggs = false) {
-  PruneCtx ctx;
-  ctx.catalog = &catalog;
-  ctx.narrow_maps = narrow_maps;
-  ctx.project_scans = project_scans;
-  ctx.prune_aggs = prune_aggs;
-  CollectSchemas(plan, &ctx);
+}  // namespace
 
+PlanNodePtr PruneColumnsPass(const PlanNodePtr& plan, const Catalog& catalog) {
+  PruneCtx ctx(catalog);
   // The root's output is the query result: everything is required, which
   // also pins the full schema (names, order) of every schema-transparent
   // operator above the first Map/Aggregate.
-  for (const auto& f : ctx.schema[plan.get()].fields()) {
+  for (const auto& f : ctx.schemas.Of(plan).fields()) {
     ctx.required[plan.get()].insert(f.name);
   }
   std::unordered_set<const PlanNode*> seen;
@@ -803,122 +716,62 @@ PlanNodePtr PruneImpl(const PlanNodePtr& plan, const Catalog& catalog,
   for (auto rit = postorder.rbegin(); rit != postorder.rend(); ++rit) {
     PropagateRequired(*rit, &ctx);
   }
-  return PruneRewrite(plan, &ctx);
-}
-
-}  // namespace
-
-PlanNodePtr PruneProjectionsPass(const PlanNodePtr& plan,
-                                 const Catalog& catalog) {
-  return PruneImpl(plan, catalog, /*narrow_maps=*/true,
-                   /*project_scans=*/false);
-}
-
-PlanNodePtr PruneAggregatesPass(const PlanNodePtr& plan,
-                                const Catalog& catalog) {
-  return PruneImpl(plan, catalog, /*narrow_maps=*/false,
-                   /*project_scans=*/false, /*prune_aggs=*/true);
-}
-
-PlanNodePtr ProjectScansPass(const PlanNodePtr& plan, const Catalog& catalog) {
-  return PruneImpl(plan, catalog, /*narrow_maps=*/false,
-                   /*project_scans=*/true);
+  NodeMemo memo;
+  return RewriteBottomUp(
+      plan,
+      [&ctx](const PlanNodePtr& node, const std::vector<PlanNodePtr>& inputs) {
+        return PruneNode(node, inputs, &ctx);
+      },
+      &memo);
 }
 
 // ---------------------------------------------------------------------------
 // Push-scan-filters pass
 // ---------------------------------------------------------------------------
 
-namespace {
-
-PlanNodePtr PushScanFiltersRewrite(
-    const PlanNodePtr& node,
-    const std::unordered_map<const PlanNode*, size_t>& parents,
-    NodeMemo* memo) {
-  auto it = memo->find(node.get());
-  if (it != memo->end()) return it->second;
-  std::vector<PlanNodePtr> inputs;
-  inputs.reserve(node->inputs.size());
-  bool changed = false;
-  for (const auto& in : node->inputs) {
-    inputs.push_back(PushScanFiltersRewrite(in, parents, memo));
-    changed |= inputs.back() != in;
-  }
-
-  PlanNodePtr out = node;
-  // Only specialize a scan this Filter exclusively owns — a shared scan
-  // (§7.3) also feeds parents without the predicate, and skipping blocks
-  // for them would drop their rows.
-  bool push = false;
-  if (node->op == PlanOp::kFilter && inputs.size() == 1 &&
-      inputs[0]->op == PlanOp::kScan) {
-    const PlanNode* scan = inputs[0].get();
-    auto pit = parents.find(scan);
-    push = pit != parents.end() && pit->second == 1 &&
-           (scan->scan_filter == nullptr ||
-            scan->scan_filter->ToString() != node->predicate->ToString());
-  }
-  if (push) {
-    auto new_scan = CloneNode(*inputs[0]);
-    new_scan->scan_filter = node->predicate;
-    auto n = CloneNode(*node);
-    n->inputs = {std::move(new_scan)};
-    out = n;
-  } else if (changed) {
-    auto n = CloneNode(*node);
-    n->inputs = std::move(inputs);
-    out = n;
-  }
-  memo->emplace(node.get(), out);
-  return out;
-}
-
-}  // namespace
-
-PlanNodePtr PushScanFiltersPass(const PlanNodePtr& plan,
-                                const Catalog& catalog) {
-  (void)catalog;
+PlanNodePtr PushScanFiltersPass(const PlanNodePtr& plan, const Catalog&) {
   auto parents = CountParentEdges(plan);
   NodeMemo memo;
-  return PushScanFiltersRewrite(plan, parents, &memo);
+  return RewriteBottomUp(
+      plan,
+      [&parents](const PlanNodePtr& node,
+                 const std::vector<PlanNodePtr>& inputs) -> PlanNodePtr {
+        if (node->op != PlanOp::kFilter || inputs[0]->op != PlanOp::kScan) {
+          return nullptr;
+        }
+        // Only specialize a scan this Filter exclusively owns — a shared
+        // scan (§7.3) also feeds parents without the predicate, and
+        // skipping blocks for them would drop their rows.
+        const PlanNode& scan = *inputs[0];
+        if (parents.at(&scan) != 1 ||
+            (scan.scan_filter != nullptr &&
+             scan.scan_filter->ToString() == node->predicate->ToString())) {
+          return nullptr;
+        }
+        auto new_scan = WithInputs(scan, {});
+        new_scan->scan_filter = node->predicate;
+        return WithInputs(*node, {std::move(new_scan)});
+      },
+      &memo);
 }
 
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-const std::vector<OptimizerPass>& DefaultPasses() {
-  static const std::vector<OptimizerPass> kPasses = {
-      {"fold-constants", FoldConstantsPass},
-      {"push-filters", PushDownFiltersPass},
-      {"prune-projections", PruneProjectionsPass},
-      {"prune-aggregates", PruneAggregatesPass},
-      {"project-scans", ProjectScansPass},
-      {"push-scan-filters", PushScanFiltersPass},
-  };
-  return kPasses;
-}
-
 PlanNodePtr Optimize(const PlanNodePtr& plan, const Catalog& catalog) {
   CheckPlan(plan != nullptr, "Optimize on empty plan");
   // Type-check the plan as written: folding may drop an operand (`x AND
   // FALSE`), and an ill-typed one must still be rejected.
   InferProps(plan, catalog);
-  constexpr int kMaxRounds = 8;
-  PlanNodePtr current = plan;
-  std::string before = PlanToString(current);
-  for (int round = 0; round < kMaxRounds; ++round) {
-    for (const auto& pass : DefaultPasses()) {
-      current = pass.run(current, catalog);
-    }
-    std::string after = PlanToString(current);
-    if (after == before) break;
-    before = std::move(after);
-  }
+  PlanNodePtr out = PushDownFiltersPass(plan, catalog);
+  out = FoldConstantsPass(out, catalog);
+  out = PruneColumnsPass(out, catalog);
+  out = PushScanFiltersPass(out, catalog);
   // The rewritten plan must still validate (and this surfaces optimizer
   // bugs as loud errors rather than wrong results downstream).
-  InferProps(current, catalog);
-  return current;
+  InferProps(out, catalog);
+  return out;
 }
 
 Plan Optimize(const Plan& plan, const Catalog& catalog) {

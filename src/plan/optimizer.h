@@ -1,5 +1,5 @@
-// Logical plan optimizer: an ordered list of rewrite passes run to
-// fixpoint over the PlanNode DAG.
+// Logical plan optimizer: four rewrite passes over the PlanNode DAG, each
+// run once, in this order.
 //
 // The paper hand-tunes its 22 TPC-H plans (filters directly above scans,
 // explicit Project() calls after every scan); the SQL front end produces
@@ -7,29 +7,31 @@
 // These passes close that gap so any parsed query runs at hand-tuned
 // speed:
 //
+//   push-filters        splits conjunctions, as folded, and pushes each
+//                       conjunct through maps / joins / aggregations down
+//                       to the operator that owns its columns (respecting
+//                       Left/Semi/Anti/Cross join semantics)
 //   fold-constants      evaluates literal-only subexpressions through
 //                       Expr::Eval, short-circuits AND/OR over a literal,
-//                       and removes trivially-true filters
-//   push-filters        splits conjunctions and pushes each conjunct
-//                       through maps / joins / aggregations down to the
-//                       operator that owns its columns (respecting
-//                       Left/Semi/Anti/Cross join semantics)
-//   prune-projections   computes the required-column set top-down and
-//                       narrows every Map (a Derive whose pass-through
-//                       columns are partly unused becomes an explicit Map)
-//   prune-aggregates    drops aggregate outputs no parent consumes (SQL
-//                       derived tables routinely compute more aggregates
-//                       than the outer query reads); group keys are never
-//                       touched and at least one aggregate always
-//                       survives, so the operator's grouping semantics
-//                       are unchanged
-//   project-scans       pushes the required-column set into kScan nodes so
-//                       storage below never materializes unused columns
+//                       and removes trivially-true filters; it follows
+//                       push-filters to reduce the AND chains push builds
+//                       where conjuncts meet
+//   prune-columns       computes the required-column set top-down once,
+//                       then narrows every Map (a Derive that republishes
+//                       part of its input becomes an explicit Map), drops
+//                       aggregate outputs no parent consumes (group keys
+//                       stay and at least one aggregate survives), projects
+//                       every scan to the columns above it, and replaces a
+//                       Map that republishes its input unchanged (same
+//                       columns, names and order) with that input
 //   push-scan-filters   copies each Filter sitting directly above a scan
 //                       into the scan's advisory scan_filter (the Filter
 //                       stays as the residual), so synopsis-carrying
 //                       storage can skip whole blocks the predicate
 //                       refutes before decoding them
+//
+// One round reaches the fixpoint: optimizing the result again prints the
+// same plan.
 //
 // Guarantees: the optimized plan produces results identical to the input
 // plan on every engine, the root output schema (names, order, types) is
@@ -39,43 +41,21 @@
 #ifndef WAKE_PLAN_OPTIMIZER_H_
 #define WAKE_PLAN_OPTIMIZER_H_
 
-#include <functional>
-#include <string>
-#include <vector>
-
 #include "plan/plan.h"
 #include "storage/partitioned_table.h"
 
 namespace wake {
 
-/// One rewrite pass: plan DAG + catalog in, semantically equivalent plan
-/// out.
-using PlanPass =
-    std::function<PlanNodePtr(const PlanNodePtr&, const Catalog&)>;
-
-struct OptimizerPass {
-  std::string name;
-  PlanPass run;
-};
-
-/// The default pass list, in execution order (see file comment).
-const std::vector<OptimizerPass>& DefaultPasses();
-
-/// Runs the default passes in order, repeating the whole list until a full
-/// round leaves the plan unchanged (bounded by a small round limit). The
-/// input and the result are both validated with InferProps.
+/// Runs the four passes once each, in order. The input and the result are
+/// both validated with InferProps.
 PlanNodePtr Optimize(const PlanNodePtr& plan, const Catalog& catalog);
 Plan Optimize(const Plan& plan, const Catalog& catalog);
 
 /// --- individual passes (exposed for targeted plan-shape tests) ---
-PlanNodePtr FoldConstantsPass(const PlanNodePtr& plan, const Catalog& catalog);
 PlanNodePtr PushDownFiltersPass(const PlanNodePtr& plan,
                                 const Catalog& catalog);
-PlanNodePtr PruneProjectionsPass(const PlanNodePtr& plan,
-                                 const Catalog& catalog);
-PlanNodePtr PruneAggregatesPass(const PlanNodePtr& plan,
-                                const Catalog& catalog);
-PlanNodePtr ProjectScansPass(const PlanNodePtr& plan, const Catalog& catalog);
+PlanNodePtr FoldConstantsPass(const PlanNodePtr& plan, const Catalog& catalog);
+PlanNodePtr PruneColumnsPass(const PlanNodePtr& plan, const Catalog& catalog);
 PlanNodePtr PushScanFiltersPass(const PlanNodePtr& plan,
                                 const Catalog& catalog);
 

@@ -77,7 +77,7 @@ struct PlanNode {
   // kScan
   std::string table;
   /// Columns to read from the table, in table-schema order; empty = all.
-  /// Set by the optimizer's scan-projection pass and lowered by every
+  /// Set by the optimizer's column-pruning pass and lowered by every
   /// engine so unused columns are never materialized.
   std::vector<std::string> columns;
   /// Advisory pruning predicate set by the optimizer's push-scan-filters

@@ -259,6 +259,42 @@ TEST_F(BudgetTest, BoundedStateStreamDropsOldestSnapshots) {
             db.Prepare(tpch::QuerySql(1)).Execute().num_rows());
 }
 
+TEST_F(BudgetTest, PartialsAreChargedTheirRowsShareOfASharedDictionary) {
+  // Every partition of `notes` shares one dictionary of 200k strings
+  // (over 16 MiB), of which the table's 20k rows use a tenth, as a
+  // wakeblock block shares its table-wide dictionary. Each partial is
+  // charged its rows' share, so an 8 MiB budget holds the whole query on
+  // both engines. Charging every partial the whole dictionary stopped the
+  // OLA run after its first chunks with a partial answer.
+  Schema schema({{"id", ValueType::kInt64}, {"note", ValueType::kString}});
+  DataFrame all(schema);
+  const std::string pad(48, 'n');
+  for (int64_t i = 0; i < 200000; ++i) {
+    all.mutable_column(0)->AppendInt(i);
+    all.mutable_column(1)->AppendString(pad + std::to_string(i));
+  }
+  Catalog cat;
+  cat.Add(std::make_shared<PartitionedTable>(
+      PartitionedTable::FromDataFrame("notes", all.Slice(0, 20000), 16)));
+  ASSERT_GT(all.column(1).dict()->ByteSize(), size_t{16} << 20);
+  Db db(&cat);
+  PreparedQuery q = db.Prepare(
+      "SELECT id, note FROM notes WHERE note LIKE '%77' ORDER BY id");
+  const DataFrame expected = q.Execute();
+  ASSERT_GT(expected.num_rows(), 0u);
+  for (QueryEngine engine : {QueryEngine::kOla, QueryEngine::kExact}) {
+    RunOptions run;
+    run.engine = engine;
+    run.memory_limit_bytes = size_t{8} << 20;
+    QueryResult result = q.Run(run).Result();
+    EXPECT_EQ(result.status, ResultStatus::kFinal);
+    EXPECT_EQ(result.breach, BreachReason::kNone);
+    ASSERT_NE(result.frame, nullptr);
+    std::string diff;
+    EXPECT_TRUE(result.frame->ApproxEquals(expected, 0.0, &diff)) << diff;
+  }
+}
+
 TEST_F(BudgetTest, BudgetedRunMatchesUnbudgetedResults) {
   // Charging/crediting must be observation-only: byte-identical results.
   Db db(&cat_);

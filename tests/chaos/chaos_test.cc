@@ -138,20 +138,36 @@ TEST_F(ChaosTest, ChannelDelaysDoNotChangeResults) {
 }
 
 TEST_F(ChaosTest, WorkerPoolDispatchFaultIsCapturedNotFatal) {
-  // The dispatch site only fires when morsels actually go through the
-  // pool (a serial configuration runs inline and never evaluates it), so
-  // assert the implication, not the firing: if it fired, the run ended
-  // in a categorized error; either way nothing crashed or hung.
-  failpoint::Configure("worker_pool.dispatch", "error(1.0)");
-  Db db(&cat_);
-  QueryHandle handle = db.Prepare(tpch::QuerySql(1)).Run();
-  Terminal outcome = Classify(handle);
-  EXPECT_TRUE(handle.done());
-  if (failpoint::Hits("worker_pool.dispatch") > 0) {
-    EXPECT_EQ(outcome, Terminal::kError);
-  } else {
-    EXPECT_EQ(outcome, Terminal::kFinal);
+  // The pool runs a join probe's morsel loop only for a probe partial of
+  // more than one 16k-row morsel, so the probe side is one 50k-row
+  // partition and the Db owns 4 workers. The fault fires inside the
+  // loop's first-error capture: the run ends in one categorized error,
+  // not a crash or a hang.
+  DataFrame fact(Schema({{"id", ValueType::kInt64}, {"k", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 50000; ++i) {
+    fact.mutable_column(0)->AppendInt(i);
+    fact.mutable_column(1)->AppendInt(i % 100);
   }
+  DataFrame dim(Schema({{"d", ValueType::kInt64}, {"w", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 100; ++i) {
+    dim.mutable_column(0)->AppendInt(i);
+    dim.mutable_column(1)->AppendInt(i * 7);
+  }
+  Catalog cat;
+  cat.Add(std::make_shared<PartitionedTable>(
+      PartitionedTable::FromDataFrame("fact", fact, 1)));
+  cat.Add(std::make_shared<PartitionedTable>(
+      PartitionedTable::FromDataFrame("dim", dim, 1)));
+  DbOptions options;
+  options.workers = 4;
+  Db db(&cat, options);
+  PreparedQuery q = db.Prepare("SELECT id, w FROM fact JOIN dim ON k = d");
+
+  failpoint::Configure("worker_pool.dispatch", "error(1.0)");
+  QueryHandle handle = q.Run();
+  EXPECT_EQ(Classify(handle), Terminal::kError);
+  EXPECT_GT(failpoint::Hits("worker_pool.dispatch"), 0u);
+  EXPECT_TRUE(handle.done());
 }
 
 TEST_F(ChaosTest, SweepConcurrentQueriesUnderRandomFaults) {

@@ -1,9 +1,10 @@
 // Randomized plan fuzzing: generate random (but valid) plans over a
 // synthetic star schema and check that the Wake OLA engine's final answer
-// always equals the blocking exact engine's. This sweeps operator
-// combinations no hand-written test enumerates: filter/derive stacking,
-// all join types, local vs shuffle aggregations, agg-over-agg, and
-// sort/limit tails.
+// always equals the blocking exact engine's, and that the optimized plan
+// gives the exact engine the same answer and is the optimizer's fixpoint.
+// This sweeps operator combinations no hand-written test enumerates:
+// filter/derive stacking, all join types, local vs shuffle aggregations,
+// agg-over-agg, and sort/limit tails.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -11,6 +12,7 @@
 #include "baseline/exact_engine.h"
 #include "common/rng.h"
 #include "core/engine.h"
+#include "plan/optimizer.h"
 
 namespace wake {
 namespace {
@@ -148,6 +150,16 @@ TEST_P(FuzzPlans, WakeFinalAlwaysEqualsExact) {
                                                   1e-6, &diff))
         << "seed=" << seed << " trial=" << trial << "\n"
         << PlanToString(plan.node()) << diff;
+
+    // One Optimize call reaches the fixpoint and keeps the answer.
+    PlanNodePtr optimized = Optimize(plan.node(), cat);
+    EXPECT_EQ(PlanToString(Optimize(optimized, cat)), PlanToString(optimized))
+        << "seed=" << seed << " trial=" << trial << "\n"
+        << PlanToString(plan.node());
+    EXPECT_TRUE(exact.Execute(optimized).ApproxEquals(expected, 0.0, &diff))
+        << "seed=" << seed << " trial=" << trial << "\n"
+        << PlanToString(plan.node()) << "optimized:\n"
+        << PlanToString(optimized) << diff;
   }
 }
 

@@ -252,5 +252,20 @@ TEST(ColumnDictTest, ByteSizeCountsCodesAndDict) {
   EXPECT_LT(growth, 1000 * sizeof(std::string));
 }
 
+TEST(ColumnDictTest, ByteSizeChargesASliceItsRowsShareOfTheDict) {
+  // Slices share their source's dict. A slice of 100 of 10,000 distinct
+  // rows is charged about a hundredth of it, not the whole dict; a column
+  // with a row per entry is charged all of it.
+  Column c(ValueType::kString);
+  const std::string pad(100, 'x');
+  for (int i = 0; i < 10000; ++i) c.AppendString(pad + std::to_string(i));
+  const size_t dict_bytes = c.dict()->ByteSize();
+  Column slice = c.Slice(0, 100);
+  ASSERT_EQ(slice.dict(), c.dict());
+  EXPECT_GE(slice.ByteSize(), 100 * (sizeof(int32_t) + pad.size()));
+  EXPECT_LT(slice.ByteSize(), dict_bytes / 50);
+  EXPECT_GE(c.ByteSize(), dict_bytes);
+}
+
 }  // namespace
 }  // namespace wake

@@ -53,9 +53,18 @@ class OptimizerTest : public ::testing::Test {
   std::string Shape(const PlanNodePtr& node) { return PlanToString(node); }
 
   // Optimization must never change results: runs both plans on the exact
-  // engine and requires identical output.
+  // engine and requires identical output. The full optimizer must also
+  // keep the input's results and reach its fixpoint in one call.
   void ExpectSameResults(const PlanNodePtr& before,
                          const PlanNodePtr& after) {
+    ExpectSameOutput(before, after);
+    PlanNodePtr optimized = Optimize(before, cat_);
+    ExpectSameOutput(before, optimized);
+    EXPECT_EQ(Shape(Optimize(optimized, cat_)), Shape(optimized))
+        << "input:\n" << Shape(before);
+  }
+
+  void ExpectSameOutput(const PlanNodePtr& before, const PlanNodePtr& after) {
     ExactEngine engine(&cat_);
     std::string diff;
     EXPECT_TRUE(engine.Execute(after).ApproxEquals(engine.Execute(before),
@@ -197,6 +206,7 @@ TEST_F(OptimizerTest, TriviallyTrueFilterIsRemoved) {
   EXPECT_EQ(Shape(folded),
             "Filter (amount > 30)\n"
             "  Scan sales\n");
+  ExpectSameResults(plan.node(), folded);
 
   // A filter that is *entirely* true disappears.
   Plan all = Plan::Scan("sales").Filter(Eq(Expr::Int(1), Expr::Int(1)));
@@ -297,6 +307,7 @@ TEST_F(OptimizerTest, FilterDoesNotCrossLimit) {
             "Filter (amount > 30)\n"
             "  Sort limit 5\n"
             "    Scan sales\n");
+  ExpectSameResults(plan.node(), pushed);
   // Without a limit the filter commutes with the sort.
   Plan no_limit = Plan::Scan("sales")
                       .Sort({{"amount", true}})
@@ -307,6 +318,26 @@ TEST_F(OptimizerTest, FilterDoesNotCrossLimit) {
             "    Scan sales\n");
   ExpectSameResults(no_limit.node(),
                     PushDownFiltersPass(no_limit.node(), cat_));
+}
+
+TEST_F(OptimizerTest, ConjunctsExposedByFoldingArePushedInTheSameRound) {
+  // `(p AND q) OR 1 = 2` folds to `p AND q`: push-filters splits the
+  // predicate as folding will leave it, so p and q reach their own join
+  // sides in this round instead of waiting above the join.
+  Plan plan =
+      Plan::Scan("sales")
+          .Join(Plan::Scan("cust"), JoinType::kInner, {"cust"}, {"c_id"})
+          .Filter(Expr::Or(Expr::And(Gt(C("amount"), Expr::Float(30.0)),
+                                     Eq(C("c_region"), Expr::Str("west"))),
+                           Eq(Expr::Int(1), Expr::Int(2))));
+  PlanNodePtr pushed = PushDownFiltersPass(plan.node(), cat_);
+  EXPECT_EQ(Shape(pushed),
+            "InnerJoin on [cust]=[c_id]\n"
+            "  Filter (amount > 30)\n"
+            "    Scan sales\n"
+            "  Filter (c_region = west)\n"
+            "    Scan cust\n");
+  ExpectSameResults(plan.node(), pushed);
 }
 
 TEST_F(OptimizerTest, SharedSubplansAreNotDuplicatedOrPolluted) {
@@ -350,7 +381,7 @@ TEST_F(OptimizerTest, IllTypedLiteralNodesAreLeftForPrepare) {
   EXPECT_EQ(null_in->literal().i, 0);
 }
 
-// --- projection pruning and scan projection --------------------------------
+// --- column pruning --------------------------------------------------------
 
 TEST_F(OptimizerTest, SharedInputRequirementsUnionAcrossParents) {
   // Two parents of one shared scan require different columns; the
@@ -369,7 +400,7 @@ TEST_F(OptimizerTest, SharedInputRequirementsUnionAcrossParents) {
 TEST_F(OptimizerTest, ProjectsScansToRequiredColumns) {
   Plan plan = Plan::Scan("sales").Aggregate({"cust"},
                                             {Sum("amount", "total")});
-  PlanNodePtr pruned = ProjectScansPass(plan.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "Aggregate by [cust] {sum(amount)->total}\n"
             "  Scan sales [cust,amount]\n");
@@ -378,7 +409,7 @@ TEST_F(OptimizerTest, ProjectsScansToRequiredColumns) {
 
 TEST_F(OptimizerTest, CountStarKeepsOneColumn) {
   Plan plan = Plan::Scan("sales").Aggregate({}, {Count("n")});
-  PlanNodePtr pruned = ProjectScansPass(plan.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "Aggregate by [] {count()->n}\n"
             "  Scan sales [id]\n");
@@ -386,21 +417,71 @@ TEST_F(OptimizerTest, CountStarKeepsOneColumn) {
 }
 
 TEST_F(OptimizerTest, NarrowsDeriveIntoExplicitMap) {
+  // The Derive keeps the one pass-through column and the derived column
+  // its parent reads, and the scan under it reads only what that Map
+  // needs — one pass does both.
   Plan plan = Plan::Scan("sales")
                   .Derive({{"double_amount", C("amount") * Expr::Int(2)}})
                   .Aggregate({"cust"}, {Sum("double_amount", "total")});
-  PlanNodePtr pruned = PruneProjectionsPass(plan.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "Aggregate by [cust] {sum(double_amount)->total}\n"
             "  Map [cust, double_amount]\n"
-            "    Scan sales\n");
-  // Scan projection then narrows the storage read to what the map needs.
-  PlanNodePtr projected = ProjectScansPass(pruned, cat_);
-  EXPECT_EQ(Shape(projected),
-            "Aggregate by [cust] {sum(double_amount)->total}\n"
-            "  Map [cust, double_amount]\n"
             "    Scan sales [cust,amount]\n");
-  ExpectSameResults(plan.node(), projected);
+  ExpectSameResults(plan.node(), pruned);
+}
+
+TEST_F(OptimizerTest, DeriveKeepsNoUnreadDerivedColumn) {
+  // Nothing above reads `double_amount`: the Derive narrows to the
+  // pass-through column alone, in one pass.
+  Plan plan = Plan::Scan("sales")
+                  .Filter(Eq(C("tag"), Expr::Str("odd")))
+                  .Derive({{"double_amount", C("amount") * Expr::Int(2)}})
+                  .Aggregate({"cust"}, {Count("n")});
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
+  EXPECT_EQ(Shape(pruned),
+            "Aggregate by [cust] {count()->n}\n"
+            "  Map [cust]\n"
+            "    Filter (tag = odd)\n"
+            "      Scan sales [cust,tag]\n");
+  ExpectSameResults(plan.node(), pruned);
+}
+
+TEST_F(OptimizerTest, MapThatRepublishesItsInputIsRemoved) {
+  // Once the scan reads only [cust, amount], a Map selecting exactly those
+  // columns in that order republishes its input and is dropped.
+  Plan plan = Plan::Scan("sales")
+                  .Project({"cust", "amount"})
+                  .Aggregate({"cust"}, {Sum("amount", "total")});
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
+  EXPECT_EQ(Shape(pruned),
+            "Aggregate by [cust] {sum(amount)->total}\n"
+            "  Scan sales [cust,amount]\n");
+  ExpectSameResults(plan.node(), pruned);
+
+  // A root Map over every column drops too: the schema is the scan's.
+  Plan root = Plan::Scan("sales").Project({"id", "cust", "amount", "tag"});
+  EXPECT_EQ(Shape(PruneColumnsPass(root.node(), cat_)), "Scan sales\n");
+  ExpectSameResults(root.node(), PruneColumnsPass(root.node(), cat_));
+
+  // A Map that reorders or renames changes the schema and stays.
+  Plan reordered = Plan::Scan("sales")
+                       .Project({"amount", "cust"})
+                       .Aggregate({"cust"}, {Sum("amount", "total")});
+  EXPECT_EQ(Shape(PruneColumnsPass(reordered.node(), cat_)),
+            "Aggregate by [cust] {sum(amount)->total}\n"
+            "  Map [amount, cust]\n"
+            "    Scan sales [cust,amount]\n");
+  ExpectSameResults(reordered.node(),
+                    PruneColumnsPass(reordered.node(), cat_));
+  Plan renamed = Plan::Scan("sales")
+                     .Map({{"k", C("cust")}, {"amount", C("amount")}})
+                     .Aggregate({"k"}, {Sum("amount", "total")});
+  EXPECT_EQ(Shape(PruneColumnsPass(renamed.node(), cat_)),
+            "Aggregate by [k] {sum(amount)->total}\n"
+            "  Map [k, amount]\n"
+            "    Scan sales [cust,amount]\n");
+  ExpectSameResults(renamed.node(), PruneColumnsPass(renamed.node(), cat_));
 }
 
 TEST_F(OptimizerTest, JoinKeysSurvivePruning) {
@@ -408,7 +489,7 @@ TEST_F(OptimizerTest, JoinKeysSurvivePruning) {
                   .Join(Plan::Scan("cust"), JoinType::kInner, {"cust"},
                         {"c_id"})
                   .Aggregate({"c_name"}, {Sum("amount", "total")});
-  PlanNodePtr pruned = ProjectScansPass(plan.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "Aggregate by [c_name] {sum(amount)->total}\n"
             "  InnerJoin on [cust]=[c_id]\n"
@@ -434,15 +515,17 @@ TEST_F(OptimizerTest, RootSchemaIsPreservedExactly) {
 // --- aggregate-output pruning ----------------------------------------------
 
 TEST_F(OptimizerTest, PrunesUnusedAggregateOutputs) {
+  // Only `total` is read above: the other aggregates go, and with them
+  // the scan's read of any column only they consumed.
   Plan plan = Plan::Scan("sales")
                   .Aggregate({"cust"}, {Sum("amount", "total"), Count("n"),
                                         Max("amount", "hi")})
                   .Map({{"total", C("total")}});
-  PlanNodePtr pruned = PruneAggregatesPass(plan.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "Map [total]\n"
             "  Aggregate by [cust] {sum(amount)->total}\n"
-            "    Scan sales\n");
+            "    Scan sales [cust,amount]\n");
   ExpectSameResults(plan.node(), pruned);
 }
 
@@ -453,25 +536,32 @@ TEST_F(OptimizerTest, GroupKeyOnlyParentKeepsOneAggregate) {
   Plan plan = Plan::Scan("sales")
                   .Aggregate({"cust"}, {Sum("amount", "total"), Count("n")})
                   .Map({{"cust", C("cust")}});
-  PlanNodePtr pruned = PruneAggregatesPass(plan.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "Map [cust]\n"
             "  Aggregate by [cust] {sum(amount)->total}\n"
-            "    Scan sales\n");
+            "    Scan sales [cust,amount]\n");
   ExpectSameResults(plan.node(), pruned);
 }
 
 TEST_F(OptimizerTest, RootAggregateIsNeverPruned) {
-  // The root's full schema is the query result: everything is required.
+  // The root's full schema is the query result: every aggregate is
+  // required, and only the scan below narrows.
   Plan plan = Plan::Scan("sales").Aggregate(
       {"cust"}, {Sum("amount", "total"), Count("n"), Max("amount", "hi")});
-  PlanNodePtr pruned = PruneAggregatesPass(plan.node(), cat_);
-  EXPECT_EQ(pruned, plan.node());  // untouched subtree keeps its pointer
+  PlanNodePtr pruned = PruneColumnsPass(plan.node(), cat_);
+  EXPECT_EQ(Shape(pruned),
+            "Aggregate by [cust] {sum(amount)->total, count()->n, "
+            "max(amount)->hi}\n"
+            "  Scan sales [cust,amount]\n");
+  // Nothing is left to prune: the whole plan keeps its pointer.
+  EXPECT_EQ(PruneColumnsPass(pruned, cat_), pruned);
+  ExpectSameResults(plan.node(), pruned);
 }
 
 TEST_F(OptimizerTest, AggPruningFreesInputColumnsForScanProjection) {
   // Dropping the count-distinct also drops its input column `tag`; the
-  // next optimizer round narrows the scan accordingly.
+  // same pass narrows the scan accordingly.
   Plan plan = Plan::Scan("sales")
                   .Aggregate({"cust"}, {Sum("amount", "total"),
                                         CountDistinct("tag", "tags")})
@@ -493,15 +583,15 @@ TEST_F(OptimizerTest, SharedAggregateKeepsUnionOfParentRequirements) {
   Plan right = agg.Map({{"cust_r", C("cust")}, {"n", C("n")}});
   Plan joined =
       left.Join(right, JoinType::kInner, {"cust"}, {"cust_r"});
-  PlanNodePtr pruned = PruneAggregatesPass(joined.node(), cat_);
+  PlanNodePtr pruned = PruneColumnsPass(joined.node(), cat_);
   EXPECT_EQ(Shape(pruned),
             "InnerJoin on [cust]=[cust_r]\n"
             "  Map [cust, total]\n"
             "    Aggregate by [cust] {sum(amount)->total, count()->n}\n"
-            "      Scan sales\n"
+            "      Scan sales [cust,amount]\n"
             "  Map [cust_r, n]\n"
             "    Aggregate by [cust] {sum(amount)->total, count()->n}\n"
-            "      Scan sales\n");
+            "      Scan sales [cust,amount]\n");
   EXPECT_EQ(pruned->inputs[0]->inputs[0], pruned->inputs[1]->inputs[0]);
   ExpectSameResults(joined.node(), pruned);
 }
@@ -554,6 +644,44 @@ TEST_F(OptimizerTest, OptimizeCombinesAllPasses) {
   ExpectSameResults(plan.node(), optimized);
 }
 
+TEST_F(OptimizerTest, FilterOverConstantProjectionFoldsAwayInOneRound) {
+  // push-filters substitutes the constant (a literal, or an expression
+  // over literals that fold-constants has not reached yet) below the Map
+  // and splits the result as folding leaves it: `5 > 3` is true and
+  // filters nothing, so no filter and no scan prune predicate are left.
+  for (ExprPtr five : {Expr::Int(5), Expr::Int(2) + Expr::Int(3)}) {
+    Plan plan = Plan::Scan("sales")
+                    .Map({{"tag", C("tag")}, {"x", five}})
+                    .Filter(Gt(C("x"), Expr::Int(3)));
+    PlanNodePtr optimized = Optimize(plan.node(), cat_);
+    EXPECT_EQ(Shape(optimized),
+              "Map [tag, x]\n"
+              "  Scan sales [tag]\n");
+    ExpectSameResults(plan.node(), optimized);
+  }
+}
+
+TEST_F(OptimizerTest, FoldFollowsPushForTheChainsPushBuilds) {
+  // The constant `flag` substitutes to FALSE below the Map and meets the
+  // HAVING-style conjunct above the Aggregate, where push-filters joins
+  // them into `false AND (total > 50)`; fold-constants, which runs after
+  // it, reduces that chain to FALSE in the same round.
+  Plan plan = Plan::Scan("sales")
+                  .Aggregate({"cust"}, {Sum("amount", "total")})
+                  .Map({{"cust", C("cust")},
+                        {"total", C("total")},
+                        {"flag", Expr::Lit(Value::Bool(false))}})
+                  .Filter(C("flag"))
+                  .Filter(Gt(C("total"), Expr::Float(50.0)));
+  PlanNodePtr optimized = Optimize(plan.node(), cat_);
+  EXPECT_EQ(Shape(optimized),
+            "Map [cust, total, flag]\n"
+            "  Filter false\n"
+            "    Aggregate by [cust] {sum(amount)->total}\n"
+            "      Scan sales [cust,amount]\n");
+  ExpectSameResults(plan.node(), optimized);
+}
+
 TEST_F(OptimizerTest, PushScanFiltersCopiesPredicateAndKeepsResidual) {
   Plan plan = Plan::Scan("sales").Filter(Gt(C("id"), Expr::Int(5)));
   PlanNodePtr after = PushScanFiltersPass(plan.node(), cat_);
@@ -570,10 +698,11 @@ TEST_F(OptimizerTest, PushScanFiltersSkipsSharedScans) {
   // for the probe-side Filter would drop build-side rows.
   Plan scan = Plan::Scan("sales");
   Plan plan = scan.Filter(Gt(C("id"), Expr::Int(5)))
-                  .Join(scan, JoinType::kInner, {"id"}, {"id"});
+                  .Join(scan, JoinType::kSemi, {"id"}, {"id"});
   PlanNodePtr after = PushScanFiltersPass(plan.node(), cat_);
   EXPECT_EQ(after->inputs[0]->inputs[0]->scan_filter, nullptr);
   EXPECT_EQ(after->inputs[1]->scan_filter, nullptr);
+  ExpectSameResults(plan.node(), after);
 }
 
 TEST_F(OptimizerTest, PushScanFiltersOnlyReachesAdjacentScans) {
@@ -583,6 +712,7 @@ TEST_F(OptimizerTest, PushScanFiltersOnlyReachesAdjacentScans) {
                   .Filter(Gt(C("total"), Expr::Float(10.0)));
   PlanNodePtr after = PushScanFiltersPass(plan.node(), cat_);
   EXPECT_EQ(after, plan.node());  // untouched, not even cloned
+  ExpectSameResults(plan.node(), after);
 }
 
 TEST_F(OptimizerTest, PushScanFiltersIsIdempotent) {
@@ -591,6 +721,7 @@ TEST_F(OptimizerTest, PushScanFiltersIsIdempotent) {
   PlanNodePtr twice = PushScanFiltersPass(once, cat_);
   EXPECT_EQ(twice, once);  // the already-pushed predicate is recognized
   EXPECT_EQ(Shape(twice), Shape(once));
+  ExpectSameResults(plan.node(), twice);
 }
 
 TEST_F(OptimizerTest, OptimizedPlanValidatesAgainstInferProps) {
@@ -600,7 +731,9 @@ TEST_F(OptimizerTest, OptimizedPlanValidatesAgainstInferProps) {
                   .Filter(Gt(C("amount"), Expr::Float(10.0)))
                   .Aggregate({"tag"}, {Sum("amount", "total"), Count("n")})
                   .Sort({{"total", true}});
-  EXPECT_NO_THROW(Optimize(plan.node(), cat_));
+  PlanNodePtr optimized;
+  EXPECT_NO_THROW(optimized = Optimize(plan.node(), cat_));
+  ExpectSameResults(plan.node(), optimized);
 }
 
 }  // namespace

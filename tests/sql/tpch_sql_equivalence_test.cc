@@ -1,8 +1,9 @@
 // End-to-end oracle for the SQL front end + logical optimizer: every
 // TPC-H query's SQL text, parsed and optimized, must produce exactly the
-// results of the hand-built tpch::Query(n) plan on the exact engine, and
-// the optimized plan must stay byte-identical on the Wake OLA engine at
-// any worker count.
+// results of the hand-built tpch::Query(n) plan on the exact engine, one
+// Optimize call must reach the optimizer's fixpoint, and the optimized
+// plan must stay byte-identical on the Wake OLA engine at any worker
+// count.
 #include "tpch/queries_sql.h"
 
 #include <gtest/gtest.h>
@@ -39,6 +40,14 @@ TEST_P(TpchSqlEquivalenceTest, SqlParsedAndOptimizedMatchesHandBuiltPlan) {
   EXPECT_TRUE(got.ApproxEquals(expected, 1e-9, &diff))
       << "Q" << q << " optimized: " << diff
       << "\nplan:\n" << PlanToString(optimized.node());
+
+  // One call reaches the optimizer's fixpoint, for the SQL text and for
+  // the hand-built plan alike.
+  for (const Plan& once : {optimized, Optimize(tpch::Query(q), catalog)}) {
+    EXPECT_EQ(PlanToString(Optimize(once, catalog).node()),
+              PlanToString(once.node()))
+        << "Q" << q;
+  }
 }
 
 TEST_P(TpchSqlEquivalenceTest, OptimizedPlanIsWorkerCountInvariantOnWake) {
