@@ -14,11 +14,13 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/db.h"
 #include "common/channel.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/wire.h"
 #include "common/worker_pool.h"
 #include "core/agg_state.h"
 #include "core/growth.h"
@@ -308,10 +310,12 @@ double MeasureProbeWorkers(size_t rows, size_t workers,
 // Storage read paths over TPC-H lineitem (16 columns):
 //   scan_columnar   full scan of the wakeblock native columnar format:
 //                   every block of every column decoded through the same
-//                   lazy-table chunk path the engines use. The table is
-//                   opened once outside the loop — engines hold tables
-//                   open in the catalog, so per-query scan cost excludes
-//                   the one-time meta/dictionary load
+//                   lazy-table chunk path the engines use, each block CRC
+//                   checked. The table is opened once outside the loop,
+//                   and the untimed warm-up run interns the string
+//                   dictionaries on their first read — engines hold
+//                   tables open in the catalog, so per-query scan cost
+//                   excludes the one-time meta load and interning
 //   scan_columnar_skip  projected wakeblock scan with a clustered
 //                   l_orderkey range predicate: block min/max synopses
 //                   refute ~97% of the blocks, which are never read —
@@ -359,6 +363,34 @@ ScanRates MeasureScan() {
   if (stats.blocks_skipped == 0) std::abort();
 
   std::filesystem::remove_all(dir);
+  return rates;
+}
+
+// CRC-32 of a 32 KB buffer (a large block body), in GB/s:
+//   crc32        wire::Crc32 as this CPU runs it: carry-less-multiply
+//                folding where the CPU has it
+//   crc32_table  the slice-by-8 table path it falls back to
+struct CrcRates {
+  double crc32 = 0.0;
+  double crc32_table = 0.0;
+};
+
+CrcRates MeasureCrc() {
+  std::vector<uint8_t> buf(32 * 1024);
+  Rng rng(static_cast<uint64_t>(::getpid()));  // run-time bytes
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  constexpr size_t kReps = 2048;  // 64 MB per timed run
+  auto gb_per_s = [&](uint32_t (*crc)(const void*, size_t)) {
+    // Bytes counted as rows: Mbytes/s, then GB/s.
+    return BestMrowsPerSec(buf.size() * kReps, [&] {
+      for (size_t i = 0; i < kReps; ++i) {
+        benchmark::DoNotOptimize(crc(buf.data(), buf.size()));
+      }
+    }) / 1e3;
+  };
+  CrcRates rates;
+  rates.crc32 = gb_per_s(wire::Crc32);
+  rates.crc32_table = gb_per_s(wire::internal::Crc32Table);
   return rates;
 }
 
@@ -610,6 +642,8 @@ int RunMicroJson() {
 
   ScanRates scan = MeasureScan();
 
+  CrcRates crc = MeasureCrc();
+
   IngestRates ingest = MeasureIngest(kRows);
 
   SnapshotRates snapshot = MeasureSnapshots();
@@ -631,6 +665,8 @@ int RunMicroJson() {
       "\"null_hash_mrows_per_s\":%.2f,"
       "\"scan_columnar_mrows_per_s\":%.2f,"
       "\"scan_columnar_skip_mrows_per_s\":%.2f,"
+      "\"crc32_gb_per_s\":%.2f,"
+      "\"crc32_table_gb_per_s\":%.2f,"
       "\"ingest_append_mrows_per_s\":%.2f,"
       "\"ingest_standing_mrows_per_s\":%.2f,"
       "\"sort_snapshot_mrows_per_s\":%.2f,"
@@ -640,7 +676,8 @@ int RunMicroJson() {
       dict.join_probe, dict.group_by, dict.count_distinct, probe_w1,
       probe_w2, probe_w4, ef.expr_filter_scalar, ef.expr_filter,
       ef.null_hash_scalar, ef.null_hash, scan.scan_columnar,
-      scan.scan_columnar_skip, ingest.ingest_append, ingest.ingest_standing,
+      scan.scan_columnar_skip, crc.crc32, crc.crc32_table,
+      ingest.ingest_append, ingest.ingest_standing,
       snapshot.sort_snapshot, snapshot.agg_snapshot);
   return 0;
 }

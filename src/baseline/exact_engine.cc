@@ -51,14 +51,21 @@ DataFrame ExactEngine::Eval(const PlanNodePtr& node) const {
       result = Apply(*node, Eval(node->inputs[0]));
       break;
   }
-  peak_bytes_ = std::max(peak_bytes_, result.ByteSize());
+  const size_t bytes = result.ByteSize();
+  peak_bytes_ = std::max(peak_bytes_, bytes);
   if (tracker_ != nullptr) {
     // Count each materialized intermediate while it is the live result;
-    // the parent operator's own charge replaces it (blocking evaluation
-    // holds parent + children simultaneously only inside the switch
-    // above, which the per-operator breach check brackets).
-    tracker_->Charge(result.ByteSize());
-    tracker_->Credit(result.ByteSize());
+    // the parent operator's own charge replaces it. A charge that breaches
+    // fails the query here, with the intermediate still charged so the
+    // message names its bytes: there is no partial result to degrade to.
+    tracker_->Charge(bytes);
+    if (tracker_->breached()) {
+      Error error("query exceeded its budget: " + tracker_->BreachMessage(),
+                  ErrorCategory::kResourceExhausted);
+      tracker_->Credit(bytes);
+      throw error;
+    }
+    tracker_->Credit(bytes);
   }
   return result;
 }

@@ -42,9 +42,10 @@ class ExactEngine {
   /// Per-query budget enforcement. A blocking engine cannot degrade —
   /// there is no partial result to return — so Eval charges each
   /// materialized intermediate against the tracker and throws
-  /// wake::Error(kResourceExhausted) at the next operator entry after any
-  /// breach (memory, deadline, or rows-scanned). The pointee must outlive
-  /// every Execute call; null disables enforcement.
+  /// wake::Error(kResourceExhausted) as soon as a charge breaches (memory
+  /// or rows-scanned), or at the next operator entry once the deadline
+  /// has passed. The pointee must outlive every Execute call; null
+  /// disables enforcement.
   void set_tracker(ResourceTracker* tracker) { tracker_ = tracker; }
 
   /// Approximate peak intermediate size in bytes observed during the last

@@ -63,7 +63,12 @@ class StringDict {
 
   /// Code of `s`, interning it if absent.
   int32_t Intern(std::string_view s) {
-    uint64_t h = FnvHash64(s.data(), s.size());
+    return Intern(s, FnvHash64(s.data(), s.size()));
+  }
+
+  /// Intern with `h` == FnvHash64(s) already known (say, another dict's
+  /// HashAt), so the bytes are not hashed again.
+  int32_t Intern(std::string_view s, uint64_t h) {
     int32_t code = FindHashed(s, h);
     if (code != kNotFound) return code;
     code = static_cast<int32_t>(entries_.size());

@@ -38,8 +38,16 @@ constexpr uint32_t kMagic = 0x57414B45;  // "WAKE"
 constexpr uint8_t kProtocolVersion = 1;
 constexpr size_t kFrameHeaderBytes = 16;
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) of `n` bytes.
+/// CRC32 (IEEE 802.3 polynomial, reflected) of `n` bytes. Folds with
+/// carry-less multiply where the CPU has it (chosen once, at run time),
+/// else uses slice-by-8 tables; both give the same value.
 uint32_t Crc32(const void* data, size_t n);
+
+namespace internal {
+/// Crc32 on the slice-by-8 table path alone, whatever the CPU: the
+/// reference that tests and benchmarks hold the folding path against.
+uint32_t Crc32Table(const void* data, size_t n);
+}  // namespace internal
 
 /// Parsed frame header.
 struct FrameHeader {

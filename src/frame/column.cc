@@ -258,15 +258,32 @@ void Column::AppendColumn(const Column& other) {
         codes_.insert(codes_.end(), other.codes_.begin(), other.codes_.end());
         break;
       }
-      // Cross-dict append: remap each distinct entry once, then gather.
+      // Cross-dict append: intern only the entries the appended rows use,
+      // in row order, through the source's stored hashes. A source dict no
+      // larger than the rows gets a remap memo, so each distinct entry is
+      // looked up once; a larger one is looked up row by row, so neither
+      // time nor memory grows with the source dict.
       StringDict* d = MutableDict();
-      std::vector<int32_t> remap(other.dict_->size());
-      for (size_t c = 0; c < remap.size(); ++c) {
-        remap[c] = d->Intern(other.dict_->At(static_cast<int32_t>(c)));
-      }
+      const StringDict& src = *other.dict_;
       codes_.reserve(codes_.size() + other.codes_.size());
-      for (int32_t code : other.codes_) {
-        codes_.push_back(code < 0 ? kNullCode : remap[code]);
+      if (src.size() <= other.codes_.size()) {
+        constexpr int32_t kUnmapped = -2;  // below every code and kNullCode
+        std::vector<int32_t> remap(src.size(), kUnmapped);
+        for (int32_t code : other.codes_) {
+          if (code < 0) {
+            codes_.push_back(kNullCode);
+            continue;
+          }
+          int32_t& to = remap[code];
+          if (to == kUnmapped) to = d->Intern(src.At(code), src.HashAt(code));
+          codes_.push_back(to);
+        }
+      } else {
+        for (int32_t code : other.codes_) {
+          codes_.push_back(code < 0 ? kNullCode
+                                    : d->Intern(src.At(code),
+                                                src.HashAt(code)));
+        }
       }
       break;
     }

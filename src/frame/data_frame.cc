@@ -82,9 +82,12 @@ void DataFrame::Append(const DataFrame& other) {
     *this = other;
     return;
   }
-  CheckArg(schema_.SameFields(other.schema_),
-           "Append: schema mismatch " + schema_.ToString() + " vs " +
-               other.schema_.ToString());
+  // The message is built only on a mismatch: operators append every
+  // partial they buffer.
+  if (!schema_.SameFields(other.schema_)) {
+    throw Error("Append: schema mismatch " + schema_.ToString() + " vs " +
+                other.schema_.ToString());
+  }
   for (size_t i = 0; i < columns_.size(); ++i) {
     columns_[i].AppendColumn(other.columns_[i]);
   }

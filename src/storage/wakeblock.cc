@@ -11,6 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/error.h"
 #include "common/wire.h"
@@ -283,6 +286,18 @@ std::string ReadWholeFile(const std::string& path) {
   std::string bytes(static_cast<size_t>(in.Size()), '\0');
   in.ReadAt(0, bytes.size(), bytes.data(), "file");
   return bytes;
+}
+
+// Reads a dictionary page's entries and checks them against the CRC from
+// the page header. Open validates every page through it, and each
+// dictionary load reads its page through it again.
+std::string ReadDictPage(const ReadFile& in, uint64_t offset, uint32_t len,
+                         uint32_t crc, const std::string& path) {
+  std::string page(len, '\0');
+  in.ReadAt(offset, len, page.data(), "dictionary page");
+  Check(wire::Crc32(page.data(), page.size()) == crc,
+        "dictionary CRC mismatch", path);
+  return page;
 }
 
 // Field names double as file names; writers enforce the safe subset.
@@ -722,21 +737,25 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
             "dictionary page overruns file", path);
       Check(static_cast<uint64_t>(count) * 4 <= page_len,
             "dictionary count overruns page", path);
-      std::string page(page_len, '\0');
-      in.ReadAt(kColFileHeaderBytes + sizeof(ph), page_len, page.data(),
-                "dictionary page");
-      Check(wire::Crc32(page.data(), page.size()) == page_crc,
-            "dictionary CRC mismatch", path);
-      col.dict = std::make_shared<StringDict>();
-      col.dict->Reserve(count);
+      col.dict = std::make_unique<DictPage>();
+      col.dict->offset = kColFileHeaderBytes + sizeof(ph);
+      col.dict->count = count;
+      col.dict->len = page_len;
+      col.dict->crc = page_crc;
+      // Validate the whole page now, so a bad one fails Open, but keep
+      // only its extent and CRC: views into the page catch duplicates
+      // without interning anything.
+      std::string page =
+          ReadDictPage(in, col.dict->offset, page_len, page_crc, path);
+      std::unordered_set<std::string_view> seen;
+      seen.reserve(count);
       wire::WireReader pr(page);
       for (uint32_t i = 0; i < count; ++i) {
-        int32_t code = col.dict->Intern(pr.Str());
-        Check(code == static_cast<int32_t>(i), "duplicate dictionary entry",
+        Check(seen.insert(pr.StrView()).second, "duplicate dictionary entry",
               path);
       }
       Check(pr.AtEnd(), "trailing bytes in dictionary page");
-      blocks_start = kColFileHeaderBytes + sizeof(ph) + page_len;
+      blocks_start = col.dict->offset + page_len;
     }
 
     col.headers.reserve(col.offsets.size());
@@ -783,6 +802,29 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
 // Block decode
 // ---------------------------------------------------------------------------
 
+const StringDictPtr& BlockTable::Dict(size_t field) const {
+  DictPage& page = *cols_[field].dict;
+  if (!page.ready.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(page.mu);
+    if (!page.ready.load(std::memory_order_relaxed)) {
+      const std::string& path = cols_[field].path;
+      std::string bytes =
+          ReadDictPage(ReadFile(path), page.offset, page.len, page.crc, path);
+      auto dict = std::make_shared<StringDict>();
+      dict->Reserve(page.count);
+      wire::WireReader pr(bytes);
+      for (uint32_t i = 0; i < page.count; ++i) {
+        Check(dict->Intern(pr.StrView()) == static_cast<int32_t>(i),
+              "duplicate dictionary entry", path);
+      }
+      Check(pr.AtEnd(), "trailing bytes in dictionary page");
+      page.dict = std::move(dict);
+      page.ready.store(true, std::memory_order_release);
+    }
+  }
+  return page.dict;
+}
+
 Column BlockTable::DecodeColumnBlock(size_t field, size_t b) const {
   const ColumnInfo& info = cols_[field];
   const BlockHeader& h = info.headers[b];
@@ -816,7 +858,8 @@ Column BlockTable::DecodeColumnBlock(size_t field, size_t b) const {
   switch (out.type()) {
     case ValueType::kString: {
       // A forged code must fail loudly here, never index out of the dict.
-      const auto size = static_cast<int64_t>(info.dict->size());
+      const StringDictPtr& dict = Dict(field);
+      const auto size = static_cast<int64_t>(dict->size());
       std::vector<int32_t> codes(rows);
       DecodeValues(
           h.encoding, payload, h.payload_len, rows,
@@ -834,8 +877,7 @@ Column BlockTable::DecodeColumnBlock(size_t field, size_t b) const {
           Fail("null code on a valid row in " + info.path);
         }
       }
-      return Column::DictFromCodes(info.dict, std::move(codes),
-                                   std::move(valid));
+      return Column::DictFromCodes(dict, std::move(codes), std::move(valid));
     }
     case ValueType::kFloat64: {
       auto& doubles = *out.mutable_doubles();
@@ -942,7 +984,7 @@ bool BlockTable::CompareRefuted(const Expr& cmp, size_t b) const {
     // Codes carry no order, but equality prunes on dictionary absence.
     if (lit->type != ValueType::kString) return false;
     if (op == CompareOp::kEq) {
-      return cols_[field].dict->Find(lit->s) == StringDict::kNotFound;
+      return Dict(field)->Find(lit->s) == StringDict::kNotFound;
     }
     return false;
   }
@@ -987,7 +1029,7 @@ bool BlockTable::Refuted(const Expr& e, size_t b) const {
         if (v.is_null) continue;  // = NULL matches nothing; skip the value
         if (spec.type == ValueType::kString) {
           if (v.type != ValueType::kString) return false;
-          if (cols_[field].dict->Find(v.s) != StringDict::kNotFound) {
+          if (Dict(field)->Find(v.s) != StringDict::kNotFound) {
             return false;
           }
         } else if ((h.flags & kFlagHasMinMax) == 0 ||

@@ -18,19 +18,22 @@
 // cheap, decode-friendly compression (run-length for sorted/low-
 // cardinality blocks, frame-of-reference bit-packing for narrow ints, raw
 // for everything else), validity as a bit-packed mask, and strings as
-// dictionary codes against a per-column dictionary page that is interned
-// once into a shared StringDict at open time.
+// dictionary codes against a per-column dictionary page, which Open
+// validates and the first read that needs it interns into a shared
+// StringDict.
 //
-// Robustness follows the PR 7 wire-frame rules: every length is validated
-// against the real file extent before any allocation, every block body is
-// CRC-checked, and malformed input raises wake::Error(kProtocol) — never
-// an over-allocation or out-of-bounds read.
+// Robustness follows the wire-frame rules: every length is validated
+// against the real file extent before any allocation, every block body
+// and dictionary page is CRC-checked on every read, and malformed input
+// raises wake::Error(kProtocol) — never an over-allocation or
+// out-of-bounds read.
 #ifndef WAKE_STORAGE_WAKEBLOCK_H_
 #define WAKE_STORAGE_WAKEBLOCK_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -72,14 +75,19 @@ void Write(const PartitionedTable& table, const std::string& dir,
            const WriteOptions& options = {});
 
 /// Lazy handle over one packed table: holds the metadata, every block
-/// header (synopses), and the interned string dictionaries — but no block
-/// payloads and no open files. Blocks are decoded on demand by ReadBlock.
-/// Thread-safe: each column block read opens, reads and closes its own
-/// descriptor, and stats are atomic.
+/// header (synopses) and the extent and CRC of each dictionary page — but
+/// no block payloads, no open files, and no string dictionary until a
+/// read needs it. Blocks are decoded on demand by ReadBlock; a string
+/// column's dictionary is interned once per open table, by its first
+/// block decode or string-equality pruning, from a fresh read of its page
+/// whose CRC is checked again. Thread-safe: each column block read opens,
+/// reads and closes its own descriptor, the dictionary load is guarded
+/// per column, and stats are atomic.
 class BlockTable {
  public:
   /// Opens and fully validates `<dir>/<name>/`: meta CRC, file sizes,
-  /// every block header, and the dictionary pages. Throws
+  /// every block header, and every dictionary page (CRC, entry lengths,
+  /// count, trailing bytes, duplicate entries). Throws
   /// wake::Error(kProtocol) on any inconsistency.
   static std::shared_ptr<const BlockTable> Open(const std::string& dir,
                                                 const std::string& name);
@@ -121,16 +129,31 @@ class BlockTable {
     uint32_t payload_len = 0;
     uint32_t crc = 0;
   };
+  // A string column's dictionary page, validated by Open and interned on
+  // first use by Dict.
+  struct DictPage {
+    uint64_t offset = 0;  // of the entries, past the page header
+    uint32_t count = 0;
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    std::mutex mu;                   // serializes the one load
+    std::atomic<bool> ready{false};  // released once `dict` is set
+    StringDictPtr dict;              // immutable once ready
+  };
   struct ColumnInfo {
     std::string path;               // <dir>/<name>/<field>.col
     std::vector<uint64_t> offsets;  // block header offset per block
     std::vector<BlockHeader> headers;
     uint64_t file_size = 0;
-    StringDictPtr dict;  // string columns only; immutable once opened
+    std::unique_ptr<DictPage> dict;  // string columns only
   };
 
   BlockTable() = default;
 
+  // The column's interned dictionary, loaded on the first call: reads the
+  // page again, checks its CRC and interns its entries. A failed load
+  // throws kProtocol and is retried by the next call.
+  const StringDictPtr& Dict(size_t field) const;
   Column DecodeColumnBlock(size_t field, size_t b) const;
   bool Refuted(const Expr& e, size_t b) const;
   bool CompareRefuted(const Expr& cmp, size_t b) const;

@@ -127,6 +127,48 @@ TEST_F(BudgetTest, ExactEngineSurfacesResourceExhausted) {
   }
 }
 
+TEST_F(BudgetTest, ExactEngineFailsAsSoonAsAnIntermediateBreaches) {
+  // The scan of 200k (int64, float64) rows materializes about 3.2 MB
+  // under a 64 KB budget, and no later operator entry follows it. Checked
+  // only on operator entry, all four runs ended kFinal with the 100 rows.
+  Schema schema({{"id", ValueType::kInt64}, {"v", ValueType::kFloat64}});
+  DataFrame all(schema);
+  for (int64_t i = 0; i < 200000; ++i) {
+    all.mutable_column(0)->AppendInt(i);
+    all.mutable_column(1)->AppendDouble(static_cast<double>(i) / 4);
+  }
+  Catalog cat;
+  cat.Add(std::make_shared<PartitionedTable>(
+      PartitionedTable::FromDataFrame("t", all, 4)));
+  Db db(&cat);
+  const size_t limit = 64 * 1024;
+  for (const char* sql : {"SELECT id, v FROM t WHERE id < 100",
+                          "SELECT id, v FROM t WHERE id < 100 ORDER BY id"}) {
+    for (OnBreach policy : {OnBreach::kDegrade, OnBreach::kFail}) {
+      SCOPED_TRACE(std::string(sql) +
+                   (policy == OnBreach::kFail ? " kFail" : " kDegrade"));
+      RunOptions run;
+      run.engine = QueryEngine::kExact;
+      run.memory_limit_bytes = limit;
+      run.on_breach = policy;
+      QueryHandle handle = db.Prepare(sql).Run(run);
+      try {
+        handle.Result();
+        ADD_FAILURE() << "expected kResourceExhausted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kResourceExhausted);
+        // The message names the bytes the intermediate needed, not the
+        // balance left once it was credited.
+        const std::string msg = e.what();
+        const std::string key = "memory limit exceeded (";
+        size_t at = msg.find(key);
+        ASSERT_NE(at, std::string::npos) << msg;
+        EXPECT_GT(std::stoull(msg.substr(at + key.size())), limit) << msg;
+      }
+    }
+  }
+}
+
 TEST_F(BudgetTest, ProgressiveEngineDegradesAtChunkBoundaries) {
   Db db(&cat_);
   RunOptions run;

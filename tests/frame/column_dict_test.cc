@@ -3,6 +3,9 @@
 // its dict, and hash/compare/equality of equal strings across dicts.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "frame/column.h"
 #include "frame/data_frame.h"
@@ -64,6 +67,37 @@ TEST(ColumnDictTest, AppendColumnCrossDictRemaps) {
   // "b" exists once in the remapped dict; codes from both sources agree.
   EXPECT_EQ(a.codes()[1], a.codes()[2]);
   EXPECT_EQ(a.dict()->size(), 3u);
+}
+
+TEST(ColumnDictTest, CrossDictAppendOfASliceInternsOnlyItsRows) {
+  // A 10-row slice of a 100k-entry column: the destination gains the
+  // slice's entries, in row order, not the source's whole dict.
+  std::vector<std::string> strings;
+  for (int i = 0; i < 100000; ++i) strings.push_back("s" + std::to_string(i));
+  Column big = Column::FromStrings(strings);
+  Column slice = big.Slice(50000, 50010);
+  slice.SetNull(3);
+  Column dst = Column::FromStrings({"a"});
+  dst.AppendColumn(slice);
+  ASSERT_EQ(dst.size(), 11u);
+  EXPECT_LE(dst.dict()->size(), 1u + 10u);
+  EXPECT_EQ(dst.dict()->At(1), "s50000");
+  for (size_t r = 0; r < slice.size(); ++r) {
+    EXPECT_EQ(dst.IsNull(1 + r), slice.IsNull(r)) << r;
+    if (!slice.IsNull(r)) {
+      EXPECT_EQ(dst.StringAt(1 + r), slice.StringAt(r));
+    }
+  }
+}
+
+TEST(ColumnDictTest, CrossDictAppendSkipsEntriesNoRowUses) {
+  // More rows than source entries, all of one entry.
+  Column src = Column::FromStrings({"p", "q", "r"}).Take({1, 1, 1, 1});
+  Column dst = Column::FromStrings({"a"});
+  dst.AppendColumn(src);
+  ASSERT_EQ(dst.size(), 5u);
+  EXPECT_EQ(dst.dict()->size(), 2u);
+  EXPECT_EQ(dst.StringAt(4), "q");
 }
 
 TEST(ColumnDictTest, AppendColumnCrossDictCopiesSharedDictFirst) {

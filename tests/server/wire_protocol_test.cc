@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/socket.h"
 #include "common/wire.h"
 #include "frame/data_frame.h"
@@ -34,10 +35,79 @@ DataFrame MakeFrame() {
   return df;
 }
 
+// Both CRC-32 paths: Crc32 as this CPU runs it (carry-less-multiply
+// folding where the CPU has it) and the slice-by-8 table path.
+struct CrcPath {
+  const char* name;
+  uint32_t (*crc)(const void*, size_t);
+};
+const CrcPath kCrcPaths[] = {{"Crc32", wire::Crc32},
+                             {"Crc32Table", wire::internal::Crc32Table}};
+
+// CRC-32 of every prefix of p[0, n), one bit at a time over the reflected
+// IEEE polynomial: the definition both paths must reproduce.
+std::vector<uint32_t> BitwisePrefixCrcs(const uint8_t* p, size_t n) {
+  std::vector<uint32_t> out(n + 1);
+  uint32_t c = 0xFFFFFFFFu;
+  out[0] = 0;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    out[i + 1] = ~c;
+  }
+  return out;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
 TEST(WireTest, Crc32KnownVector) {
-  // The IEEE CRC-32 check value: crc32("123456789") == 0xCBF43926.
-  EXPECT_EQ(wire::Crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(wire::Crc32("", 0), 0u);
+  // The IEEE CRC-32 check value, and values checked against Python's
+  // zlib.crc32.
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xFF);
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    EXPECT_EQ(path.crc("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(path.crc("", 0), 0u);
+    EXPECT_EQ(path.crc(zeros.data(), zeros.size()), 0x190A55ADu);
+    EXPECT_EQ(path.crc(ones.data(), ones.size()), 0xFF6CAB0Bu);
+  }
+}
+
+TEST(WireTest, Crc32MatchesBitwiseAtEveryLengthAndAlignment) {
+  const std::vector<uint8_t> bytes = RandomBytes(1024 + 16, 7);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const uint8_t* p = bytes.data() + offset;
+    const std::vector<uint32_t> want = BitwisePrefixCrcs(p, 1024);
+    for (const CrcPath& path : kCrcPaths) {
+      for (size_t n = 0; n <= 1024; ++n) {
+        ASSERT_EQ(path.crc(p, n), want[n])
+            << path.name << " offset " << offset << " length " << n;
+      }
+    }
+  }
+}
+
+TEST(WireTest, Crc32MatchesBitwiseAroundFoldBoundaries) {
+  // The folding path takes 64-byte steps, then 16-byte steps, then
+  // leaves the last 0-15 bytes to the table: probe each seam.
+  const size_t max = 64 * 1024;
+  const std::vector<uint8_t> bytes = RandomBytes(max + 16, 11);
+  const std::vector<uint32_t> want = BitwisePrefixCrcs(bytes.data(), max + 16);
+  for (size_t k = 1; k * 64 <= max; ++k) {
+    for (size_t n : {k * 64 - 1, k * 64, k * 64 + 1, k * 64 + 15,
+                     k * 64 + 16}) {
+      for (const CrcPath& path : kCrcPaths) {
+        ASSERT_EQ(path.crc(bytes.data(), n), want[n])
+            << path.name << " length " << n;
+      }
+    }
+  }
 }
 
 TEST(WireTest, FrameHeaderRoundTrip) {

@@ -241,6 +241,44 @@ TEST_F(WakeblockFuzzTest, NullCodeOnValidRowWithValidCrcRejected) {
                       "null code on a valid row");
 }
 
+TEST_F(WakeblockFuzzTest, DictionaryPageCorruptedAfterOpenFailsItsFirstRead) {
+  // Open validated the page but kept only its extent and CRC; the first
+  // read that needs the dictionary reads the page again and checks it.
+  // The other columns never touch the page.
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "t");
+  std::string col = Load(Path("s.col"));
+  col[8 + 12 + 5] ^= 0x01;  // a byte of the first entry, "v0"
+  Store(Path("s.col"), col);
+  for (size_t b = 0; b < bt->num_blocks(); ++b) {
+    EXPECT_GT(bt->ReadBlock(b, {"k", "f"})->num_rows(), 0u);
+  }
+  ExpectProtocolError([&] { bt->ReadBlock(0, {"s"}); },
+                      "dictionary CRC mismatch");
+  // String-equality pruning needs the dictionary too, and the failed
+  // load left nothing behind for it to use.
+  ExpectProtocolError(
+      [&] {
+        bt->ReadBlock(0, {"k"}, Eq(Expr::Col("s"), Expr::Str("v1")));
+      },
+      "dictionary CRC mismatch");
+}
+
+TEST_F(WakeblockFuzzTest, DuplicateDictEntryWithValidCrcRejectedAtOpen) {
+  // The page holds "v0".."v6" as (u32 length, bytes) entries from byte
+  // 20; the second entry becomes a copy of the first, and the page CRC is
+  // recomputed, so only Open's duplicate check stands in the way.
+  std::string col = Load(Path("s.col"));
+  uint32_t page_len;
+  std::memcpy(&page_len, col.data() + 12, sizeof(page_len));
+  ASSERT_EQ(col.substr(26, 6), std::string("\x02\0\0\0v1", 6));
+  col[31] = '0';
+  uint32_t crc = wire::Crc32(col.data() + 20, page_len);
+  std::memcpy(col.data() + 16, &crc, sizeof(crc));
+  Store(Path("s.col"), col);
+  ExpectProtocolError([&] { wakeblock::BlockTable::Open(dir_.string(), "t"); },
+                      "duplicate dictionary entry");
+}
+
 TEST_F(WakeblockFuzzTest, ColumnFileTruncatedAfterOpenRejected) {
   // Open validated the full file; a later read of a block that is gone
   // must throw, not decode stale or missing bytes.

@@ -9,10 +9,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "storage/partitioned_table.h"
@@ -478,6 +481,35 @@ TEST_F(WakeblockTest, MaterializeWithFilterPrunesButKeepsAllMatches) {
   EXPECT_TRUE(ApplyFilter(pruned, filter)
                   .ApproxEquals(ApplyFilter(full, filter), 0.0, &diff))
       << diff;
+}
+
+TEST_F(WakeblockTest, ConcurrentFirstReadsShareOneDictionary) {
+  // Eight threads read block 0 of the string column at once, before any
+  // read has loaded its dictionary: it is interned once, and every frame
+  // shares it.
+  wakeblock::Write(
+      PartitionedTable::FromDataFrame("d", MixedFrame(500, true), 2),
+      dir_.string());
+  auto bt = wakeblock::BlockTable::Open(dir_.string(), "d");
+  constexpr int kThreads = 8;
+  std::vector<DataFramePtr> frames(kThreads);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      frames[t] = bt->ReadBlock(0, {"s"});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(frames[0], nullptr);
+  const StringDict* dict = frames[0]->column(0).dict().get();
+  ASSERT_NE(dict, nullptr);
+  for (const DataFramePtr& frame : frames) {
+    ASSERT_NE(frame, nullptr);
+    EXPECT_EQ(frame->column(0).dict().get(), dict);
+  }
 }
 
 TEST_F(WakeblockTest, ListTablesAndOpenCatalog) {
