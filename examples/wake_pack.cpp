@@ -7,7 +7,8 @@
 // Generates the eight TPC-H tables in memory (--sf scale factor,
 // --partitions partitions per table) and packs each into
 // `<out>/<table>/` (table.meta + one `<field>.col` per column);
-// --block-rows sets the nominal rows per block. Engines open the result
+// --block-rows sets the rows of every block (default 4096); each
+// partition's last block holds the remainder. Engines open the result
 // with `--data wakeblock --data-dir DIR` (sql_ola) or
 // wakeblock::OpenCatalog in code.
 #include <cstdio>

@@ -376,6 +376,8 @@ QueryHandle PreparedQuery::Run(RunOptions options) const {
 }
 
 DataFrame PreparedQuery::Execute(RunOptions options) const {
+  // Only the final is read: the pull stream keeps one state, not all.
+  if (options.max_buffered_states == 0) options.max_buffered_states = 1;
   return Run(std::move(options)).Final();
 }
 

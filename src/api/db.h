@@ -220,7 +220,8 @@ class PreparedQuery {
   /// same PreparedQuery may be in flight at once.
   QueryHandle Run(RunOptions options = {}) const;
 
-  /// Blocking convenience: Run(options).Final().
+  /// Blocking convenience: Run(options).Final(). Left at 0,
+  /// max_buffered_states becomes 1, since no state but the final is read.
   DataFrame Execute(RunOptions options = {}) const;
 
   /// The optimized plan, rendered for humans.

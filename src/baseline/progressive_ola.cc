@@ -1,5 +1,6 @@
 #include "baseline/progressive_ola.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "baseline/exact_engine.h"
@@ -56,7 +57,10 @@ void ProgressiveOla::Execute(const PlanNodePtr& plan,
                             : table.schema().Select(scan->columns));
   size_t charged = 0;  // bytes of `accumulated` already on the tracker
   size_t seen = 0;
-  for (size_t i = 0; i < table.num_chunks(); ++i) {
+  size_t chunks = table.num_chunks();
+  // A table without chunks (a fresh LiveTable) still ends in one final
+  // state: the loop runs once over no rows.
+  for (size_t i = 0; i < std::max<size_t>(chunks, 1); ++i) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       throw Error("query cancelled", ErrorCategory::kCancelled);
     }
@@ -69,9 +73,12 @@ void ProgressiveOla::Execute(const PlanNodePtr& plan,
     // Skipped chunks (block synopses refute the scan filter) still count
     // toward t: the estimate honestly covers their rows — they just
     // contribute none — so the 1/t scale-up stays unbiased.
-    seen += table.chunk_rows(i);
-    DataFramePtr chunk = table.ReadChunk(i, scan->columns, scan->scan_filter);
-    bool is_final = i + 1 == table.num_chunks();
+    DataFramePtr chunk;
+    if (i < chunks) {
+      seen += table.chunk_rows(i);
+      chunk = table.ReadChunk(i, scan->columns, scan->scan_filter);
+    }
+    bool is_final = i + 1 >= chunks;
     if (chunk == nullptr && !is_final) continue;
     if (chunk != nullptr) {
       accumulated.Append(*chunk);

@@ -317,10 +317,13 @@ IngestResult Client::Ingest(const std::string& table, const DataFrame& rows) {
 
 QueryResult Client::Execute(const std::string& sql,
                             const RemoteRunOptions& options) {
+  // Only the result is read: one snapshot buffered, here and on the server.
+  RemoteRunOptions run = options;
+  if (run.max_buffered_states == 0) run.max_buffered_states = 1;
   int attempts = std::max(1, options_.backoff.max_attempts);
   for (int attempt = 0;; ++attempt) {
     try {
-      RemoteQuery query = Submit(sql, options);
+      RemoteQuery query = Submit(sql, run);
       return query.Result();
     } catch (const Error& e) {
       if (!e.retryable() || attempt + 1 >= attempts) throw;
@@ -575,6 +578,13 @@ void Client::RouteFrame(uint8_t raw_type, const std::string& payload) {
       {
         std::lock_guard<std::mutex> lock(state->mu);
         state->last = ola;
+        // Snapshots are cumulative, so past the cap the oldest unread one
+        // goes, as in QueryHandle; a final is never dropped.
+        size_t cap = state->options.max_buffered_states;
+        while (cap > 0 && state->pending.size() >= cap &&
+               !state->pending.front().is_final) {
+          state->pending.pop_front();
+        }
         state->pending.push_back(std::move(ola));
       }
       state->cv.notify_all();

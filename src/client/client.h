@@ -93,7 +93,10 @@ struct RemoteRunOptions {
   int64_t timeout_ms = 0;
   uint64_t max_rows_scanned = 0;
   /// Requested snapshot backlog; the server clamps into
-  /// [1, ServerOptions::max_snapshot_backlog].
+  /// [1, ServerOptions::max_snapshot_backlog]. The handle caps its own
+  /// unread snapshots at it too, dropping the oldest (never a final), as
+  /// RunOptions::max_buffered_states does. 0 = the server's backlog and
+  /// no cap on the handle.
   uint64_t max_buffered_states = 0;
   int64_t admission_timeout_ms = 0;
 };
@@ -184,7 +187,8 @@ class Client {
                      const RemoteRunOptions& options = {});
 
   /// Blocking submit-and-wait with automatic retry of retryable failures
-  /// (reconnect + resubmit included), honoring retry_after_ms hints.
+  /// (reconnect + resubmit included), honoring retry_after_ms hints. Left
+  /// at 0, max_buffered_states becomes 1: only the result is read.
   QueryResult Execute(const std::string& sql,
                       const RemoteRunOptions& options = {});
 

@@ -83,10 +83,7 @@ WakeEngine::Compiled WakeEngine::CompileRec(
           !plan->left_keys.empty() &&
           left.props.schema.clustering_key() == plan->left_keys &&
           right.props.schema.clustering_key() == plan->right_keys;
-      bool mergeable = (plan->join_type == JoinType::kInner ||
-                        plan->join_type == JoinType::kLeft) &&
-                       both_append && clustered && !options_.force_hash_join;
-      if (mergeable) {
+      if (both_append && clustered && !options_.force_hash_join) {
         nodes->push_back(std::make_unique<MergeJoinNode>(
             *plan, left.props.schema, right.props.schema, out.props.schema,
             node_options));

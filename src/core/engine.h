@@ -6,8 +6,9 @@
 //  - map / filter    -> stateless Case 1 nodes
 //  - join            -> MergeJoinNode when both inputs are append-mode and
 //                       clustered exactly on their join keys (the
-//                       lineitem ⨝ orders case); HashJoinNode otherwise,
-//                       with the right side as build table
+//                       lineitem ⨝ orders case; inner, left, semi and
+//                       anti joins alike); HashJoinNode otherwise, with
+//                       the right side as build table
 //  - aggregate       -> LocalAggNode when the group keys cover the input
 //                       clustering key (Case 1); ShuffleAggNode with
 //                       growth-based inference otherwise (Case 2)

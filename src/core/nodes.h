@@ -13,10 +13,12 @@
 //                  partials stream through.
 //  MergeJoinNode   progressive merge join for inputs clustered on the join
 //                  keys: the right side accumulates behind a key watermark,
-//                  left rows emit as soon as their key range is complete.
+//                  the last right key seen; left rows strictly below it
+//                  emit, since that key may continue in the next partial.
 //  LocalAggNode    Case 1 aggregation (group keys cover the clustering
-//                  key); boundary groups are held back until the next
-//                  partial so partition-straddling keys stay correct.
+//                  key); the last key's rows are held back until a larger
+//                  key or the end of the input, since a key's rows may
+//                  continue into the next partial.
 //  ShuffleAggNode  Case 2 aggregation with growth-based inference: merges
 //                  partials into intrinsic state, fits the growth model,
 //                  emits scaled extrinsic snapshots (§5), optionally with
@@ -148,8 +150,12 @@ class HashJoinNode : public ExecNode {
   bool build_done_ = false;
 };
 
-/// Progressive merge join for key-clustered append inputs; port 0 = left,
-/// port 1 = right.
+/// Progressive merge join for append inputs clustered on the join keys;
+/// port 0 = left, port 1 = right. Right partials are indexed as they
+/// arrive. A left row is probed once its key is strictly below the last
+/// right key seen (that key's run may continue in the next right
+/// partial), or once the right input closes. Every key it probes is then
+/// complete on the right, so inner, left, semi and anti joins all merge.
 class MergeJoinNode : public ExecNode {
  public:
   MergeJoinNode(const PlanNode& plan, const Schema& left_schema,
@@ -163,6 +169,9 @@ class MergeJoinNode : public ExecNode {
 
  private:
   void EmitReady();
+  /// True if the key of `left_row` (in left_pending_) is strictly below
+  /// the key of the last right row indexed so far.
+  bool BelowWatermark(size_t left_row) const;
 
   JoinType join_type_;
   std::vector<std::string> left_keys_;
@@ -173,18 +182,17 @@ class MergeJoinNode : public ExecNode {
   DataFrame left_pending_;
   size_t left_consumed_ = 0;  // emitted prefix of left_pending_
   std::vector<size_t> left_key_cols_;
-  std::vector<size_t> right_key_cols_;
-  // Watermark: the key of the last right row received (right side arrives
-  // clustered, so all keys <= watermark are complete). Held as a one-row
-  // frame to reuse CompareRows.
-  DataFrame right_watermark_;
+  std::vector<size_t> right_key_cols_;  // in table_'s build frame
   bool right_done_ = false;
   double left_progress_ = 0.0;
   double right_progress_ = 0.0;
   double last_emitted_progress_ = -1.0;
 };
 
-/// Case 1 aggregation over clustering-key groups.
+/// Case 1 aggregation over clustering-key groups. Input arrives in
+/// non-decreasing key order, so every group but the last one seen is
+/// complete; that one is held back until a larger key or the end of the
+/// input arrives, then each group is finalized exactly, once.
 class LocalAggNode : public ExecNode {
  public:
   LocalAggNode(const PlanNode& plan, const Schema& input_schema,

@@ -34,8 +34,7 @@ void LocalAggNode::Process(size_t, const Message& msg) {
   size_t ready = n;
   if (msg.progress < 1.0) {
     // Hold back rows sharing the last clustering key: that key's group may
-    // continue in the next partial (robust even if the storage layer did
-    // not align partition boundaries to key boundaries).
+    // continue in the next partial.
     std::vector<size_t> cluster_cols = pending_.ColumnIndices(cluster_key_);
     while (ready > 0) {
       bool same = true;

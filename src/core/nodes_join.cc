@@ -98,18 +98,8 @@ MergeJoinNode::MergeJoinNode(const PlanNode& plan, const Schema& left_schema,
       options_(options),
       table_(right_schema, plan.right_keys),
       left_pending_(left_schema) {
-  CheckArg(join_type_ == JoinType::kInner || join_type_ == JoinType::kLeft,
-           "merge join supports inner/left joins");
   left_key_cols_ = left_pending_.ColumnIndices(left_keys_);
-  Schema watermark_schema;
-  for (const auto& k : plan.right_keys) {
-    watermark_schema.AddField(
-        right_schema.field(right_schema.FieldIndex(k)));
-  }
-  right_watermark_ = DataFrame(watermark_schema);
-  for (size_t i = 0; i < plan.right_keys.size(); ++i) {
-    right_key_cols_.push_back(i);
-  }
+  right_key_cols_ = table_.build_frame().ColumnIndices(plan.right_keys);
 }
 
 size_t MergeJoinNode::BufferedBytes() const {
@@ -118,19 +108,7 @@ size_t MergeJoinNode::BufferedBytes() const {
 
 void MergeJoinNode::Process(size_t port, const Message& msg) {
   if (port == 1) {
-    const DataFrame& frame = *msg.frame;
-    table_.Insert(frame);
-    if (frame.num_rows() > 0) {
-      // The right side arrives clustered on its join keys, so the last
-      // row's key is a completeness watermark: every key <= it is final.
-      size_t last = frame.num_rows() - 1;
-      std::vector<uint32_t> idx{static_cast<uint32_t>(last)};
-      std::vector<std::string> names;
-      for (const auto& f : right_watermark_.schema().fields()) {
-        names.push_back(f.name);
-      }
-      right_watermark_ = frame.Select(names).Take(idx);
-    }
+    table_.Insert(*msg.frame);
     right_progress_ = msg.progress;
   } else {
     left_pending_.Append(*msg.frame);
@@ -147,26 +125,24 @@ void MergeJoinNode::OnInputClosed(size_t port) {
   }
 }
 
+bool MergeJoinNode::BelowWatermark(size_t left_row) const {
+  const DataFrame& right = table_.build_frame();
+  size_t last = right.num_rows() - 1;
+  for (size_t k = 0; k < left_key_cols_.size(); ++k) {
+    int c = left_pending_.column(left_key_cols_[k])
+                .CompareRows(left_row, right.column(right_key_cols_[k]), last);
+    if (c != 0) return c < 0;
+  }
+  return false;
+}
+
 void MergeJoinNode::EmitReady() {
   size_t n = left_pending_.num_rows();
   size_t end = left_consumed_;
   if (right_done_) {
     end = n;
-  } else if (right_watermark_.num_rows() == 1) {
-    while (end < n) {
-      bool within = true;
-      for (size_t k = 0; k < left_key_cols_.size(); ++k) {
-        int c = left_pending_.column(left_key_cols_[k])
-                    .CompareRows(end, right_watermark_.column(k), 0);
-        if (c > 0) {
-          within = false;
-          break;
-        }
-        if (c < 0) break;  // strictly below on this key: within
-      }
-      if (!within) break;
-      ++end;
-    }
+  } else if (table_.num_rows() > 0) {
+    while (end < n && BelowWatermark(end)) ++end;
   }
 
   double progress = std::min(left_progress_, right_progress_);

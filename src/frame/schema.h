@@ -2,8 +2,9 @@
 //
 // Wake tracks two key notions per the paper (§3.1, §4.3):
 //  - primary key: constant attributes uniquely identifying rows;
-//  - clustering key: attributes governing physical placement across
-//    partitions (drives merge-join and local-vs-shuffle aggregation).
+//  - clustering key: attributes the rows arrive sorted by (the contract
+//    in storage/partitioned_table.h; drives merge-join and
+//    local-vs-shuffle aggregation).
 // Schemas also record which attributes are *mutable* (their values may
 // still change while the edf evolves, §2.3).
 #ifndef WAKE_FRAME_SCHEMA_H_
@@ -63,7 +64,8 @@ class Schema {
     primary_key_ = std::move(key);
   }
 
-  /// Clustering key column names (physical partition placement).
+  /// Clustering key column names: rows arrive in non-decreasing order of
+  /// these columns (empty = no order promised).
   const std::vector<std::string>& clustering_key() const {
     return clustering_key_;
   }

@@ -45,6 +45,13 @@ bool SchemaMatches(const Schema& a, const Schema& b) {
   return true;
 }
 
+// Appends are never checked against a key order, so a live table claims
+// no clustering key (the contract in storage/partitioned_table.h).
+Schema WithoutClusteringKey(Schema schema) {
+  schema.set_clustering_key({});
+  return schema;
+}
+
 }  // namespace
 
 LiveTable::TabletHolder::~TabletHolder() {
@@ -55,7 +62,7 @@ LiveTable::TabletHolder::~TabletHolder() {
 
 LiveTable::LiveTable(std::string name, Schema schema, LiveTableOptions options)
     : name_(std::move(name)),
-      schema_(std::move(schema)),
+      schema_(WithoutClusteringKey(std::move(schema))),
       options_(std::move(options)) {
   CheckArg(!name_.empty(), "live table name must be non-empty");
   for (char c : name_) {

@@ -107,7 +107,10 @@ class LiveTable : public DynamicTable {
   /// Creates the live table, recovering any tablets already published
   /// under `options.spill_dir` (invalid ones are quarantined, see file
   /// comment). Throws kInvalidArgument for an unsafe name or a recovered
-  /// tablet whose schema does not match `schema`.
+  /// tablet whose schema does not match `schema`. The table keeps
+  /// `schema`'s fields and primary key but no clustering key: appends are
+  /// never checked against a key order, so queries plan shuffle
+  /// aggregations and hash joins over it.
   LiveTable(std::string name, Schema schema, LiveTableOptions options = {});
 
   // DynamicTable:

@@ -176,8 +176,9 @@ PlanProps InferProps(const PlanNodePtr& node, const Catalog& catalog) {
       bool local = in.mode == EvolveMode::kAppend &&
                    in.schema.ClusteringContainedIn(node->group_by);
       if (local) {
-        // Case 1: groups complete within partition boundaries; outputs are
-        // constant attributes appended incrementally.
+        // Case 1: groups arrive in clustering-key order, so each completes
+        // once a larger key arrives; outputs are constant attributes
+        // appended incrementally.
         props.mode = EvolveMode::kAppend;
         props.needs_inference = false;
         for (size_t i = 0; i < props.schema.num_fields(); ++i) {

@@ -8,19 +8,6 @@
 
 namespace wake {
 
-namespace {
-
-// Returns true if rows r-1 and r of `df` agree on every clustering column.
-bool SameClusterKey(const DataFrame& df, const std::vector<size_t>& cols,
-                    size_t r) {
-  for (size_t c : cols) {
-    if (df.column(c).CompareRows(r - 1, df.column(c), r) != 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 PartitionedTable PartitionedTable::FromDataFrame(std::string name,
                                                  const DataFrame& df,
                                                  size_t num_partitions) {
@@ -31,23 +18,10 @@ PartitionedTable PartitionedTable::FromDataFrame(std::string name,
     table.AddPartition(std::make_shared<DataFrame>(df));
     return table;
   }
-  std::vector<size_t> cluster_cols;
-  if (!df.schema().clustering_key().empty()) {
-    cluster_cols = df.ColumnIndices(df.schema().clustering_key());
-  }
   size_t target = (n + num_partitions - 1) / num_partitions;
-  size_t begin = 0;
-  while (begin < n) {
-    size_t end = std::min(begin + target, n);
-    // Advance past rows sharing the clustering key with the boundary row so
-    // one key never straddles two partitions.
-    if (!cluster_cols.empty()) {
-      while (end < n && end > 0 && SameClusterKey(df, cluster_cols, end)) {
-        ++end;
-      }
-    }
-    table.AddPartition(std::make_shared<DataFrame>(df.Slice(begin, end)));
-    begin = end;
+  for (size_t begin = 0; begin < n; begin += target) {
+    table.AddPartition(std::make_shared<DataFrame>(
+        df.Slice(begin, std::min(begin + target, n))));
   }
   return table;
 }
@@ -143,7 +117,9 @@ PartitionedTable PartitionedTable::Repartition(size_t num_partitions) const {
 PartitionedTable PartitionedTable::ShufflePartitions(uint64_t seed) const {
   CheckArg(!lazy() && !composite(),
            "ShufflePartitions on a wakeblock-backed or composite table");
-  PartitionedTable out(name_, schema_);
+  Schema unclustered = schema_;
+  unclustered.set_clustering_key({});
+  PartitionedTable out(name_, std::move(unclustered));
   std::vector<DataFramePtr> parts = partitions_;
   Rng rng(seed);
   rng.Shuffle(&parts);

@@ -3,9 +3,15 @@
 // A PartitionedTable is the on-"disk" layout Wake reads from: an ordered
 // list of partitions (each a DataFrame) plus the metadata the paper says a
 // base-table edf requires (§4.4): file list, tuple count per file, and the
-// primary/clustering keys. Partitioning respects the clustering key — a
-// clustering-key value never straddles two partitions — which is what makes
-// clustering-key aggregations local operations (Case 1, §2.2).
+// primary/clustering keys.
+//
+// Clustering contract. A table clustered on K delivers its rows, chunk by
+// chunk, in non-decreasing K order; a key's rows may continue into the
+// next chunk. Partitions and blocks are plain row ranges. The two
+// operators that use the order — local aggregation (Case 1, §2.2) and the
+// merge join (§7.3) — hold back the last key of what they have seen until
+// a larger key or the end of the input arrives. A producer that cannot
+// keep the order claims no clustering key.
 //
 // Tables live either in memory (FromDataFrame) or on disk in the wakeblock
 // columnar format (storage/wakeblock.h), which OpenWakeblock reads lazily.
@@ -33,9 +39,9 @@ class PartitionedTable {
   PartitionedTable(std::string name, Schema schema)
       : name_(std::move(name)), schema_(std::move(schema)) {}
 
-  /// Splits `df` into `num_partitions` chunks. If the schema has a
-  /// clustering key and `df` is sorted by it, chunk boundaries are moved
-  /// forward so no clustering-key value straddles two partitions.
+  /// Splits `df` into row ranges of ceil(rows / num_partitions) rows (the
+  /// last may be shorter). The clustering key is recorded, not checked: a
+  /// clustered schema promises `df` is sorted by it.
   static PartitionedTable FromDataFrame(std::string name, const DataFrame& df,
                                         size_t num_partitions);
 
@@ -92,7 +98,8 @@ class PartitionedTable {
   PartitionedTable Repartition(size_t num_partitions) const;
 
   /// Same rows, partitions in a shuffled order (Fig 10 uses shuffled
-  /// inputs to simulate unexpected arrival order).
+  /// inputs to simulate unexpected arrival order). The result claims no
+  /// clustering key, since its rows no longer arrive in key order.
   PartitionedTable ShufflePartitions(uint64_t seed) const;
 
   /// Concatenation of every chunk narrowed to `columns` (in the given

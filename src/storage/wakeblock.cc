@@ -325,42 +325,21 @@ struct BlockSpan {
   size_t rows;
 };
 
-// True if rows r-1 and r of `df` agree on every clustering column.
-bool SameClusterKey(const DataFrame& df, const std::vector<size_t>& cols,
-                    size_t r) {
-  for (size_t c : cols) {
-    if (df.column(c).CompareRows(r - 1, df.column(c), r) != 0) return false;
-  }
-  return true;
-}
-
-// Splits every partition into blocks of ~block_rows rows. Block
-// boundaries respect partition edges and (like FromDataFrame) are pushed
-// forward so a clustering-key value never straddles two blocks.
+// Splits every partition into blocks of exactly block_rows rows; a
+// partition's last block holds the remainder.
 std::vector<BlockSpan> PlanBlocks(const PartitionedTable& table,
                                   size_t block_rows) {
   std::vector<BlockSpan> spans;
-  std::vector<size_t> cluster_cols;
-  if (table.num_partitions() > 0 && !table.schema().clustering_key().empty()) {
-    cluster_cols =
-        table.partition(0)->ColumnIndices(table.schema().clustering_key());
-  }
   for (size_t p = 0; p < table.num_partitions(); ++p) {
-    const DataFrame& df = *table.partition(p);
-    size_t n = df.num_rows();
+    size_t n = table.partition(p)->num_rows();
     if (n == 0) {
       // Keep one (empty) block so the partition survives a round trip.
       spans.push_back({static_cast<uint32_t>(p), 0, 0});
       continue;
     }
-    size_t begin = 0;
-    while (begin < n) {
-      size_t end = std::min(begin + block_rows, n);
-      if (!cluster_cols.empty()) {
-        while (end < n && SameClusterKey(df, cluster_cols, end)) ++end;
-      }
-      spans.push_back({static_cast<uint32_t>(p), begin, end - begin});
-      begin = end;
+    for (size_t begin = 0; begin < n; begin += block_rows) {
+      spans.push_back({static_cast<uint32_t>(p), begin,
+                       std::min(block_rows, n - begin)});
     }
   }
   return spans;
@@ -675,8 +654,8 @@ std::shared_ptr<const BlockTable> BlockTable::Open(const std::string& dir,
     info.rows = r.U32();
     Check(info.partition < num_partitions, "block partition out of range");
     Check(info.partition >= prev_partition, "block partitions out of order");
-    // A block may legitimately exceed the nominal size (clustering-key
-    // extension), but never the hard decode-allocation bound.
+    // Older writers extended blocks past the nominal size to key
+    // boundaries, so only the hard decode-allocation bound is checked.
     Check(info.rows <= kMaxBlockRows, "block row count too large");
     prev_partition = info.partition;
     table->blocks_.push_back(info);

@@ -46,8 +46,8 @@ class Catalog;
 
 namespace wakeblock {
 
-/// Nominal rows per block (the writer may extend a block past this so a
-/// clustering-key value never straddles two blocks).
+/// Rows per block: the writer cuts every partition into blocks of exactly
+/// this many rows, and a partition's last block holds the remainder.
 constexpr size_t kDefaultBlockRows = 4096;
 
 /// Hard ceiling on rows per block: decode allocations are proportional to

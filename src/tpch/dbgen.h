@@ -12,8 +12,9 @@
 // ship mode list uses "AIR REG" (matching Q19's literal) instead of
 // "REG AIR". All deviations are self-consistent: queries and data agree.
 //
-// Tables are clustered (sorted + partition-boundary aligned) on their
-// primary keys: lineitem on l_orderkey, orders on o_orderkey, etc.
+// Every table is generated sorted on its clustering key (lineitem on
+// l_orderkey, orders on o_orderkey, partsupp on ps_partkey, the others on
+// their primary keys), which is what a clustered schema promises.
 #ifndef WAKE_TPCH_DBGEN_H_
 #define WAKE_TPCH_DBGEN_H_
 

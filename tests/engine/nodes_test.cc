@@ -2,6 +2,7 @@
 // engine runs on synthetic tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -300,6 +301,54 @@ TEST(MergeJoinNodeTest, UsedForClusteredKeysAndCorrect) {
                                 &diff))
       << diff;
   EXPECT_EQ(got.num_rows(), 150u);
+}
+
+/// A merge join whose input callbacks a test calls directly, so partials
+/// reach it in exactly the order the test gives, on one thread.
+class DirectMergeJoin : public MergeJoinNode {
+ public:
+  using MergeJoinNode::MergeJoinNode;
+  using MergeJoinNode::OnInputClosed;
+  using MergeJoinNode::Process;
+};
+
+// The right input's last key may continue in its next partial. Here the
+// right run of key 2 is cut by a left partial holding key 2: that left row
+// must wait for the rest of the run, and all three of its matches appear.
+TEST(MergeJoinNodeTest, LeftRowAtTheLastRightKeyWaitsForTheRestOfItsRun) {
+  Schema left({{"k", ValueType::kInt64}, {"lv", ValueType::kInt64}});
+  Schema right({{"rk", ValueType::kInt64}, {"rv", ValueType::kInt64}});
+  auto frame = [](const Schema& schema, const std::vector<int64_t>& keys) {
+    auto df = std::make_shared<DataFrame>(schema);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      df->mutable_column(0)->AppendInt(keys[i]);
+      df->mutable_column(1)->AppendInt(static_cast<int64_t>(i));
+    }
+    return df;
+  };
+  Plan plan = Plan::Scan("l").Join(Plan::Scan("r"), JoinType::kInner, {"k"},
+                                   {"rk"});
+  DirectMergeJoin join(*plan.node(), left, right,
+                       JoinOutputSchema(left, right, {"rk"}, JoinType::kInner),
+                       NodeOptions{});
+  auto sink = std::make_shared<Inbox>();
+  join.AddOutlet(sink, 0);
+  join.Process(1, Message{frame(right, {1, 2, 2}), 0.5});
+  join.Process(0, Message{frame(left, {1, 2}), 1.0});
+  join.Process(1, Message{frame(right, {2, 3}), 1.0});
+  join.OnInputClosed(1);
+  std::vector<std::pair<int64_t, int64_t>> rows;  // (k, rv)
+  while (auto tagged = sink->TryReceive()) {
+    const DataFrame& f = *tagged->msg.frame;
+    for (size_t r = 0; r < f.num_rows(); ++r) {
+      rows.emplace_back(f.ColumnByName("k").IntAt(r),
+                        f.ColumnByName("rv").IntAt(r));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  std::vector<std::pair<int64_t, int64_t>> want = {
+      {1, 0}, {2, 0}, {2, 1}, {2, 2}};
+  EXPECT_EQ(rows, want);
 }
 
 TEST(SortLimitNodeTest, EveryStateIsSortedAndLimited) {

@@ -368,6 +368,29 @@ TEST_F(LiveTableTest, RefreshWithoutNewRowsReturnsNullopt) {
   EXPECT_FALSE(sub->Refresh().has_value());
 }
 
+// A fresh live table has no chunks at all. Every engine still ends in
+// one final state: an empty frame of the query's schema.
+TEST_F(LiveTableTest, EveryEngineAnswersOverAFreshTable) {
+  auto live = std::make_shared<LiveTable>("events", EventSchema());
+  Catalog catalog;
+  catalog.AddDynamic(live);
+  Db db(&catalog);
+  PreparedQuery query = db.Prepare(StandingPlan());
+  for (QueryEngine engine : {QueryEngine::kExact, QueryEngine::kOla,
+                             QueryEngine::kProgressive}) {
+    RunOptions run;
+    run.engine = engine;
+    QueryHandle handle = query.Run(run);
+    size_t finals = 0;
+    while (auto s = handle.Next()) finals += s->is_final ? 1 : 0;
+    EXPECT_EQ(finals, 1u) << "engine=" << static_cast<int>(engine);
+    DataFrame result = handle.Final();
+    EXPECT_EQ(result.num_rows(), 0u) << "engine=" << static_cast<int>(engine);
+    EXPECT_TRUE(result.schema().SameFields(query.schema()))
+        << "engine=" << static_cast<int>(engine);
+  }
+}
+
 TEST_F(LiveTableTest, UnsupportedSubscriptionsRejectedAtPlanTime) {
   spill_ = FreshDir("wake_live_reject");
   auto live = std::make_shared<LiveTable>("events", EventSchema(),

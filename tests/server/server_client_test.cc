@@ -300,6 +300,26 @@ TEST_F(ServerClientTest, SlowConsumerStillGetsFinalSnapshot) {
   server.Stop();
 }
 
+// A capped handle keeps at most its cap of unread snapshots and drops the
+// oldest, so a caller that reads only after the query finished holds two
+// states, not one per partial, and the last of them is the final.
+TEST_F(ServerClientTest, CappedHandleReadAfterTheEndHoldsTheNewestStates) {
+  Db db(&cat_);
+  Server server(&db, FastServer());
+  server.Start();
+  Client client(FastClient(server.port()));
+  RemoteRunOptions options;
+  options.max_buffered_states = 2;
+  RemoteQuery handle = client.Submit(tpch::QuerySql(1), options);
+  handle.Wait();
+  std::vector<OlaState> states;
+  while (auto s = handle.Next()) states.push_back(std::move(*s));
+  ASSERT_FALSE(states.empty());
+  EXPECT_LE(states.size(), 2u);
+  EXPECT_TRUE(states.back().is_final);
+  server.Stop();
+}
+
 TEST_F(ServerClientTest, HeartbeatKillsSilentConnection) {
   Db db(&cat_);
   ServerOptions options = FastServer();

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/error.h"
 
 namespace wake {
@@ -15,7 +13,8 @@ DataFrame ClusteredFrame(size_t n) {
   schema.set_clustering_key({"key"});
   DataFrame df(schema);
   for (size_t i = 0; i < n; ++i) {
-    // Three rows per key so keys can straddle naive chunk boundaries.
+    // Three rows per key, so a key's rows can continue into the next
+    // partition.
     df.mutable_column(0)->AppendInt(static_cast<int64_t>(i / 3));
     df.mutable_column(1)->AppendDouble(static_cast<double>(i));
   }
@@ -34,20 +33,32 @@ TEST(PartitionedTableTest, SplitsIntoRequestedPartitions) {
   EXPECT_EQ(sum, 100u);
 }
 
-TEST(PartitionedTableTest, ClusteringKeyNeverStraddlesPartitions) {
+TEST(PartitionedTableTest, PartitionsArePlainRowRanges) {
+  // 100 rows into 5 partitions of 20. Boundaries stay where the row count
+  // puts them, so key 6 (rows 18-20) continues from partition 0 into
+  // partition 1; the clustering key is recorded as given.
   PartitionedTable t =
-      PartitionedTable::FromDataFrame("t", ClusteredFrame(99), 7);
-  std::set<int64_t> seen;
+      PartitionedTable::FromDataFrame("t", ClusteredFrame(100), 5);
+  ASSERT_EQ(t.num_partitions(), 5u);
   for (size_t p = 0; p < t.num_partitions(); ++p) {
-    const Column& keys = t.partition(p)->column(0);
-    std::set<int64_t> here;
-    for (size_t r = 0; r < keys.size(); ++r) here.insert(keys.IntAt(r));
-    for (int64_t k : here) {
-      EXPECT_EQ(seen.count(k), 0u)
-          << "key " << k << " appears in two partitions";
-      seen.insert(k);
-    }
+    const DataFrame& part = *t.partition(p);
+    ASSERT_EQ(part.num_rows(), 20u) << p;
+    EXPECT_EQ(part.column(1).DoubleAt(0), static_cast<double>(20 * p)) << p;
   }
+  EXPECT_EQ(t.partition(0)->column(0).IntAt(19), 6);
+  EXPECT_EQ(t.partition(1)->column(0).IntAt(0), 6);
+  EXPECT_EQ(t.schema().clustering_key(), std::vector<std::string>{"key"});
+}
+
+// Shuffled partitions no longer arrive in key order, so the shuffled
+// table claims no clustering key (and plans no merge join or local
+// aggregation over it).
+TEST(PartitionedTableTest, ShuffledTableClaimsNoClusteringKey) {
+  PartitionedTable t =
+      PartitionedTable::FromDataFrame("t", ClusteredFrame(90), 9);
+  PartitionedTable s = t.ShufflePartitions(1234);
+  EXPECT_TRUE(s.schema().clustering_key().empty());
+  EXPECT_EQ(s.schema().primary_key(), t.schema().primary_key());
 }
 
 TEST(PartitionedTableTest, MaterializeRoundTrips) {

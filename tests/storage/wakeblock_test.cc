@@ -13,7 +13,6 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -92,26 +91,6 @@ TEST_F(WakeblockTest, EmptyTableAndEmptyPartitionsRoundTrip) {
   EXPECT_EQ(back.num_partitions(), t.num_partitions());
   EXPECT_EQ(back.schema().num_fields(), 2u);
   EXPECT_EQ(back.Materialize().num_rows(), 0u);
-}
-
-TEST_F(WakeblockTest, ClusteringKeyNeverStraddlesBlocks) {
-  PartitionedTable t =
-      PartitionedTable::FromDataFrame("ck", MixedFrame(500, false), 2);
-  wakeblock::WriteOptions opts;
-  opts.block_rows = 10;  // not a multiple of the 3-rows-per-key stride
-  wakeblock::Write(t, dir_.string(), opts);
-  auto bt = wakeblock::BlockTable::Open(dir_.string(), "ck");
-  std::set<int64_t> seen;
-  for (size_t b = 0; b < bt->num_blocks(); ++b) {
-    DataFramePtr block = bt->ReadBlock(b, {"key"});
-    const Column& keys = block->column(0);
-    std::set<int64_t> here;
-    for (size_t r = 0; r < keys.size(); ++r) here.insert(keys.IntAt(r));
-    for (int64_t k : here) {
-      EXPECT_EQ(seen.count(k), 0u) << "key " << k << " straddles blocks";
-      seen.insert(k);
-    }
-  }
 }
 
 // Regression: a width-63 frame-of-reference block at an odd bit offset
